@@ -32,7 +32,6 @@ from .graph import (
     build_graphs,
     build_item_side_ckg,
     build_user_side_ckg,
-    neighbors,
     plan_alignment,
 )
 from .ingest import (
@@ -47,16 +46,12 @@ from .ingest import (
 from .model import BprBatch, DualModel, bpr_loss, build_model, total_loss
 from .propagation import (
     LayerStack,
-    attention_logit,
-    attention_weights,
-    bi_interaction_aggregate,
     init_stack,
-    neighborhood_message,
     propagate,
     propagate_backward,
 )
 from .rng import Rng
 from .training import Adam, TrainSettings, train
-from .transr import EmbeddingTable, TripleBatch, init_table, kg_loss, project, sample_negative_tail, triple_energy
+from .transr import EmbeddingTable, TripleBatch, init_table, kg_loss, project, sample_absent, triple_energy
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint as ckpt
-from .config import KEY_MAP, RunConfig, load_config, parse_assignments
+from .config import RunConfig, parse_assignments
 from .errors import CkgrecError, ConfigError, FormatError, UnresolvedEntityError
 from .evaluate import (
     EvalReport,

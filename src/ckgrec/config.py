@@ -42,7 +42,6 @@ class RunConfig:
     test_ratio: float = 0.1
     id_order: str = "first-seen"
     format: str = "tsv"
-    workers: int = 1
     eval_every: int = 1
     interactions: str | None = None
     user_attrs: str | None = None
@@ -70,7 +69,6 @@ class RunConfig:
         require(0.0 < self.slope < 1.0, f"activation slope must lie in (0,1), got {self.slope}")
         require(self.init_std > 0, f"init std must be positive, got {self.init_std}")
         require(self.min_interactions >= 0, "min_interactions must be >= 0")
-        require(self.workers >= 1, "workers must be >= 1")
         require(self.eval_every >= 1, "eval_every must be >= 1")
         require(self.id_order in ("first-seen", "sorted"), f"unknown id_order {self.id_order!r}")
         require(self.format in ("tsv", "csv"), f"unknown format {self.format!r}")
@@ -96,42 +94,18 @@ class RunConfig:
         return out
 
 
-# file/flag key -> dataclass attribute
+# file/flag keys named differently from the RunConfig field they set;
+# every other key is the field's own name
 KEY_MAP = {
-    "d": "d",
-    "k": "k",
-    "layers": "layers",
-    "dims": "dims",
-    "lr": "lr",
-    "reg": "reg",
-    "kg_batch": "kg_batch",
-    "cf_batch": "cf_batch",
-    "epochs": "epochs",
-    "patience": "patience",
-    "top_k": "top_k",
-    "seed": "seed",
-    "slope": "slope",
-    "init_std": "init_std",
     "aggregator.shared_weights": "shared_weights",
     "attention.printed_form": "printed_attention",
-    "corrupt_heads": "corrupt_heads",
-    "threshold": "threshold",
-    "min_interactions": "min_interactions",
     "split.train": "train_ratio",
     "split.val": "val_ratio",
     "split.test": "test_ratio",
-    "id_order": "id_order",
-    "format": "format",
-    "workers": "workers",
-    "eval_every": "eval_every",
-    "interactions": "interactions",
-    "user_attrs": "user_attrs",
-    "item_attrs": "item_attrs",
-    "manifest": "manifest",
-    "out": "out",
 }
 
 _TYPES = {f.name: f.type for f in fields(RunConfig)}
+_KEYS = {**{name: name for name in _TYPES if name not in KEY_MAP.values()}, **KEY_MAP}
 
 
 def _coerce(attr: str, raw: str):
@@ -173,7 +147,7 @@ def parse_assignments(lines, source: str) -> dict:
             raise ConfigError(f"{source}:{lineno}: expected `key = value`, got {line.strip()!r}")
         key, _, value = body.partition("=")
         key = key.strip()
-        attr = KEY_MAP.get(key)
+        attr = _KEYS.get(key)
         if attr is None:
             raise ConfigError(f"{source}:{lineno}: unknown configuration key {key!r}")
         out[attr] = _coerce(attr, value)

@@ -203,11 +203,6 @@ def build_bipartite(
     return BipartiteGraph(user_vocab, item_vocab, edges)
 
 
-def composite_relation(types, registry: RelationRegistry) -> int:
-    """Relation id for a set of interaction types (order-insensitive)."""
-    return registry.composite(types)
-
-
 @dataclass(frozen=True)
 class AlignmentMap:
     """Entity ids of each user/item inside the two collaborative graphs.
@@ -250,9 +245,10 @@ class BuildStats:
 class CollaborativeKG:
     """Immutable triple store with a per-head neighbor index.
 
-    Triples are grouped by head entity in insertion order; `neighbors`
-    returns exactly the (relation, tail) pairs of a head, and membership
-    queries back the negative sampler.
+    Triples are grouped by head entity in insertion order, so
+    `neighbor_slice` spans exactly the (relation, tail) pairs of a head.
+    `keys` holds the sorted membership key of every triple (see `key`),
+    which the negative sampler searches.
     """
 
     def __init__(self, entity_count, registry, heads, rels, tails, entity_names, stats):
@@ -270,7 +266,7 @@ class CollaborativeKG:
         self.tails = tails[order]
         counts = np.bincount(self.heads, minlength=self.entity_count) if len(heads) else np.zeros(self.entity_count, dtype=np.int64)
         self.head_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._members = {(int(h), int(r), int(t)) for h, r, t in zip(self.heads, self.rels, self.tails)}
+        self.keys = np.sort(self.key(self.heads, self.rels, self.tails))
 
     @property
     def relation_count(self) -> int:
@@ -280,8 +276,9 @@ class CollaborativeKG:
     def n_triples(self) -> int:
         return len(self.heads)
 
-    def has_triple(self, h: int, r: int, t: int) -> bool:
-        return (int(h), int(r), int(t)) in self._members
+    def key(self, h, r, t):
+        """Membership key (h*M + r)*N + t of triples (h, r, t); affine in each slot."""
+        return (np.asarray(h, dtype=np.int64) * self.relation_count + r) * self.entity_count + t
 
     def neighbor_slice(self, h: int) -> slice:
         if not 0 <= h < self.entity_count:
@@ -307,12 +304,6 @@ class CollaborativeKG:
 
     def digest(self) -> str:
         return hashlib.sha256(self.serialized()).hexdigest()
-
-
-def neighbors(kg: CollaborativeKG, h: int) -> list[tuple[int, int]]:
-    """All (relation, tail) pairs of head h, in insertion order."""
-    s = kg.neighbor_slice(h)
-    return list(zip(kg.rels[s].tolist(), kg.tails[s].tolist()))
 
 
 def _build_side(bg, attrs, align, head_is_user):

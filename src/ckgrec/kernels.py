@@ -12,7 +12,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, NumericFaultError, OracleError, ShapeError
+from .errors import ConfigError, OracleError, ShapeError
 from .rng import Rng
 
 
@@ -49,34 +49,6 @@ def sigmoid(x):
 def softplus(x):
     """ln(1 + e^x) without overflow; softplus(-x) is the pairwise ranking loss."""
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
-
-
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a 1-D vector (max-subtracted)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"softmax expects a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NumericFaultError("softmax input contains non-finite values")
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec shapes incompatible: {a.shape} @ {x.shape}")
-    return a @ x
-
-
-def check_finite(name: str, arr: np.ndarray) -> None:
-    """Raise NumericFaultError if any entry of `arr` is NaN or infinite."""
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(np.asarray(arr).ravel()))[0])
-        raise NumericFaultError(f"non-finite value in '{name}' at flat index {bad}")
 
 
 @dataclass

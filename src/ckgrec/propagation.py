@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .graph import CollaborativeKG
-from .kernels import gaussian_init, leaky_relu, leaky_relu_grad, softmax
+from .kernels import gaussian_init, leaky_relu, leaky_relu_grad
 from .rng import Rng
 from .transr import EmbeddingTable
 
@@ -120,46 +120,6 @@ def init_stack(
         if l >= 2:
             attn.append(gaussian_init((n_relations, k, dims[l - 1]), std, rng.split(30, l)))
     return LayerStack(dims, w1, w2, attn, slope, shared, printed_attention)
-
-
-def attention_logit(table: EmbeddingTable, h: int, r: int, t: int, printed: bool = False) -> float:
-    """pi'(h,r,t) at the embedding layer: (W_r e_t)^T tanh(W_r e_h + e_r)."""
-    w = table.projection[r]
-    ph = w @ table.entity[h]
-    pt = w @ table.entity[t]
-    inner = ph + table.entity[t] if printed else ph + table.relation[r]
-    return float(pt @ np.tanh(inner))
-
-
-def attention_weights(table: EmbeddingTable, kg: CollaborativeKG, h: int, printed: bool = False):
-    """Softmax-normalized weights over N_h, in neighbor insertion order."""
-    s = kg.neighbor_slice(h)
-    rels, tails = kg.rels[s], kg.tails[s]
-    if len(rels) == 0:
-        return np.zeros(0), rels, tails
-    logits = np.array([attention_logit(table, h, int(r), int(t), printed) for r, t in zip(rels, tails)])
-    return softmax(logits), rels, tails
-
-
-def neighborhood_message(table: EmbeddingTable, kg: CollaborativeKG, h: int, printed: bool = False) -> np.ndarray:
-    """Attention-weighted sum of neighbor embeddings; zero vector when N_h is empty."""
-    weights, _, tails = attention_weights(table, kg, h, printed)
-    if len(weights) == 0:
-        return np.zeros(table.d)
-    return weights @ table.entity[tails]
-
-
-def bi_interaction_aggregate(e_h, e_n, w1, w2=None, slope: float = 0.2) -> np.ndarray:
-    """LeakyReLU(W1 (e_h + e_N)) + LeakyReLU(W2 (e_h * e_N)); W2 defaults to W1."""
-    e_h = np.asarray(e_h, dtype=np.float64)
-    e_n = np.asarray(e_n, dtype=np.float64)
-    if e_h.shape != e_n.shape:
-        raise ShapeError(f"aggregate operands differ: {e_h.shape} vs {e_n.shape}")
-    w1 = np.asarray(w1, dtype=np.float64)
-    if w1.ndim != 2 or w1.shape[1] != e_h.shape[0]:
-        raise ShapeError(f"aggregator weights {w1.shape} incompatible with vectors {e_h.shape}")
-    w2 = w1 if w2 is None else np.asarray(w2, dtype=np.float64)
-    return leaky_relu(w1 @ (e_h + e_n), slope) + leaky_relu(w2 @ (e_h * e_n), slope)
 
 
 @dataclass

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericFaultError, SamplingExhaustedError, TrainingDiverged
+from .errors import NumericFaultError, TrainingDiverged
 from .model import BprBatch, DualModel, bpr_loss
 from .rng import Rng
-from .transr import kg_loss, sample_batch, touched_rows
+from .transr import kg_loss, sample_absent, sample_batch, touched_rows
 
 
 class Adam:
@@ -123,27 +123,16 @@ def _kg_epoch(model, side: str, opt: Adam, settings: TrainSettings, rng: Rng) ->
     return total
 
 
-def _sample_negative_item(pos: set, n_items: int, rng: Rng) -> int:
-    for _ in range(4 * n_items):
-        cand = int(rng.integers(n_items))
-        if cand not in pos:
-            return cand
-    raise SamplingExhaustedError("user interacts with every item; no ranking negative exists")
-
-
-def _cf_epoch(model, pairs: np.ndarray, pos_by_user, opt: Adam, settings: TrainSettings, rng: Rng) -> float:
+def _cf_epoch(model, pairs: np.ndarray, pos_keys: np.ndarray, opt: Adam, settings: TrainSettings, rng: Rng) -> float:
     if len(pairs) == 0:
         return 0.0
     order = rng.split(0).permutation(len(pairs))
     total = 0.0
     params = model.params()
+    n_items = model.align.n_items
     for b, idx in enumerate(_batches(len(pairs), settings.cf_batch, order)):
         chosen = pairs[idx]
-        neg_rng = rng.split(1, b)
-        negs = np.array(
-            [_sample_negative_item(pos_by_user[u], model.align.n_items, neg_rng) for u in chosen[:, 0]],
-            dtype=np.int64,
-        )
+        negs = sample_absent(pos_keys, chosen[:, 0] * n_items, 1, n_items, rng.split(1, b))
         batch = BprBatch(chosen[:, 0], chosen[:, 1], negs)
         res_u, res_i = model.propagate_both()
         loss, grads = bpr_loss(model, batch, res_u, res_i)
@@ -171,12 +160,12 @@ def train(
     validation Recall@K and drives early stopping.
     """
     pairs = np.asarray(train_pairs, dtype=np.int64).reshape(-1, 2)
-    pos_by_user: dict[int, set] = {}
-    for u, i in pairs.tolist():
-        pos_by_user.setdefault(u, set()).add(i)
+    n_items = model.align.n_items
+    # sorted u*n_items + i keys of the distinct training pairs
+    pos_keys = np.unique(pairs[:, 0] * n_items + pairs[:, 1])
     # a user holding the whole catalog admits no ranking negative
-    rankable = np.array([len(pos_by_user[u]) < model.align.n_items for u in pairs[:, 0]])
-    pairs = pairs[rankable]
+    held = np.bincount(pos_keys // n_items)
+    pairs = pairs[held[pairs[:, 0]] < n_items]
 
     opt = Adam(settings.lr)
     history: list[dict] = []
@@ -191,7 +180,7 @@ def train(
         try:
             loss_u = _kg_epoch(model, "u", opt, settings, rng.split(epoch, 0))
             loss_i = _kg_epoch(model, "i", opt, settings, rng.split(epoch, 1))
-            loss_cf = _cf_epoch(model, pairs, pos_by_user, opt, settings, rng.split(epoch, 2))
+            loss_cf = _cf_epoch(model, pairs, pos_keys, opt, settings, rng.split(epoch, 2))
         except NumericFaultError as err:
             raise TrainingDiverged(
                 f"epoch {epoch}: {err}", last_good_state=last_good, history=history

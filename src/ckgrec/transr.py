@@ -75,20 +75,37 @@ def triple_energy(table: EmbeddingTable, h: int, r: int, t: int) -> float:
     return float(diff @ diff)
 
 
-def sample_negative_tail(h: int, r: int, kg: CollaborativeKG, rng: Rng, budget_factor: int = 4) -> int:
-    """Uniform entity t' with (h, r, t') absent from the graph.
+def sample_absent(keys: np.ndarray, base, stride: int, n: int, rng: Rng) -> np.ndarray:
+    """Per position j, a uniform c in [0, n) whose key base[j] + stride*c is not in `keys`.
 
-    Rejection sampling: gives up after budget_factor * N rejections,
-    which only happens when h is r-connected to essentially everything.
+    The one negative sampler: `keys` is a sorted int64 array of the
+    observed keys, and the corrupted slot of an affine key is replaced
+    by the candidate.  Every pending position draws a block of
+    candidates (1, 1, 2, 4, ...: the draws so far double each round)
+    and keeps its first absent one; only positions with the whole block
+    rejected draw again.  A position rejected 4n times raises
+    SamplingExhaustedError.
     """
-    n = kg.entity_count
-    for _ in range(budget_factor * n):
-        cand = int(rng.integers(n))
-        if not kg.has_triple(h, r, cand):
-            return cand
-    raise SamplingExhaustedError(
-        f"no free tail found for head {h} under relation {r} after {budget_factor * n} draws"
-    )
+    base = np.asarray(base, dtype=np.int64)
+    out = np.empty(len(base), dtype=np.int64)
+    pending = np.arange(len(base))
+    budget = 4 * n
+    drawn = 0
+    while len(pending):
+        if drawn >= budget:
+            raise SamplingExhaustedError(
+                f"position {int(pending[0])}: all {budget} draws over {n} candidates hit observed keys"
+            )
+        block = min(max(drawn, 1), budget - drawn)
+        drawn += block
+        cand = rng.integers(n, size=(len(pending), block))
+        wanted = base[pending, None] + stride * cand
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        free = keys[at] != wanted if len(keys) else np.ones(wanted.shape, dtype=bool)
+        found = free.any(axis=1)
+        out[pending[found]] = cand[found, free[found].argmax(axis=1)]
+        pending = pending[~found]
+    return out
 
 
 @dataclass
@@ -106,28 +123,23 @@ class TripleBatch:
 
 
 def sample_batch(kg: CollaborativeKG, indices, rng: Rng, corrupt_heads: bool = False) -> TripleBatch:
-    """Corrupt one end of each selected triple, tails by default."""
+    """Corrupt one end of each selected triple, tails by default.
+
+    With `corrupt_heads`, a fair coin per triple picks which end.
+    """
     indices = np.asarray(indices, dtype=np.int64)
-    h = kg.heads[indices].copy()
-    r = kg.rels[indices].copy()
-    t = kg.tails[indices].copy()
+    h = kg.heads[indices]
+    r = kg.rels[indices]
+    t = kg.tails[indices]
     h_neg = h.copy()
     t_neg = t.copy()
-    for pos in range(len(indices)):
-        if corrupt_heads and int(rng.integers(2)) == 1:
-            # corrupt the head: uniform h' with (h', r, t) absent
-            n = kg.entity_count
-            for _ in range(4 * n):
-                cand = int(rng.integers(n))
-                if not kg.has_triple(cand, int(r[pos]), int(t[pos])):
-                    h_neg[pos] = cand
-                    break
-            else:
-                raise SamplingExhaustedError(
-                    f"no free head for tail {int(t[pos])} under relation {int(r[pos])}"
-                )
-        else:
-            t_neg[pos] = sample_negative_tail(int(h[pos]), int(r[pos]), kg, rng)
+    at_head = np.zeros(len(indices), dtype=bool)
+    if corrupt_heads:
+        at_head = rng.integers(2, size=len(indices)) == 1
+    n = kg.entity_count
+    h_neg[at_head] = sample_absent(kg.keys, kg.key(0, r[at_head], t[at_head]), int(kg.key(1, 0, 0)), n, rng)
+    tails = ~at_head
+    t_neg[tails] = sample_absent(kg.keys, kg.key(h[tails], r[tails], 0), int(kg.key(0, 0, 1)), n, rng)
     return TripleBatch(h, r, t, h_neg, t_neg)
 
 

@@ -25,6 +25,11 @@ def aggregate_reference(e_h, e_n, w1, w2, slope):
     return act(np.dot(w1, e_h + e_n)) + act(np.dot(w2, e_h * e_n))
 
 
+def logit_reference(a_r, e_r, x_h, x_t):
+    """Attention logit (A_r x_t)^T tanh(A_r x_h + e_r) of one edge."""
+    return float(np.dot(np.dot(a_r, x_t), np.tanh(np.dot(a_r, x_h) + e_r)))
+
+
 def softmax_reference(logits):
     m = max(logits)
     exps = [math.exp(v - m) for v in logits]
@@ -63,11 +68,7 @@ def propagate_reference(
         for h in order:
             nbrs = [(r, t) for (hh, r, t) in triples if hh == h]
             if nbrs:
-                logits = []
-                for r, t in nbrs:
-                    ph = np.dot(a[r], x[h])
-                    pt = np.dot(a[r], x[t])
-                    logits.append(float(np.dot(pt, np.tanh(ph + relation[r]))))
+                logits = [logit_reference(a[r], relation[r], x[h], x[t]) for r, t in nbrs]
                 weights = softmax_reference(logits)
                 msg = np.zeros(len(x[h]))
                 for w_n, (r, t) in zip(weights, nbrs):

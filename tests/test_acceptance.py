@@ -24,14 +24,14 @@ from ckgrec.evaluate import (
     truth_by_user,
 )
 from ckgrec.graph import build_bipartite, build_item_side_ckg, build_user_side_ckg
-from ckgrec.kernels import finite_diff_check, softmax
+from ckgrec.kernels import finite_diff_check
 from ckgrec.model import bpr_loss, total_loss
-from ckgrec.propagation import attention_logit, attention_weights, init_stack, propagate
+from ckgrec.propagation import init_stack, propagate
 from ckgrec.rng import Rng
 from ckgrec.transr import EmbeddingTable, init_table, kg_loss, sample_batch
 
 from conftest import fresh_table, make_kg, rec, toy_cf_batch, toy_dual
-from reference import propagate_reference
+from reference import propagate_reference, softmax_reference
 
 
 def _verdict(capsys, n: int, ok: bool, detail: str) -> bool:
@@ -141,16 +141,17 @@ def test_criterion_3_attention_normalization(capsys):
         ]
         kg = make_kg(n, triples, n_relations=n_rel)
         table = init_table(n, n_rel, d=5, k=4, std=0.7, rng=g.split(1))
+        stack = init_stack([5, 3], n_rel, 4, 0.7, g.split(2))
+        layer1 = propagate(kg, table, stack).cache[0]
         for h in range(n):
-            w, rels, tails = attention_weights(table, kg, h)
+            s = kg.neighbor_slice(h)
+            w = layer1.w[s]
             if not len(w) or checked >= 1000:
                 continue
             checked += 1
             worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
-            logits = np.array(
-                [attention_logit(table, h, int(r), int(t)) for r, t in zip(rels, tails)]
-            )
-            shifted = softmax(logits + 7.25)
+            logits = np.einsum("ij,ij->i", layer1.pt[s], layer1.q[s])
+            shifted = np.array(softmax_reference(logits + 7.25))
             worst_shift = max(worst_shift, float(np.max(np.abs(shifted - w))))
     ok = worst_sum <= 1e-12 and worst_shift <= 1e-12
     assert _verdict(

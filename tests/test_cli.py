@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from ckgrec import checkpoint
 from ckgrec.cli import main
+from ckgrec.model import DualModel
 
 # small but non-degenerate: 3 latent factors, every user reaches all items
 SYNTH_ARGS = [
@@ -206,21 +208,28 @@ class TestTrain:
 
 class TestEvaluate:
     def test_reports_model_and_baselines(self, dataset, run_dir, tmp_path, capsys):
-        out = tmp_path / "eval"
-        code = run(
-            "evaluate", "--checkpoint", run_dir / "checkpoint.ckgr",
-            *data_flags(dataset), "--k", "5", "--out", out,
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        pattern = re.compile(r"^(model|popularity|random): precision@5=\d\.\d{4} recall@5=\d\.\d{4}$")
-        labeled = [m.group(1) for m in map(pattern.match, lines) if m]
-        assert labeled == ["model", "popularity", "random"]
+        # a checkpoint whose config metadata still names the removed `workers` key
+        legacy = tmp_path / "legacy.ckgr"
+        table_u, stack_u, table_i, stack_i, meta = checkpoint.load(run_dir / "checkpoint.ckgr")
+        meta["config"]["workers"] = 1
+        checkpoint.save(DualModel(None, None, table_u, table_i, stack_u, stack_i, None), legacy, meta)
+        assert checkpoint.load(legacy)[4]["config"]["workers"] == 1
+        for n, ckpt in enumerate((run_dir / "checkpoint.ckgr", legacy)):
+            out = tmp_path / f"eval{n}"
+            code = run(
+                "evaluate", "--checkpoint", ckpt,
+                *data_flags(dataset), "--k", "5", "--out", out,
+            )
+            assert code == 0
+            lines = capsys.readouterr().out.splitlines()
+            pattern = re.compile(r"^(model|popularity|random): precision@5=\d\.\d{4} recall@5=\d\.\d{4}$")
+            labeled = [m.group(1) for m in map(pattern.match, lines) if m]
+            assert labeled == ["model", "popularity", "random"]
 
-        csv_lines = (out / "eval.csv").read_text().splitlines()
-        assert csv_lines[0] == "label,K,precision,recall,seed,wall_ms"
-        assert len(csv_lines) == 4
-        assert json.loads((out / "run_manifest.json").read_text())["command"] == "evaluate"
+            csv_lines = (out / "eval.csv").read_text().splitlines()
+            assert csv_lines[0] == "label,K,precision,recall,seed,wall_ms"
+            assert len(csv_lines) == 4
+            assert json.loads((out / "run_manifest.json").read_text())["command"] == "evaluate"
 
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path, capsys):
         code = run(

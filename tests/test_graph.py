@@ -13,8 +13,6 @@ from ckgrec.graph import (
     build_graphs,
     build_item_side_ckg,
     build_user_side_ckg,
-    composite_relation,
-    neighbors,
     plan_alignment,
 )
 from ckgrec.rng import Rng
@@ -70,16 +68,16 @@ class TestBuildBipartite:
 class TestCompositeRelation:
     def test_deterministic(self):
         reg = RelationRegistry()
-        assert composite_relation({"like"}, reg) == composite_relation({"like"}, reg)
+        assert reg.composite({"like"}) == reg.composite({"like"})
 
     def test_distinct_sets_distinct_ids(self):
         reg = RelationRegistry()
-        assert composite_relation({"like"}, reg) != composite_relation({"like", "favorite"}, reg)
+        assert reg.composite({"like"}) != reg.composite({"like", "favorite"})
 
     def test_order_insensitive(self):
         reg = RelationRegistry()
-        a = composite_relation(["favorite", "like"], reg)
-        b = composite_relation(["like", "favorite"], reg)
+        a = reg.composite(["favorite", "like"])
+        b = reg.composite(["like", "favorite"])
         assert a == b
 
     def test_kind_classification(self):
@@ -118,9 +116,9 @@ class TestUserSideCkg:
         # u1 -> 1 neighbor, u2 -> 1, i1 -> 1 (its attribute)
         u1, u2 = 0, 1
         i1 = 2  # items follow users in the entity layout
-        assert len(neighbors(kg, u1)) == 1
-        assert len(neighbors(kg, u2)) == 1
-        assert len(neighbors(kg, i1)) == 1
+        assert len(kg.tails[kg.neighbor_slice(u1)]) == 1
+        assert len(kg.tails[kg.neighbor_slice(u2)]) == 1
+        assert len(kg.tails[kg.neighbor_slice(i1)]) == 1
 
     def test_distinct_type_sets_distinct_relations(self):
         bg = build_bipartite([rec("u1", "i1", "like"), rec("u2", "i2", "like", "favorite")])
@@ -150,8 +148,8 @@ class TestItemSideCkg:
         kg = build_item_side_ckg(bg, [("u1", "age", "a30")])
         assert kg.n_triples == 2
         i1, u1 = 0, 1  # items first on the item side
-        assert len(neighbors(kg, i1)) == 1
-        assert len(neighbors(kg, u1)) == 1
+        assert len(kg.tails[kg.neighbor_slice(i1)]) == 1
+        assert len(kg.tails[kg.neighbor_slice(u1)]) == 1
 
     def test_interaction_counts_mirror(self):
         records = [rec("u1", "i1", "like"), rec("u2", "i1", "view"), rec("u2", "i2", "view")]
@@ -169,22 +167,25 @@ class TestNeighbors:
     def test_isolated_node_empty(self):
         kg = self.make()
         i1 = 2  # an item: tail-only on the user side
-        assert neighbors(kg, i1) == []
+        s = kg.neighbor_slice(i1)
+        assert s.start == s.stop
 
     def test_three_triples(self):
         kg = self.make()
-        assert len(neighbors(kg, 0)) == 3
+        s = kg.neighbor_slice(0)
+        assert len(kg.tails[s]) == 3 and np.all(kg.heads[s] == 0)
 
     def test_stable_across_calls(self):
-        kg = self.make()
-        assert neighbors(kg, 0) == neighbors(kg, 0)
+        # u1's tails i1, i2, i3 (entities 2, 3, 4) in insertion order, on every build
+        for kg in (self.make(), self.make()):
+            assert kg.tails[kg.neighbor_slice(0)].tolist() == [2, 3, 4]
 
     def test_out_of_range(self):
         kg = self.make()
         with pytest.raises(IndexError):
-            neighbors(kg, kg.entity_count)
+            kg.neighbor_slice(kg.entity_count)
         with pytest.raises(IndexError):
-            neighbors(kg, -1)
+            kg.neighbor_slice(-1)
 
 
 def random_instance(rng: Rng):
@@ -247,7 +248,8 @@ class TestInvariants:
             kg = build_item_side_ckg(build_bipartite(records), user_attrs)
             flat = []
             for h in range(kg.entity_count):
-                flat.extend((h, r, t) for r, t in neighbors(kg, h))
+                s = kg.neighbor_slice(h)
+                flat.extend((h, r, t) for r, t in zip(kg.rels[s].tolist(), kg.tails[s].tolist()))
             expected = sorted(zip(kg.heads.tolist(), kg.rels.tolist(), kg.tails.tolist()))
             assert sorted(flat) == expected
             assert len(flat) == kg.n_triples

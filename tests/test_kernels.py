@@ -1,4 +1,4 @@
-"""Numeric primitives: activations, softmax, init, and the gradient checker."""
+"""Numeric primitives: activations, init, the per-head softmax, and the gradient checker."""
 
 import math
 
@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckgrec.errors import ConfigError, NumericFaultError, OracleError, ShapeError
+from ckgrec.errors import ConfigError, OracleError, ShapeError
 from ckgrec.kernels import (
-    check_finite,
     finite_diff_check,
     gaussian_init,
     leaky_relu,
     leaky_relu_grad,
-    matvec,
     sigmoid,
-    softmax,
     softplus,
 )
+from ckgrec.propagation import _Segments
 from ckgrec.rng import Rng
 
 from reference import softmax_reference
@@ -85,6 +83,14 @@ class TestActivations:
         assert out[0] == 1000.0 and out[1] == 0.0
 
 
+def softmax(v, lengths=None):
+    """The per-head softmax `propagate` applies, over consecutive segments of v."""
+    v = np.asarray(v, dtype=np.float64)
+    lengths = np.array([len(v)] if lengths is None else lengths)
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    return _Segments(starts, lengths).softmax(v)
+
+
 class TestSoftmax:
     def test_sums_to_one(self):
         w = softmax(np.array([1.0, 2.0, 3.0]))
@@ -92,7 +98,12 @@ class TestSoftmax:
 
     def test_matches_reference(self):
         v = Rng(5).normal(size=40)
-        assert np.allclose(softmax(v), softmax_reference(v.tolist()), atol=1e-14)
+        lengths = [1, 7, 12, 20]
+        w = softmax(v, lengths)
+        at = 0
+        for n in lengths:
+            assert np.allclose(w[at: at + n], softmax_reference(v[at: at + n].tolist()), atol=1e-14)
+            at += n
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=30), st.floats(-100, 100))
     @settings(max_examples=200)
@@ -102,33 +113,6 @@ class TestSoftmax:
 
     def test_single_element(self):
         assert np.array_equal(softmax(np.array([123.0])), [1.0])
-
-    def test_rejects_empty_and_2d(self):
-        with pytest.raises(ShapeError):
-            softmax(np.array([]))
-        with pytest.raises(ShapeError):
-            softmax(np.zeros((2, 2)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericFaultError):
-            softmax(np.array([1.0, np.nan]))
-
-
-class TestMatvecAndFinite:
-    def test_matvec_matches_loop(self):
-        rng = Rng(6)
-        a, x = rng.normal(size=(5, 7)), rng.normal(size=7)
-        by_hand = np.array([sum(a[i, j] * x[j] for j in range(7)) for i in range(5)])
-        assert np.allclose(matvec(a, x), by_hand, atol=1e-14)
-
-    def test_matvec_shape_error(self):
-        with pytest.raises(ShapeError):
-            matvec(np.zeros((2, 3)), np.zeros(4))
-
-    def test_check_finite_names_the_array(self):
-        with pytest.raises(NumericFaultError, match="badarr"):
-            check_finite("badarr", np.array([1.0, np.inf]))
-        check_finite("ok", np.array([1.0, 2.0]))
 
 
 class TestFiniteDiffCheck:

@@ -9,11 +9,7 @@ from ckgrec.errors import ConfigError, ShapeError
 from ckgrec.kernels import finite_diff_check, leaky_relu
 from ckgrec.propagation import (
     LayerStack,
-    attention_logit,
-    attention_weights,
-    bi_interaction_aggregate,
     init_stack,
-    neighborhood_message,
     propagate,
     propagate_backward,
     resolve_dims,
@@ -22,7 +18,7 @@ from ckgrec.rng import Rng
 from ckgrec.transr import EmbeddingTable, init_table
 
 from conftest import fresh_table, make_kg
-from reference import aggregate_reference, propagate_reference, softmax_reference
+from reference import aggregate_reference, logit_reference, propagate_reference, softmax_reference
 
 
 def table_from(entity, relation, projection) -> EmbeddingTable:
@@ -43,19 +39,35 @@ def toy_setup(seed=7, d=4, k=3, dims=(4, 3, 2), **kwargs):
     return kg, table, stack
 
 
+def one_layer(kg, table, w1=None):
+    """`propagate` through a single layer of width 3: (its layer-1 cache, its output)."""
+    stack = init_stack([table.d, 3], kg.relation_count, table.k, 0.3, Rng(0))
+    if w1 is not None:
+        stack.w1[0][...] = w1
+    res = propagate(kg, table, stack)
+    return res.cache[0], res.layers[1]
+
+
+def logits_of(cache):
+    return np.einsum("ij,ij->i", cache.pt, cache.q)
+
+
 class TestAttentionLogit:
     def test_zero_tail_gives_zero(self):
+        kg = make_kg(2, [(0, 0, 1)], n_relations=1)
         t = table_from([[1.0, 2.0], [0.0, 0.0]], [[0.5, 0.5]], [Rng(1).normal(size=(2, 2))])
-        assert attention_logit(t, 0, 0, 1) == 0.0
+        assert logits_of(one_layer(kg, t)[0]).tolist() == [0.0]
 
     def test_zero_tanh_argument_gives_zero(self):
+        kg = make_kg(2, [(0, 0, 1)], n_relations=1)
         t = table_from([[0.0, 0.0], [3.0, -1.0]], [[0.0, 0.0]], [np.eye(2)])
-        assert attention_logit(t, 0, 0, 1) == 0.0
+        assert logits_of(one_layer(kg, t)[0]).tolist() == [0.0]
 
     def test_saturated_hand_case(self):
         # W=I, e_h=0, e_r=(0,20), e_t=(0,1): logit -> tanh(20) ~ 1
+        kg = make_kg(2, [(0, 0, 1)], n_relations=1)
         t = table_from([[0.0, 0.0], [0.0, 1.0]], [[0.0, 20.0]], [np.eye(2)])
-        got = attention_logit(t, 0, 0, 1)
+        got = float(logits_of(one_layer(kg, t)[0])[0])
         assert abs(got - math.tanh(20.0)) < 1e-15
         assert got > 0.999999
 
@@ -63,87 +75,95 @@ class TestAttentionLogit:
 class TestAttentionWeights:
     def test_single_neighbor_weight_one(self):
         kg = make_kg(3, [(0, 0, 1)], n_relations=1)
-        w, _, tails = attention_weights(fresh_table(3, 1), kg, 0)
-        assert np.array_equal(w, [1.0]) and tails.tolist() == [1]
+        cache, _ = one_layer(kg, fresh_table(3, 1))
+        assert np.array_equal(cache.w, [1.0]) and kg.tails.tolist() == [1]
 
     def test_equal_logits_split_evenly(self):
         kg = make_kg(3, [(0, 0, 1), (0, 0, 2)], n_relations=1)
         t = fresh_table(3, 1)
         t.entity[2] = t.entity[1]  # identical tails -> identical logits
-        w, _, _ = attention_weights(t, kg, 0)
-        assert np.allclose(w, [0.5, 0.5], atol=1e-15)
+        cache, _ = one_layer(kg, t)
+        assert np.allclose(cache.w, [0.5, 0.5], atol=1e-15)
 
     def test_matches_independent_softmax_oracle(self):
-        kg, table, _ = toy_setup()
-        logits = [attention_logit(table, 0, r, t) for r, t in [(0, 1), (1, 2), (0, 4)]]
-        w, _, _ = attention_weights(table, kg, 0)
+        kg, table, stack = toy_setup()
+        edges = [(0, 1), (1, 2), (0, 4)]  # head 0's (relation, tail) pairs
+        logits = [
+            logit_reference(table.projection[r], table.relation[r], table.entity[0], table.entity[t])
+            for r, t in edges
+        ]
+        s = kg.neighbor_slice(0)
+        assert list(zip(kg.rels[s].tolist(), kg.tails[s].tolist())) == edges
+        w = propagate(kg, table, stack).cache[0].w[s]
         assert np.max(np.abs(w - np.array(softmax_reference(logits)))) < 1e-12
 
     def test_empty_neighborhood(self):
         kg = make_kg(3, [(0, 0, 1)], n_relations=1)
-        w, rels, tails = attention_weights(fresh_table(3, 1), kg, 2)
-        assert len(w) == 0 and len(rels) == 0 and len(tails) == 0
+        cache, _ = one_layer(kg, fresh_table(3, 1))
+        assert len(cache.w) == kg.n_triples
+        assert len(cache.w[kg.neighbor_slice(2)]) == 0
 
     def test_sum_to_one_and_nonnegative(self):
-        kg, table, _ = toy_setup()
-        for h in range(5):
-            w, _, _ = attention_weights(table, kg, h)
-            if len(w):
-                assert abs(w.sum() - 1.0) < 1e-12 and np.all(w >= 0)
+        kg, table, stack = toy_setup()
+        for cache in propagate(kg, table, stack).cache:
+            for h in range(5):
+                w = cache.w[kg.neighbor_slice(h)]
+                if len(w):
+                    assert abs(w.sum() - 1.0) < 1e-12 and np.all(w >= 0)
 
 
 class TestNeighborhoodMessage:
     def test_no_neighbors_zero_vector(self):
         kg = make_kg(2, [(0, 0, 1)], n_relations=1)
-        msg = neighborhood_message(fresh_table(2, 1), kg, 1)
-        assert np.array_equal(msg, np.zeros(4))
+        cache, _ = one_layer(kg, fresh_table(2, 1))
+        assert np.array_equal(cache.msg[1], np.zeros(4))
 
     def test_single_neighbor_returns_tail(self):
         kg = make_kg(2, [(0, 0, 1)], n_relations=1)
         t = fresh_table(2, 1)
-        assert np.array_equal(neighborhood_message(t, kg, 0), t.entity[1])
+        assert np.array_equal(one_layer(kg, t)[0].msg[0], t.entity[1])
 
     def test_equal_logits_give_mean(self):
         kg = make_kg(3, [(0, 0, 1), (0, 0, 2)], n_relations=1)
         t = fresh_table(3, 1)
-        t.entity[2] = -t.entity[1]
-        t.entity[2][:] = t.entity[1]  # same embedding, same logit
-        msg = neighborhood_message(t, kg, 0)
-        assert np.allclose(msg, t.entity[1], atol=1e-15)
+        t.entity[2] = t.entity[1]  # same embedding, same logit
+        cache, _ = one_layer(kg, t)
+        assert np.allclose(cache.msg[0], t.entity[1], atol=1e-15)
 
 
 class TestBiInteraction:
     def test_zero_message_reduces_to_first_term(self):
-        e_h = np.array([1.0, -2.0, 0.5])
-        out = bi_interaction_aggregate(e_h, np.zeros(3), np.eye(3))
-        assert np.array_equal(out, leaky_relu(e_h))
+        kg = make_kg(2, [(0, 0, 1)], n_relations=1)  # head 1 is isolated
+        t = fresh_table(2, 1, d=3)
+        t.entity[1] = [1.0, -2.0, 0.5]
+        _, out = one_layer(kg, t, w1=np.eye(3))
+        assert np.array_equal(out[1], leaky_relu(t.entity[1]))
 
     def test_ones_hand_arithmetic(self):
-        ones = np.ones(4)
-        out = bi_interaction_aggregate(ones, ones, np.eye(4))
-        assert np.array_equal(out, 3.0 * ones)  # LeakyReLU(2) + LeakyReLU(1)
+        kg = make_kg(2, [(0, 0, 1)], n_relations=1)
+        t = fresh_table(2, 1, d=3)
+        t.entity[:] = 1.0
+        _, out = one_layer(kg, t, w1=np.eye(3))
+        assert np.array_equal(out[0], 3.0 * np.ones(3))  # LeakyReLU(2) + LeakyReLU(1)
 
     def test_matches_independent_formula(self):
-        rng = Rng(12)
-        e_h, e_n = rng.normal(size=4), rng.normal(size=4)
-        w1, w2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        got = bi_interaction_aggregate(e_h, e_n, w1, w2, slope=0.2)
-        want = aggregate_reference(e_h, e_n, w1, w2, 0.2)
-        assert np.max(np.abs(got - want)) < 1e-12
+        kg, table, stack = toy_setup(shared=False)
+        res = propagate(kg, table, stack)
+        for l, cache in enumerate(res.cache, start=1):
+            x = res.layers[l - 1]
+            for h in range(5):
+                want = aggregate_reference(x[h], cache.msg[h], stack.w1[l - 1], stack.w2[l - 1], 0.2)
+                assert np.max(np.abs(res.layers[l][h] - want)) < 1e-12
 
     def test_w2_defaults_to_w1(self):
-        rng = Rng(13)
-        e_h, e_n, w1 = rng.normal(size=3), rng.normal(size=3), rng.normal(size=(3, 3))
-        assert np.array_equal(
-            bi_interaction_aggregate(e_h, e_n, w1),
-            bi_interaction_aggregate(e_h, e_n, w1, w1),
-        )
+        kg, table, shared = toy_setup()
+        unshared = LayerStack(shared.dims, shared.w1, [w.copy() for w in shared.w1], shared.attn, shared=False)
+        assert np.array_equal(propagate(kg, table, shared).stitched, propagate(kg, table, unshared).stitched)
 
     def test_shape_errors(self):
+        kg, table, _ = toy_setup()
         with pytest.raises(ShapeError):
-            bi_interaction_aggregate(np.zeros(3), np.zeros(4), np.eye(3))
-        with pytest.raises(ShapeError):
-            bi_interaction_aggregate(np.zeros(3), np.zeros(3), np.eye(4))
+            propagate(kg, table, init_stack([3, 2], 2, 3, 0.3, Rng(0)))
 
 
 class TestResolveDims:
@@ -226,8 +246,8 @@ class TestPropagate:
         stack = init_stack([4, 3], 1, 3, 0.3, Rng(32))
         res = propagate(kg, table, stack)
         e_h, e_t = table.entity[0], table.entity[1]
-        head_want = bi_interaction_aggregate(e_h, e_t, stack.w1[0], stack.w2[0], 0.2)
-        tail_want = bi_interaction_aggregate(e_t, np.zeros(4), stack.w1[0], stack.w2[0], 0.2)
+        head_want = aggregate_reference(e_h, e_t, stack.w1[0], stack.w2[0], 0.2)
+        tail_want = aggregate_reference(e_t, np.zeros(4), stack.w1[0], stack.w2[0], 0.2)
         assert np.allclose(res.layers[1][0], head_want, atol=1e-14)
         assert np.allclose(res.layers[1][1], tail_want, atol=1e-14)
         assert np.allclose(res.stitched[0], np.concatenate([e_h, head_want]), atol=1e-14)

@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from ckgrec import training
 from ckgrec.errors import TrainingDiverged
-from ckgrec.model import BprBatch, bpr_loss
+from ckgrec.graph import build_bipartite, build_graphs
+from ckgrec.model import BprBatch, build_model, bpr_loss
 from ckgrec.rng import Rng
 from ckgrec.training import Adam, TrainSettings, train
 
-from conftest import toy_dual
+from conftest import rec, toy_dual
+
+# chi-square critical value at p = 0.01 for 98 degrees of freedom
+CHI2_98_P01 = 133.476
 
 
 class TestAdam:
@@ -146,6 +151,36 @@ class TestTrainLoop:
         pairs = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int64)  # user 0 holds every item
         result = train(model, pairs, TrainSettings(lr=0.01, epochs=2), Rng(10))
         assert len(result.history) == 2  # completes without sampling exhaustion
+
+
+class TestRankingNegatives:
+    def test_never_a_training_item_and_uniform_over_the_rest(self, monkeypatch):
+        # 100 items; user u0 trained on i0 only, user u1 on i1 and i2
+        items = [f"i{j}" for j in range(100)]
+        records = [rec("u0", "i0"), rec("u1", "i1"), rec("u1", "i2")]
+        bg = build_bipartite(records, vocab_records=records + [rec("u0", it) for it in items])
+        kg_u, kg_i, align = build_graphs(bg, [], [])
+        model = build_model(kg_u, kg_i, align, d=2, k=2, n_layers=1, dims=(2, 2), std=0.1, rng=Rng(1))
+        pairs = np.array([[0, 0]] * 10_000 + [[1, 1], [1, 2]] * 500, dtype=np.int64)
+        seen = []
+
+        def spy(m, batch, res_u, res_i):
+            seen.append(batch)
+            return bpr_loss(m, batch, res_u, res_i)
+
+        monkeypatch.setattr(training, "bpr_loss", spy)
+        train(model, pairs, TrainSettings(epochs=1, cf_batch=len(pairs)), Rng(34))
+        (batch,) = seen
+        negs_u0 = batch.neg_items[batch.users == 0]
+        negs_u1 = batch.neg_items[batch.users == 1]
+        assert len(negs_u0) == 10_000 and len(negs_u1) == 1000
+        assert not np.isin(negs_u1, [1, 2]).any()
+        counts = np.bincount(negs_u0, minlength=100)
+        assert counts[0] == 0
+        valid = counts[1:]
+        expected = 10_000 / 99
+        chi2 = float(np.sum((valid - expected) ** 2 / expected))
+        assert chi2 < CHI2_98_P01
 
 
 class TestTrainingProperties:

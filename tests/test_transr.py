@@ -14,8 +14,8 @@ from ckgrec.transr import (
     init_table,
     kg_loss,
     project,
+    sample_absent,
     sample_batch,
-    sample_negative_tail,
     touched_rows,
     triple_energy,
 )
@@ -110,21 +110,29 @@ class TestTripleEnergy:
                     assert abs(g0 - g1) <= 1e-9 * max(1.0, abs(g0))
 
 
+class CountingRng:
+    """Passes draws through to an Rng and counts them."""
+
+    def __init__(self, rng: Rng):
+        self.rng, self.draws = rng, 0
+
+    def integers(self, n, size):
+        self.draws += int(np.prod(size))
+        return self.rng.integers(n, size=size)
+
+
 class TestNegativeSampling:
     def test_never_returns_positive(self):
         kg = make_kg(3, [(0, 0, 1)], n_relations=1)
-        rng = Rng(31)
-        seen = {sample_negative_tail(0, 0, kg, rng.split(n)) for n in range(1000)}
+        seen = set(sample_batch(kg, np.zeros(1000, dtype=np.int64), Rng(31)).t_neg.tolist())
         assert 1 not in seen
         assert seen <= {0, 2}
 
     def test_uniform_over_valid_tails(self):
         # single positive leaves 99 valid tails (the head itself is valid)
         kg = make_kg(100, [(0, 0, 1)], n_relations=1)
-        rng = Rng(33)
-        counts = np.zeros(100, dtype=np.int64)
-        for n in range(10_000):
-            counts[sample_negative_tail(0, 0, kg, rng.split(n))] += 1
+        t_neg = sample_batch(kg, np.zeros(10_000, dtype=np.int64), Rng(33)).t_neg
+        counts = np.bincount(t_neg, minlength=100)
         assert counts[1] == 0
         valid = np.delete(counts, 1)
         expected = 10_000 / 99
@@ -132,17 +140,31 @@ class TestNegativeSampling:
         assert chi2 < CHI2_98_P01
 
     def test_exhaustion_error(self):
+        # head 0 holds every tail under relation 0
         kg = make_kg(3, [(0, 0, 0), (0, 0, 1), (0, 0, 2)], n_relations=1)
         with pytest.raises(SamplingExhaustedError):
-            sample_negative_tail(0, 0, kg, Rng(1))
+            sample_batch(kg, [0], Rng(1))
+        # tail 0 is reached from every head under relation 0
+        kg = make_kg(3, [(0, 0, 0), (1, 0, 0), (2, 0, 0)], n_relations=1)
+        with pytest.raises(SamplingExhaustedError):
+            sample_batch(kg, np.zeros(20, dtype=np.int64), Rng(1), corrupt_heads=True)
+        # user 1 of 2 holds all 5 items (ranking keys u * n_items + i); it gives up after 4 * 5 draws
+        keys = np.array([0, 5, 6, 7, 8, 9], dtype=np.int64)
+        rng = CountingRng(Rng(1))
+        with pytest.raises(SamplingExhaustedError):
+            sample_absent(keys, [1 * 5], 1, 5, rng)
+        assert rng.draws == 20
 
     def test_batch_negatives_absent_from_graph(self):
         triples = [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 1, 4), (4, 0, 0)]
         kg = make_kg(5, triples)
-        batch = sample_batch(kg, np.arange(5), Rng(3))
-        for j in range(len(batch)):
-            assert not kg.has_triple(int(batch.h_neg[j]), int(batch.r[j]), int(batch.t_neg[j]))
-            assert kg.has_triple(int(batch.h[j]), int(batch.r[j]), int(batch.t[j]))
+        observed = set(triples)
+        for corrupt_heads in (False, True):
+            batch = sample_batch(kg, np.tile(np.arange(5), 4), Rng(3), corrupt_heads=corrupt_heads)
+            assert np.any(batch.h_neg != batch.h) == corrupt_heads
+            for j in range(len(batch)):
+                assert (int(batch.h_neg[j]), int(batch.r[j]), int(batch.t_neg[j])) not in observed
+                assert (int(batch.h[j]), int(batch.r[j]), int(batch.t[j])) in observed
 
     def test_head_corruption_flag(self):
         triples = [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 1, 4), (4, 0, 0)]
