@@ -169,9 +169,13 @@ def load(path):
     return table_u, stack_u, table_i, stack_i, meta
 
 
-def attach(path, kg_u, kg_i, align) -> tuple[DualModel, dict]:
-    """Load a checkpoint and bind it to freshly built graphs."""
-    table_u, stack_u, table_i, stack_i, meta = load(path)
+def attach(path, kg_u, kg_i, align, loaded=None) -> tuple[DualModel, dict]:
+    """Bind a checkpoint to freshly built graphs.
+
+    `loaded` is what `load(path)` returned, for a caller that has read
+    the file already; without it the file is read here.
+    """
+    table_u, stack_u, table_i, stack_i, meta = load(path) if loaded is None else loaded
     checks = [
         ("user-side entities", table_u.n_entities, kg_u.entity_count),
         ("user-side relations", table_u.n_relations, kg_u.relation_count),

@@ -298,11 +298,11 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint_world(args):
     """Rebuild graphs per the checkpoint's own config (overridable), then bind."""
-    _, _, _, _, meta = ckpt.load(args.checkpoint)
-    args._meta_config = meta.get("config", {})
+    loaded = ckpt.load(args.checkpoint)
+    args._meta_config = loaded[-1].get("config", {})
     cfg = _resolve_config(args)
     world = _build_world(cfg)
-    model, meta = ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align)
+    model, meta = ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
     return cfg, world, model, meta
 
 

@@ -113,19 +113,63 @@ def truth_by_user(pairs: np.ndarray) -> dict[int, set]:
     return out
 
 
+RANK_BLOCK = 128  # users ranked together; bounds the per-block temporaries
+
+
+def _user_item_mask(block, sets: dict, n_items: int) -> np.ndarray:
+    """Boolean (len(block), n_items) matrix marking sets[u] on each user's row; other ids are dropped."""
+    cols = [np.fromiter(sets.get(u, ()), dtype=np.int64) for u in block]
+    rows = np.repeat(np.arange(len(block)), [len(c) for c in cols])
+    cols = np.concatenate(cols)
+    keep = (cols >= 0) & (cols < n_items)
+    mask = np.zeros((len(block), n_items), dtype=bool)
+    mask[rows[keep], cols[keep]] = True
+    return mask
+
+
+def _top_k_hits(neg: np.ndarray, excluded: np.ndarray, relevant: np.ndarray, k: int) -> np.ndarray:
+    """Relevant items among each row's top k by ascending `neg`, ties by ascending column.
+
+    Excluded entries never rank; NaN entries rank last, as a stable
+    argsort places them.  Only the entries at or below each row's k-th
+    smallest value are sorted.  Overwrites the excluded entries of `neg`.
+    """
+    neg[excluded] = np.nan
+    kk = min(k, neg.shape[1]) - 1
+    kth = np.partition(neg, kk, axis=1)[:, kk]
+    short = np.isnan(kth)  # fewer than k ranked non-NaN entries: every rankable one competes
+    with np.errstate(invalid="ignore"):
+        candidate = (neg <= kth[:, None]) | (short[:, None] & ~excluded)
+    rows, cols = np.nonzero(candidate)
+    order = np.lexsort((cols, neg[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    starts = np.searchsorted(rows, np.arange(len(neg)))
+    top = np.arange(len(rows)) - starts[rows] < k
+    return np.bincount(rows[top], weights=relevant[rows[top], cols[top]], minlength=len(neg))
+
+
 def rank_and_score(score_matrix: np.ndarray, train_items: dict[int, set], truth: dict[int, set], k: int):
-    """Macro Precision@K / Recall@K for any per-user score matrix."""
-    precisions, recalls = [], []
-    for u in sorted(truth):
-        if not truth[u]:
-            continue
-        top = topk_from_scores(score_matrix[u], k, train_items.get(u, ()))
-        p, r = precision_recall_at_k(top, truth[u], k)
-        precisions.append(p)
-        recalls.append(r)
-    if not precisions:
+    """Macro Precision@K / Recall@K for any per-user score matrix.
+
+    Every user with non-empty truth gets the top k of a stable descending
+    sort of its scores, training items removed; users are ranked
+    RANK_BLOCK at a time.
+    """
+    if k < 1:
+        raise ConfigError(f"K must be >= 1, got {k}")
+    users = [u for u in sorted(truth) if truth[u]]
+    if not users:
         return float("nan"), float("nan")
-    return float(np.mean(precisions)), float(np.mean(recalls))
+    n_items = score_matrix.shape[1]
+    hits = []
+    for at in range(0, len(users), RANK_BLOCK):
+        block = users[at: at + RANK_BLOCK]
+        neg = -np.asarray(score_matrix[block], dtype=np.float64)
+        excluded = _user_item_mask(block, train_items, n_items)
+        hits.append(_top_k_hits(neg, excluded, _user_item_mask(block, truth, n_items), k))
+    hits = np.concatenate(hits)
+    sizes = np.array([len(truth[u]) for u in users])
+    return float(np.mean(hits / k)), float(np.mean(hits / sizes))
 
 
 def model_scores(model) -> np.ndarray:

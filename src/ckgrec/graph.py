@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -279,6 +280,13 @@ class CollaborativeKG:
     def key(self, h, r, t):
         """Membership key (h*M + r)*N + t of triples (h, r, t); affine in each slot."""
         return (np.asarray(h, dtype=np.int64) * self.relation_count + r) * self.entity_count + t
+
+    @cached_property
+    def propagation_plan(self):
+        """Edge groupings the propagation kernels reuse, built on first use."""
+        from .propagation import PropagationPlan
+
+        return PropagationPlan(self)
 
     def neighbor_slice(self, h: int) -> slice:
         if not 0 <= h < self.entity_count:

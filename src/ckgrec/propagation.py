@@ -18,14 +18,30 @@ own their own A_r sized to that layer's input width, while the relation
 vectors e_r are shared at every depth.  The per-layer outputs
 x^(0)..x^(L) are concatenated into one stitched representation.
 
+Both passes run over a `PropagationPlan`, built once per graph on first
+use and kept on it.  The plan groups the edges three ways without
+reordering the graph: per head (the CSR runs), per tail (a stable
+tail-sorted permutation), and per distinct (head, relation) and
+(tail, relation) pair.  A_r x is computed once per distinct pair and
+gathered per edge, so a user heading twenty edges of one relation is
+projected once, not twenty times.  Messages are summed over the head
+runs and tail gradients over the tail runs with `np.add.reduceat`; the
+projection gradients are first summed per pair, after which one small
+matmul per relation and side gives both dA_r and dx.  The backward pass
+keeps only the forward's cached per-edge arrays at full size: its own
+per-edge terms are made for about EDGE_BLOCK edges at a time, blocks
+ending on run boundaries, and summed at once, so each run is still
+summed whole and the result does not depend on the block size.
+
 The backward pass mirrors the forward step by step (softmax, tanh, and
-scatter adjoints written out by hand) and is validated against central
-differences in the tests.
+sum adjoints written out by hand) and is validated against central
+differences and against the per-edge kernel in tests/reference.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -122,18 +138,49 @@ def init_stack(
     return LayerStack(dims, w1, w2, attn, slope, shared, printed_attention)
 
 
+EDGE_BLOCK = 8192  # edges whose per-edge backward terms exist at once
+
+
 @dataclass
 class _Segments:
-    """Contiguous per-head edge spans of a CSR-ordered triple list."""
+    """Contiguous runs of equal keys in a key-sorted edge list."""
 
-    starts: np.ndarray   # first edge index of each non-empty head segment
-    repeats: np.ndarray  # segment lengths, aligned with starts
+    starts: np.ndarray   # first position of each run
+    repeats: np.ndarray  # run lengths, aligned with starts
 
     @classmethod
-    def of(cls, kg: CollaborativeKG) -> "_Segments":
-        counts = np.diff(kg.head_ptr)
-        nz = counts > 0
-        return cls(starts=kg.head_ptr[:-1][nz].astype(np.int64), repeats=counts[nz])
+    def of_sorted(cls, keys: np.ndarray) -> "_Segments":
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        return cls(starts=starts, repeats=np.diff(np.append(starts, len(keys))))
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(values, self.starts)
+
+    @cached_property
+    def blocks(self) -> list[tuple[slice, int, int]]:
+        """(runs, lo, hi): consecutive runs covering positions lo:hi, about EDGE_BLOCK of them.
+
+        A run longer than EDGE_BLOCK is a block of its own.
+        """
+        out, b, n = [], 0, len(self.starts)
+        while b < n:
+            nxt = max(b + 1, int(np.searchsorted(self.starts, self.starts[b] + EDGE_BLOCK)))
+            hi = int(self.starts[nxt]) if nxt < n else int(self.starts[-1] + self.repeats[-1])
+            out.append((slice(b, nxt), int(self.starts[b]), hi))
+            b = nxt
+        return out
+
+    def sum_gathered(self, order: np.ndarray, rows_of) -> np.ndarray:
+        """`sum(rows_of(order))`, with rows_of called on one block of `order` at a time.
+
+        Each run is summed whole by one reduceat, so the result does not
+        depend on the blocking.
+        """
+        return np.concatenate(
+            [np.add.reduceat(rows_of(order[lo:hi]), self.starts[runs] - lo) for runs, lo, hi in self.blocks]
+        )
 
     def softmax(self, logits: np.ndarray) -> np.ndarray:
         # non-finite logits yield nan weights; the loss layer validates
@@ -147,6 +194,68 @@ class _Segments:
         dots = w * g_w
         inner = np.add.reduceat(dots, self.starts)
         return dots - w * np.repeat(inner, self.repeats)
+
+
+@dataclass
+class _Pairs:
+    """The distinct (entity, relation) pairs of one edge end, grouped by relation.
+
+    Pairs are numbered in (relation, entity) order, so each relation owns
+    one contiguous slice of them and no entity repeats inside a slice.
+    """
+
+    entity: np.ndarray   # entity of each pair
+    of_edge: np.ndarray  # pair of each edge
+    order: np.ndarray    # edge permutation that sorts edges by pair
+    runs: _Segments      # each pair's edges within `order`
+    relations: list[tuple[int, slice]]  # (relation id, its pairs)
+
+    @classmethod
+    def of(cls, ends: np.ndarray, rels: np.ndarray, n_entities: int) -> "_Pairs":
+        keys, of_edge = np.unique(rels * n_entities + ends, return_inverse=True)
+        order = np.argsort(of_edge, kind="stable")
+        rel_of_pair = keys // n_entities
+        firsts = _Segments.of_sorted(rel_of_pair).starts
+        bounds = np.append(firsts, len(keys))
+        relations = [(int(rel_of_pair[a]), slice(int(a), int(b))) for a, b in zip(bounds[:-1], bounds[1:])]
+        return cls(keys % n_entities, of_edge, order, _Segments.of_sorted(of_edge[order]), relations)
+
+    def project(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """A_r x_e for every edge, computed once per pair."""
+        out = np.empty((len(self.entity), a.shape[1]))
+        for rel, pairs in self.relations:
+            out[pairs] = x[self.entity[pairs]] @ a[rel].T
+        return out[self.of_edge]
+
+    def project_backward(self, g_of_edges, x, a, g_a, g_x) -> np.ndarray:
+        """Adds the adjoint of `project` into g_a and g_x; returns the edge gradients summed per pair.
+
+        g_of_edges(e) gives the gradient rows of the edges e.
+        """
+        g = self.runs.sum_gathered(self.order, g_of_edges)
+        for rel, pairs in self.relations:
+            ents = self.entity[pairs]
+            g_a[rel] += g[pairs].T @ x[ents]
+            g_x[ents] += g[pairs] @ a[rel]
+        return g
+
+
+class PropagationPlan:
+    """Edge groupings `propagate` and `propagate_backward` reuse on one graph.
+
+    Built once per graph (`CollaborativeKG.propagation_plan`); the graph's
+    own edge order is left as it is.
+    """
+
+    def __init__(self, kg: CollaborativeKG):
+        self.heads = _Segments.of_sorted(kg.heads)
+        self.head_ids = kg.heads[self.heads.starts]
+        self.tail_order = np.argsort(kg.tails, kind="stable")
+        sorted_tails = kg.tails[self.tail_order]
+        self.tails = _Segments.of_sorted(sorted_tails)
+        self.tail_ids = sorted_tails[self.tails.starts]
+        self.head_pairs = _Pairs.of(kg.heads, kg.rels, kg.entity_count)
+        self.tail_pairs = _Pairs.of(kg.tails, kg.rels, kg.entity_count)
 
 
 @dataclass
@@ -172,18 +281,13 @@ class PropagationResult:
         return len(self.layers) - 1
 
 
-def _relation_groups(kg: CollaborativeKG) -> list[tuple[int, np.ndarray]]:
-    return [(int(rel), np.nonzero(kg.rels == rel)[0]) for rel in np.unique(kg.rels)]
-
-
 def propagate(kg: CollaborativeKG, table: EmbeddingTable, stack: LayerStack) -> PropagationResult:
     """Run every layer synchronously and stitch x^(0)..x^(L) per entity."""
     if table.entity.shape[1] != stack.dims[0]:
         raise ShapeError(f"entity width {table.entity.shape[1]} != first layer width {stack.dims[0]}")
     n = table.n_entities
     n_edges = len(kg.heads)
-    seg = _Segments.of(kg)
-    groups = _relation_groups(kg)
+    plan = kg.propagation_plan
 
     x = table.entity
     layers = [x]
@@ -194,27 +298,50 @@ def propagate(kg: CollaborativeKG, table: EmbeddingTable, stack: LayerStack) -> 
         for l in range(1, stack.n_layers + 1):
             a = table.projection if l == 1 else stack.attn[l - 1]
             din = stack.dims[l - 1]
+            msg = np.zeros((n, din))
             if n_edges:
-                ph = np.empty((n_edges, table.k))
-                pt = np.empty((n_edges, table.k))
-                for rel, rows in groups:
-                    ph[rows] = x[kg.heads[rows]] @ a[rel].T
-                    pt[rows] = x[kg.tails[rows]] @ a[rel].T
-                inner = ph + (x[kg.tails] if stack.printed_attention else table.relation[kg.rels])
-                q = np.tanh(inner)
-                logits = np.einsum("ij,ij->i", pt, q)
-                w = seg.softmax(logits)
-                msg = np.zeros((n, din))
-                np.add.at(msg, kg.heads, w[:, None] * x[kg.tails])
+                # per-edge arrays are updated in place: more temporaries
+                # raised the peak resident memory of training
+                x_t = x[kg.tails]
+                pt = plan.tail_pairs.project(x, a)
+                q = plan.head_pairs.project(x, a)
+                q += x_t if stack.printed_attention else table.relation[kg.rels]
+                np.tanh(q, out=q)
+                w = plan.heads.softmax(np.einsum("ij,ij->i", pt, q))
+                x_t *= w[:, None]
+                msg[plan.head_ids] = plan.heads.sum(x_t)
             else:
                 pt = q = w = None
-                msg = np.zeros((n, din))
             a1 = (x + msg) @ stack.w1[l - 1].T
             a2 = (x * msg) @ stack.w2[l - 1].T
             cache.append(_LayerCache(pt, q, w, msg, a1, a2))
             x = leaky_relu(a1, stack.slope) + leaky_relu(a2, stack.slope)
             layers.append(x)
     return PropagationResult(layers, np.concatenate(layers, axis=1), cache)
+
+
+def _tanh_arg_grad(g_logit, c: _LayerCache, e: np.ndarray) -> np.ndarray:
+    """dL/d(argument of tanh) on edges e: (dL/dlogit * pt) * (1 - q^2)."""
+    g = g_logit[e, None] * c.pt[e]
+    slope = c.q[e]
+    np.multiply(slope, slope, out=slope)
+    np.subtract(1.0, slope, out=slope)
+    g *= slope
+    return g
+
+
+def _pt_grad(g_logit, c: _LayerCache, e: np.ndarray) -> np.ndarray:
+    """dL/d(projected tail) on edges e."""
+    return g_logit[e, None] * c.q[e]
+
+
+def _tail_grad(kg: CollaborativeKG, c: _LayerCache, g_msg, g_arg, e: np.ndarray) -> np.ndarray:
+    """dL/dx_t on edges e through the message, plus through tanh when g_arg is given."""
+    t = g_msg[kg.heads[e]]
+    t *= c.w[e, None]
+    if g_arg is not None:
+        t += g_arg(e)
+    return t
 
 
 def propagate_backward(
@@ -233,9 +360,7 @@ def propagate_backward(
     n = table.n_entities
     if grad_stitched.shape != (n, stack.stitched_dim):
         raise ShapeError(f"stitched gradient shape {grad_stitched.shape} != {(n, stack.stitched_dim)}")
-    seg = _Segments.of(kg)
-    groups = _relation_groups(kg)
-
+    plan = kg.propagation_plan
     grads = {
         "entity": np.zeros_like(table.entity),
         "relation": np.zeros_like(table.relation),
@@ -267,24 +392,22 @@ def propagate_backward(
         g_msg = g_sum + g_prod * x
 
         if c.w is not None:
-            heads, tails, rels = kg.heads, kg.tails, kg.rels
-            gm = g_msg[heads]
-            x_t = x[tails]
-            g_w = np.einsum("ij,ij->i", gm, x_t)
-            np.add.at(g_x, tails, c.w[:, None] * gm)
-            g_logit = seg.softmax_backward(c.w, g_w)
-            g_pt = g_logit[:, None] * c.q
-            g_arg = (g_logit[:, None] * c.pt) * (1.0 - c.q * c.q)
-            if stack.printed_attention:
-                np.add.at(g_x, tails, g_arg)
-            else:
-                np.add.at(grads["relation"], rels, g_arg)
+            # per-edge terms are made one block of edges at a time and summed
+            # at once, so no whole-graph (edges, width) array is allocated here
+            g_w = np.concatenate(
+                [np.einsum("ij,ij->i", g_msg[kg.heads[lo:hi]], x[kg.tails[lo:hi]]) for _, lo, hi in plan.heads.blocks]
+            )
+            g_logit = plan.heads.softmax_backward(c.w, g_w)
+            g_arg = partial(_tanh_arg_grad, g_logit, c)
+            tail_term = partial(_tail_grad, kg, c, g_msg, g_arg if stack.printed_attention else None)
+            g_x[plan.tail_ids] += plan.tails.sum_gathered(plan.tail_order, tail_term)
             a = table.projection if l == 1 else stack.attn[l - 1]
             g_a = grads["projection"] if l == 1 else grads[f"attn.{l}"]
-            for rel, rows in groups:
-                g_a[rel] += g_arg[rows].T @ x[heads[rows]] + g_pt[rows].T @ x_t[rows]
-                np.add.at(g_x, heads[rows], g_arg[rows] @ a[rel])
-                np.add.at(g_x, tails[rows], g_pt[rows] @ a[rel])
+            g_head = plan.head_pairs.project_backward(g_arg, x, a, g_a, g_x)
+            plan.tail_pairs.project_backward(partial(_pt_grad, g_logit, c), x, a, g_a, g_x)
+            if not stack.printed_attention:
+                for rel, pairs in plan.head_pairs.relations:
+                    grads["relation"][rel] += g_head[pairs].sum(axis=0)
 
         g = g_x
         if l - 1 > 0:

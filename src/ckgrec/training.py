@@ -134,8 +134,9 @@ def _cf_epoch(model, pairs: np.ndarray, pos_keys: np.ndarray, opt: Adam, setting
         chosen = pairs[idx]
         negs = sample_absent(pos_keys, chosen[:, 0] * n_items, 1, n_items, rng.split(1, b))
         batch = BprBatch(chosen[:, 0], chosen[:, 1], negs)
-        res_u, res_i = model.propagate_both()
-        loss, grads = bpr_loss(model, batch, res_u, res_i)
+        # no name holds the propagation results, so they are freed before
+        # the next batch's forward pass allocates its own
+        loss, grads = bpr_loss(model, batch, *model.propagate_both())
         total += loss
         lam2 = 2.0 * settings.reg
         for name, p in params.items():

@@ -231,6 +231,15 @@ class TestEvaluate:
             assert len(csv_lines) == 4
             assert json.loads((out / "run_manifest.json").read_text())["command"] == "evaluate"
 
+    def test_reads_the_checkpoint_once(self, dataset, run_dir, monkeypatch):
+        reads = []
+        real = checkpoint.load
+        monkeypatch.setattr(checkpoint, "load", lambda path: reads.append(path) or real(path))
+        ckpt = run_dir / "checkpoint.ckgr"
+        assert run("evaluate", "--checkpoint", ckpt, *data_flags(dataset)) == 0
+        assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", "u0") == 0
+        assert [str(path) for path in reads] == [str(ckpt)] * 2
+
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path, capsys):
         code = run(
             "evaluate", "--checkpoint", tmp_path / "no.ckgr",

@@ -82,7 +82,10 @@ class TestValidation:
             load_config(overrides=["slope=1.5"])
 
     def test_ratio_sum(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="must sum to 1"):
+            load_config(overrides=["split.train=0.9", "split.val=0.2", "split.test=0.1"])
+        # the field names are not configuration keys
+        with pytest.raises(ConfigError, match="unknown configuration key 'train_ratio'"):
             load_config(overrides=["train_ratio=0.9", "val_ratio=0.2", "test_ratio=0.1"])
 
     def test_printed_attention_needs_k_widths(self):

@@ -24,6 +24,7 @@ from ckgrec.graph import InteractionRecord, build_bipartite
 from ckgrec.rng import Rng
 
 from conftest import rec, toy_dual
+from reference import rank_and_score_reference
 
 
 def user_records(user: str, n: int):
@@ -207,6 +208,27 @@ class TestRankAndScore:
     def test_empty_truth_gives_nan(self):
         p, r = rank_and_score(np.ones((2, 3)), {}, {}, 2)
         assert np.isnan(p) and np.isnan(r)
+
+    @pytest.mark.parametrize("n_users,n_items,k", [(300, 40, 10), (25, 6, 5), (40, 3, 10)])
+    def test_matches_per_user_reference(self, n_users, n_items, k):
+        """Heavy ties, +-inf and NaN scores; some users have fewer than k rankable items or no truth."""
+        rng = np.random.default_rng(n_users)
+        for trial in range(5):
+            scores = rng.integers(0, 3, size=(n_users, n_items)).astype(np.float64)
+            scores[rng.random(scores.shape) < 0.1] = np.inf
+            scores[rng.random(scores.shape) < 0.1] = -np.inf
+            scores[rng.random(scores.shape) < 0.05] = np.nan  # ranked last, as a stable argsort does
+            train_items = {
+                u: set(rng.choice(n_items, size=int(rng.integers(0, n_items + 1)), replace=False).tolist())
+                for u in range(n_users) if rng.random() < 0.9
+            }
+            truth = {
+                u: set(rng.choice(n_items, size=int(rng.integers(0, min(n_items, 4) + 1)), replace=False).tolist())
+                for u in range(n_users) if rng.random() < 0.9
+            }
+            assert any(not items for items in truth.values())
+            assert any(n_items - len(train_items.get(u, ())) < k for u in truth)
+            assert rank_and_score(scores, train_items, truth, k) == rank_and_score_reference(scores, train_items, truth, k)
 
 
 class TestBaselines:

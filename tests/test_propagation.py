@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from ckgrec import propagation
 from ckgrec.errors import ConfigError, ShapeError
 from ckgrec.kernels import finite_diff_check, leaky_relu
 from ckgrec.propagation import (
     LayerStack,
+    _Segments,
     init_stack,
     propagate,
     propagate_backward,
@@ -18,7 +20,14 @@ from ckgrec.rng import Rng
 from ckgrec.transr import EmbeddingTable, init_table
 
 from conftest import fresh_table, make_kg
-from reference import aggregate_reference, logit_reference, propagate_reference, softmax_reference
+from reference import (
+    aggregate_reference,
+    logit_reference,
+    propagate_backward_edgewise,
+    propagate_edgewise,
+    propagate_reference,
+    softmax_reference,
+)
 
 
 def table_from(entity, relation, projection) -> EmbeddingTable:
@@ -385,3 +394,123 @@ class TestPropagateBackward:
         res = propagate(kg, table, stack)
         with pytest.raises(ShapeError):
             propagate_backward(kg, table, stack, res, np.zeros((5, 3)))
+
+
+def mixed_graph(seed: int):
+    """12 entities, 3 relations: heads 0-5 point at tails 3-10 through interleaved relations.
+
+    Tails 6-10 are never heads, entity 11 is isolated, and (head, relation)
+    and (tail, relation) pairs repeat across edges.
+    """
+    rng = np.random.default_rng(seed)
+    candidates = [(h, r, t) for h in range(6) for r in range(3) for t in range(3, 11) if h != t]
+    chosen = rng.choice(len(candidates), size=60, replace=False)
+    triples = [candidates[i] for i in chosen]
+    kg = make_kg(12, triples, n_relations=3)
+    runs = [kg.rels[kg.neighbor_slice(h)] for h in range(6)]
+    assert any(np.count_nonzero(r[1:] != r[:-1]) + 1 > len(set(r)) for r in runs)  # a relation comes back
+    assert len(set(zip(kg.heads, kg.rels))) < len(kg.heads)
+    assert len(set(zip(kg.tails, kg.rels))) < len(kg.heads)
+    assert 11 not in kg.heads and 11 not in kg.tails and not set(range(6, 11)) & set(kg.heads)
+    return kg
+
+
+def assert_close(got, want, what):
+    scale = max(1.0, float(np.max(np.abs(want)))) if np.size(want) else 1.0
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, what
+
+
+class TestEdgewiseOracle:
+    """`propagate` and its backward pass against the per-edge kernel in tests/reference.py."""
+
+    def check(self, kg, table, stack, seed):
+        res = propagate(kg, table, stack)
+        want = propagate_edgewise(kg, table, stack)
+        assert_close(res.stitched, want.stitched, "stitched")
+        for l, (c, w) in enumerate(zip(res.cache, want.cache), start=1):
+            for name in ("pt", "q", "w", "msg", "a1", "a2"):
+                got, ref = getattr(c, name), getattr(w, name)
+                assert (got is None) == (ref is None), name
+                if ref is not None:
+                    assert_close(got, ref, f"layer {l} {name}")
+        g = np.random.default_rng(seed).normal(size=res.stitched.shape)
+        grads = propagate_backward(kg, table, stack, res, g)
+        want_grads = propagate_backward_edgewise(kg, table, stack, want, g)
+        assert grads.keys() == want_grads.keys()
+        for name, ref in want_grads.items():
+            assert_close(grads[name], ref, name)
+
+    @pytest.mark.parametrize(
+        "dims,shared,printed",
+        [((5, 4), True, False), ((5, 4, 3), False, False), ((5, 4, 4, 2), True, False),
+         ((3, 3, 2), True, True), ((3, 3, 3, 2), False, True)],
+    )
+    def test_matches_edgewise_kernel(self, dims, shared, printed):
+        k = 3
+        for seed in range(3):
+            kg = mixed_graph(seed)
+            table = fresh_table(n_entities=12, n_relations=3, d=dims[0], k=k, seed=seed, std=0.5)
+            stack = init_stack(list(dims), 3, k, 0.5, Rng(seed, (5,)), shared=shared, printed_attention=printed)
+            self.check(kg, table, stack, seed)
+
+    def test_edgeless_graph(self):
+        kg = make_kg(4, [], n_relations=2)
+        table = fresh_table(n_entities=4, n_relations=2, d=4, k=3)
+        self.check(kg, table, init_stack([4, 3, 2], 2, 3, 0.3, Rng(8), shared=False), 0)
+
+    def test_plan_built_once_and_edge_order_kept(self, monkeypatch):
+        built = []
+
+        class CountingPlan(propagation.PropagationPlan):
+            def __init__(self, kg):
+                built.append(kg)
+                super().__init__(kg)
+
+        monkeypatch.setattr(propagation, "PropagationPlan", CountingPlan)
+        kg = mixed_graph(0)
+        before = [kg.heads.copy(), kg.rels.copy(), kg.tails.copy()]
+        table = fresh_table(n_entities=12, n_relations=3, d=4, k=3)
+        stack = init_stack([4, 3, 2], 3, 3, 0.3, Rng(9))
+        res = propagate(kg, table, stack)
+        propagate_backward(kg, table, stack, res, np.ones_like(res.stitched))
+        again = propagate(kg, table, stack)
+        assert built == [kg]
+        assert np.array_equal(again.stitched, res.stitched)
+        for got, want in zip((kg.heads, kg.rels, kg.tails), before):
+            assert np.array_equal(got, want)
+
+
+class TestEdgeBlocks:
+    """The backward pass makes its per-edge terms EDGE_BLOCK edges at a time."""
+
+    def test_blocks_tile_the_runs(self, monkeypatch):
+        monkeypatch.setattr(propagation, "EDGE_BLOCK", 4)
+        seg = _Segments.of_sorted(np.array([0, 0, 0, 0, 0, 0, 1, 2, 2, 3, 4, 4, 4, 5]))
+        blocks = seg.blocks
+        assert [b[0].start for b in blocks] == [0] + [b[0].stop for b in blocks[:-1]]
+        assert blocks[-1][0].stop == len(seg.starts)
+        for runs, lo, hi in blocks:
+            assert lo == seg.starts[runs.start]
+            assert hi == seg.starts[runs.stop - 1] + seg.repeats[runs.stop - 1]
+            assert hi - lo <= 4 or runs.stop - runs.start == 1
+        assert blocks[0] == (slice(0, 1), 0, 6)  # a run longer than a block stands alone
+        values = np.random.default_rng(0).normal(size=(14, 3))
+        order = np.random.default_rng(1).permutation(14)
+        assert np.array_equal(seg.sum_gathered(order, lambda e: values[e]), seg.sum(values[order]))
+
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_small_blocks_give_the_same_gradients(self, monkeypatch, printed):
+        dims = (3, 3, 3) if printed else (5, 4, 3)
+        table = fresh_table(n_entities=12, n_relations=3, d=dims[0], k=3, seed=2, std=0.5)
+        stack = init_stack(list(dims), 3, 3, 0.5, Rng(2, (5,)), printed_attention=printed)
+        grads = {}
+        for block in (propagation.EDGE_BLOCK, 4):
+            monkeypatch.setattr(propagation, "EDGE_BLOCK", block)
+            kg = mixed_graph(2)  # a fresh graph, so its plan is built with this block size
+            res = propagate(kg, table, stack)
+            assert (len(kg.propagation_plan.tails.blocks) > 1) == (block < len(kg.heads))
+            g = np.random.default_rng(3).normal(size=res.stitched.shape)
+            grads[block] = propagate_backward(kg, table, stack, res, g)
+        one, many = grads.values()
+        for name in one:
+            assert np.array_equal(one[name], many[name]), name
