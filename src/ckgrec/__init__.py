@@ -25,7 +25,6 @@ from .graph import (
     AlignmentMap,
     BipartiteGraph,
     CollaborativeKG,
-    InteractionRecord,
     RelationRegistry,
     Vocab,
     build_bipartite,
@@ -35,7 +34,7 @@ from .graph import (
     plan_alignment,
 )
 from .ingest import (
-    RawRating,
+    Ratings,
     SynthConfig,
     filter_min_interactions,
     parse_attribute_triples,
@@ -51,6 +50,7 @@ from .propagation import (
     propagate_backward,
 )
 from .rng import Rng
+from .table import Interactions
 from .training import Adam, TrainSettings, train
 from .transr import EmbeddingTable, TripleBatch, init_table, kg_loss, project, sample_absent, triple_energy
 

@@ -23,7 +23,9 @@ reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -52,7 +54,12 @@ def _pack_side(table: EmbeddingTable, stack: LayerStack) -> list[bytes]:
 
 
 def save(model: DualModel, path, metadata: dict) -> None:
-    """Write the model's parameters plus a JSON metadata blob."""
+    """Write the model's parameters plus a JSON metadata blob.
+
+    The bytes go to a temporary file in the target's directory, are
+    synced to disk and then renamed over the target, so the target is
+    always either the previous checkpoint or the complete new one.
+    """
     stack = model.stack_u
     dims = stack.dims
     meta = dict(metadata)
@@ -75,14 +82,25 @@ def save(model: DualModel, path, metadata: dict) -> None:
         stack.n_layers,
         *dims,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for part in _pack_side(model.table_u, model.stack_u):
-            fh.write(part)
-        for part in _pack_side(model.table_i, model.stack_i):
-            fh.write(part)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
+    # written beside the target and renamed over it, so a crash leaves the old file whole
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for part in _pack_side(model.table_u, model.stack_u):
+                fh.write(part)
+            for part in _pack_side(model.table_i, model.stack_i):
+                fh.write(part)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:

@@ -57,6 +57,7 @@ from .ingest import (
 )
 from .model import build_model
 from .rng import Rng
+from .table import Interactions
 from .training import TrainSettings, train
 
 
@@ -87,7 +88,7 @@ class World:
     """Parsed dataset, split, graphs, and index-space interaction pairs."""
 
     cfg: RunConfig
-    records: list
+    records: Interactions
     split: object
     bg: object
     kg_u: object
@@ -106,12 +107,18 @@ def _require_path(cfg: RunConfig, name: str) -> str:
     return value
 
 
+def _read_interactions(cfg: RunConfig, path, strict: bool = False):
+    """Parse an interaction file, binarize, merge duplicate pairs and drop users below min_interactions."""
+    parsed = parse_interactions(path, cfg.format, strict=strict)
+    records = filter_min_interactions(merge_records(to_implicit(parsed.records, cfg.threshold)), cfg.min_interactions)
+    return parsed, records
+
+
 def _build_world(cfg: RunConfig) -> World:
     path = _require_path(cfg, "interactions")
-    parsed = parse_interactions(path, cfg.format)
+    parsed, records = _read_interactions(cfg, path)
     if parsed.issues:
         print(f"warning: {len(parsed.issues)} malformed interaction lines skipped", file=sys.stderr)
-    records = filter_min_interactions(merge_records(to_implicit(parsed.records, cfg.threshold)), cfg.min_interactions)
 
     user_attrs, item_attrs = [], []
     inputs = {path: _sha256(path)}
@@ -241,8 +248,7 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
     path = args.interactions or _require_path(cfg, "interactions")
-    parsed = parse_interactions(path, cfg.format, strict=args.strict)
-    records = filter_min_interactions(merge_records(to_implicit(parsed.records, cfg.threshold)), cfg.min_interactions)
+    parsed, records = _read_interactions(cfg, path, strict=args.strict)
     bg = build_bipartite(records, order=cfg.id_order)
     manifest = args.manifest or cfg.manifest
     if manifest:

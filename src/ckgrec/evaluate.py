@@ -21,55 +21,62 @@ import numpy as np
 from .errors import ConfigError
 from .graph import BipartiteGraph
 from .rng import Rng
+from .table import Interactions, first_seen_groups
 
 
 @dataclass
 class Split:
-    train: list
-    validation: list
-    test: list
+    train: Interactions
+    validation: Interactions
+    test: Interactions
     seed: int
     ratios: tuple[float, float, float]
 
 
-def split_dataset(records, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> Split:
-    """Per-user partition into train/validation/test, deterministic by seed."""
+def split_dataset(records: Interactions, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> Split:
+    """Per-user partition into train/validation/test, deterministic by seed.
+
+    Users are visited in order of first appearance.  Each part lists
+    users in that order, and a user's records in the drawn order.
+    """
     ratios = tuple(float(x) for x in ratios)
     if len(ratios) != 3 or any(x <= 0 for x in ratios):
         raise ConfigError(f"need three positive split ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
 
-    by_user: dict[str, list] = {}
-    for rec in records:
-        by_user.setdefault(rec.user, []).append(rec)
-
+    group, _ = first_seen_groups(records.user)
+    by_user = np.argsort(group, kind="stable")
+    counts = np.bincount(group)
+    n_held = np.zeros((len(counts), 2), dtype=np.int64)  # validation and test records per user
+    orders = [np.zeros(0, dtype=np.int64)]
     rng = Rng(seed, (501,))
-    train, val, test = [], [], []
-    for user, recs in by_user.items():
-        n = len(recs)
+
+    def rounded(n: int, fraction: float) -> int:
+        exact = n * fraction
+        base = int(exact)
+        return base + (1 if rng.random() < exact - base else 0)
+
+    for g, n in enumerate(counts.tolist()):
         if n < 3:
-            train.extend(recs)
+            orders.append(np.arange(n))
             continue
-        order = rng.permutation(n)
-
-        def rounded(fraction: float) -> int:
-            exact = n * fraction
-            base = int(exact)
-            return base + (1 if rng.random() < exact - base else 0)
-
-        n_val = rounded(ratios[1])
-        n_test = rounded(ratios[2])
+        orders.append(rng.permutation(n))
+        n_val = rounded(n, ratios[1])
+        n_test = rounded(n, ratios[2])
         # every user keeps at least one training record
         while n - n_val - n_test < 1:
             if n_test > 0:
                 n_test -= 1
             else:
                 n_val -= 1
-        shuffled = [recs[i] for i in order]
-        train.extend(shuffled[: n - n_val - n_test])
-        val.extend(shuffled[n - n_val - n_test: n - n_test])
-        test.extend(shuffled[n - n_test:])
+        n_held[g] = n_val, n_test
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    shuffled = by_user[np.concatenate(orders) + starts]
+    from_end = np.repeat(np.cumsum(counts), counts) - np.arange(len(records))  # n - position within the user
+    n_val, n_test = (np.repeat(n_held[:, j], counts) for j in (0, 1))
+    part = (from_end <= n_val + n_test).astype(np.int64) + (from_end <= n_test)
+    train, val, test = (records.take(shuffled[part == p]) for p in range(3))
     return Split(train, val, test, seed, ratios)
 
 
@@ -85,25 +92,12 @@ def topk_from_scores(scores: np.ndarray, k: int, exclude=None) -> np.ndarray:
     return order[:k]
 
 
-def precision_recall_at_k(recommended, ground_truth, k: int):
-    """(|hits|/K, |hits|/|truth|); the caller skips users with empty truth."""
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
-    truth = set(ground_truth)
-    if not truth:
-        raise ConfigError("ground truth is empty; exclude this user from averages")
-    hits = sum(1 for i in recommended if int(i) in truth)
-    return hits / k, hits / len(truth)
-
-
-def pairs_of(records, bg: BipartiteGraph) -> np.ndarray:
+def pairs_of(records: Interactions, bg: BipartiteGraph) -> np.ndarray:
     """(user, item) index pairs of records under the bipartite vocabularies."""
-    out = [
-        (bg.user_vocab.id_of(r.user), bg.item_vocab.id_of(r.item))
-        for r in records
-        if r.user in bg.user_vocab and r.item in bg.item_vocab
-    ]
-    return np.array(out, dtype=np.int64).reshape(-1, 2)
+    users = bg.user_vocab.ids_of(records.user_tokens)[records.user]
+    items = bg.item_vocab.ids_of(records.item_tokens)[records.item]
+    keep = (users >= 0) & (items >= 0)
+    return np.stack([users[keep], items[keep]], axis=1)
 
 
 def truth_by_user(pairs: np.ndarray) -> dict[int, set]:
@@ -174,8 +168,8 @@ def rank_and_score(score_matrix: np.ndarray, train_items: dict[int, set], truth:
 
 def model_scores(model) -> np.ndarray:
     """Full user-by-item score matrix from the current parameters."""
-    res_u, res_i = model.propagate_both()
-    users, items = model.representations(res_u, res_i)
+    # the propagation results, per-edge caches included, are freed before the product
+    users, items = model.representations(*model.propagate_both())
     return users @ items.T
 
 

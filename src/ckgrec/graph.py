@@ -17,12 +17,13 @@ indexed per head for O(1) neighborhood lookups.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, UnresolvedEntityError
+from .table import Interactions, first_seen
 
 INTERACTION = "interaction"
 COMPOSITE_INTERACTION = "composite-interaction"
@@ -30,26 +31,12 @@ USER_ATTRIBUTE = "user-attribute"
 ITEM_ATTRIBUTE = "item-attribute"
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    """One observed user-item interaction with its fine-grained type set."""
-
-    user: str
-    item: str
-    types: frozenset[str]
-    weight: float | None = None
-    timestamp: int | None = None
-    line: int | None = None
-
-
 class Vocab:
     """Dense id assignment for string tokens; ids round-trip to tokens."""
 
     def __init__(self, tokens=()):
-        self._index: dict[str, int] = {}
-        self._tokens: list[str] = []
-        for t in tokens:
-            self.add(t)
+        self._tokens: list[str] = list(dict.fromkeys(tokens))
+        self._index: dict[str, int] = {t: i for i, t in enumerate(self._tokens)}
 
     def add(self, token: str) -> int:
         idx = self._index.get(token)
@@ -61,6 +48,10 @@ class Vocab:
 
     def id_of(self, token: str) -> int:
         return self._index[token]
+
+    def ids_of(self, tokens) -> np.ndarray:
+        """Ids of `tokens`, -1 for tokens outside the vocabulary."""
+        return np.array([self._index.get(t, -1) for t in tokens], dtype=np.int64)
 
     def token(self, idx: int) -> str:
         return self._tokens[idx]
@@ -131,11 +122,14 @@ class RelationRegistry:
 
 @dataclass
 class BipartiteGraph:
-    """User-item interaction graph; one edge per (user, item) pair."""
+    """User-item interaction graph; one edge per (user, item) pair.
+
+    `edges` is a table whose user and item codes are vocabulary ids.
+    """
 
     user_vocab: Vocab
     item_vocab: Vocab
-    edges: list[tuple[int, int, frozenset[str]]]
+    edges: Interactions
 
     @property
     def n_users(self) -> int:
@@ -150,10 +144,25 @@ class BipartiteGraph:
         return len(self.edges)
 
 
+def _require_types(records: Interactions) -> None:
+    empty = np.flatnonzero(~records.types.any(axis=1))
+    if len(empty):
+        pos = int(empty[0])
+        line = int(records.line[pos])
+        where = f"line {line}" if line else f"record {pos + 1}"
+        user, item = records.user_tokens[records.user[pos]], records.item_tokens[records.item[pos]]
+        raise FormatError(f"empty interaction-type set ({where}, user={user!r}, item={item!r})")
+
+
+def _vocab(tokens, codes, order: str) -> Vocab:
+    present = [tokens[c] for c in first_seen(codes).tolist()]
+    return Vocab(sorted(present) if order == "sorted" else present)
+
+
 def build_bipartite(
-    records,
+    records: Interactions,
     order: str = "first-seen",
-    vocab_records=None,
+    vocab_records: Interactions | None = None,
 ) -> BipartiteGraph:
     """Index users/items and merge duplicate (user, item) records.
 
@@ -165,42 +174,29 @@ def build_bipartite(
     """
     if order not in ("first-seen", "sorted"):
         raise FormatError(f"unknown id assignment order: {order!r}")
-    records = list(records)
-    vocab_source = records if vocab_records is None else list(vocab_records)
+    source = records if vocab_records is None else vocab_records
+    _require_types(source)
+    if vocab_records is not None:
+        _require_types(records)
 
-    for pos, rec in enumerate(vocab_source):
-        if not rec.types:
-            where = f"line {rec.line}" if rec.line is not None else f"record {pos + 1}"
-            raise FormatError(f"empty interaction-type set ({where}, user={rec.user!r}, item={rec.item!r})")
+    user_vocab = _vocab(source.user_tokens, source.user, order)
+    item_vocab = _vocab(source.item_tokens, source.item, order)
+    if vocab_records is not None:
+        # entities only the edge records name follow, in first-seen order
+        for vocab, tokens, codes in (
+            (user_vocab, records.user_tokens, records.user),
+            (item_vocab, records.item_tokens, records.item),
+        ):
+            for c in first_seen(codes).tolist():
+                vocab.add(tokens[c])
 
-    user_vocab = Vocab()
-    item_vocab = Vocab()
-    if order == "sorted":
-        for u in sorted({r.user for r in vocab_source}):
-            user_vocab.add(u)
-        for i in sorted({r.item for r in vocab_source}):
-            item_vocab.add(i)
-    else:
-        for rec in vocab_source:
-            user_vocab.add(rec.user)
-            item_vocab.add(rec.item)
-
-    edges: list[tuple[int, int, frozenset[str]]] = []
-    edge_pos: dict[tuple[int, int], int] = {}
-    for pos, rec in enumerate(records):
-        if not rec.types:
-            where = f"line {rec.line}" if rec.line is not None else f"record {pos + 1}"
-            raise FormatError(f"empty interaction-type set ({where}, user={rec.user!r}, item={rec.item!r})")
-        u = user_vocab.add(rec.user)
-        i = item_vocab.add(rec.item)
-        key = (u, i)
-        at = edge_pos.get(key)
-        if at is None:
-            edge_pos[key] = len(edges)
-            edges.append((u, i, frozenset(rec.types)))
-        else:
-            pu, pi, ptypes = edges[at]
-            edges[at] = (pu, pi, ptypes | rec.types)
+    edges = replace(
+        records,
+        user_tokens=user_vocab.tokens(),
+        item_tokens=item_vocab.tokens(),
+        user=user_vocab.ids_of(records.user_tokens)[records.user],
+        item=item_vocab.ids_of(records.item_tokens)[records.item],
+    ).merged()
     return BipartiteGraph(user_vocab, item_vocab, edges)
 
 
@@ -318,37 +314,29 @@ def _build_side(bg, attrs, align, head_is_user):
     """Shared construction for both collaborative graphs."""
     registry = RelationRegistry()
     stats = BuildStats()
-    heads: list[int] = []
-    rels: list[int] = []
-    tails: list[int] = []
 
+    edges = bg.edges
+    sets, set_of_edge = edges.type_sets()
+    composite = np.array([registry.composite(types) for types in sets], dtype=np.int64)
+    users = [("user", t) for t in bg.user_vocab.tokens()]
+    items = [("item", t) for t in bg.item_vocab.tokens()]
     if head_is_user:
-        head_ents, tail_ents = align.users_user_side, align.items_user_side
+        heads = align.users_user_side[edges.user]
+        tails = align.items_user_side[edges.item]
         attr_head_vocab, attr_kind = bg.item_vocab, ITEM_ATTRIBUTE
         attr_head_ents = align.items_user_side
-        names = [("user", bg.user_vocab.token(u)) for u in range(bg.n_users)]
-        names += [("item", bg.item_vocab.token(i)) for i in range(bg.n_items)]
+        names = users + items
     else:
-        head_ents, tail_ents = align.items_item_side, align.users_item_side
+        heads = align.items_item_side[edges.item]
+        tails = align.users_item_side[edges.user]
         attr_head_vocab, attr_kind = bg.user_vocab, USER_ATTRIBUTE
         attr_head_ents = align.users_item_side
-        names = [("item", bg.item_vocab.token(i)) for i in range(bg.n_items)]
-        names += [("user", bg.user_vocab.token(u)) for u in range(bg.n_users)]
-
-    for u, i, types in bg.edges:
-        rid = registry.composite(types)
-        if head_is_user:
-            heads.append(int(head_ents[u]))
-            tails.append(int(tail_ents[i]))
-        else:
-            heads.append(int(head_ents[i]))
-            tails.append(int(tail_ents[u]))
-        rels.append(rid)
-    stats.interaction_triples = len(heads)
+        names = items + users
+    stats.interaction_triples = len(edges)
 
     base = bg.n_users + bg.n_items
     attr_vocab = Vocab()
-    seen: set[tuple[int, int, int]] = set()
+    kept: dict[tuple[int, int, int], None] = {}  # distinct attribute triples, first-seen order
     unresolved: list[str] = []
     for h_tok, rel_name, t_tok in attrs:
         if h_tok not in attr_head_vocab:
@@ -358,23 +346,27 @@ def _build_side(bg, attrs, align, head_is_user):
         rid = registry.attribute(rel_name, attr_kind)
         t_ent = base + attr_vocab.add(t_tok)
         key = (h_ent, rid, t_ent)
-        if key in seen:
+        if key in kept:
             stats.duplicate_attributes += 1
             continue
-        seen.add(key)
-        heads.append(h_ent)
-        rels.append(rid)
-        tails.append(t_ent)
+        kept[key] = None
     if unresolved:
         side = "item" if head_is_user else "user"
         missing = ", ".join(sorted(set(unresolved)))
         raise UnresolvedEntityError(
             f"attribute triples reference unknown {side} heads: {missing}"
         )
-    stats.attribute_triples = len(heads) - stats.interaction_triples
+    stats.attribute_triples = len(kept)
+    attr = np.array(list(kept), dtype=np.int64).reshape(-1, 3)
 
-    names += [("attr", attr_vocab.token(a)) for a in range(len(attr_vocab))]
-    return CollaborativeKG(base + len(attr_vocab), registry, heads, rels, tails, names, stats)
+    names += [("attr", t) for t in attr_vocab.tokens()]
+    return CollaborativeKG(
+        base + len(attr_vocab), registry,
+        np.concatenate([heads, attr[:, 0]]),
+        np.concatenate([composite[set_of_edge], attr[:, 1]]),
+        np.concatenate([tails, attr[:, 2]]),
+        names, stats,
+    )
 
 
 def build_user_side_ckg(bg: BipartiteGraph, item_attrs, align: AlignmentMap | None = None) -> CollaborativeKG:

@@ -24,18 +24,54 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .graph import InteractionRecord
 from .rng import Rng
+from .table import NO_TIME, Interactions, type_bits
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class RawRating:
-    """One parsed input line before the implicit transform."""
+@dataclass(eq=False)
+class Ratings:
+    """Parsed interaction lines, before the implicit transform, as columns.
 
-    user: str
-    item: str
-    value: float | str
-    timestamp: int | None = None
+    `user[r]`, `item[r]` and `value[r]` index `user_tokens`,
+    `item_tokens` and `values`; a value is a float rating or a named
+    interaction type.  `timestamp[r]` is NO_TIME where the line has none.
+    """
+
+    user_tokens: list
+    item_tokens: list
+    values: list
+    user: np.ndarray
+    item: np.ndarray
+    value: np.ndarray
+    timestamp: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def rows(self) -> list[tuple]:
+        """(user, item, value, timestamp) per row; timestamp None where absent."""
+        return [
+            (self.user_tokens[u], self.item_tokens[i], self.values[v], None if t == NO_TIME else t)
+            for u, i, v, t in zip(self.user.tolist(), self.item.tolist(), self.value.tolist(), self.timestamp.tolist())
+        ]
+
+    @classmethod
+    def from_rows(cls, rows) -> "Ratings":
+        """Ratings of (user, item, value[, timestamp]) tuples; timestamp None means absent."""
+        users: dict = {}
+        items: dict = {}
+        values: dict = {}
+        columns = ([], [], [], [])
+        for u, i, value, *stamp in rows:
+            columns[0].append(users.setdefault(u, len(users)))
+            columns[1].append(items.setdefault(i, len(items)))
+            # a float and a type name with the same text are different values
+            columns[2].append(values.setdefault((type(value), repr(value)), (len(values), value))[0])
+            columns[3].append(NO_TIME if not stamp or stamp[0] is None else stamp[0])
+        user, item, value, stamps = (np.array(c, dtype=np.int64) for c in columns)
+        return cls(list(users), list(items), [v for _, v in values.values()], user, item, value, stamps)
 
 
 @dataclass(frozen=True)
@@ -47,7 +83,7 @@ class ParseIssue:
 
 @dataclass
 class ParseResult:
-    records: list = field(default_factory=list)
+    records: Ratings
     issues: list[ParseIssue] = field(default_factory=list)
 
 
@@ -62,64 +98,81 @@ def _parse_value(token: str) -> float | str:
 
 
 def parse_interactions(path, format: str = "tsv", strict: bool = False) -> ParseResult:
-    """Parse an interaction file into RawRating records plus an issue list.
+    """Parse an interaction file into Ratings plus an issue list.
 
-    Blank lines are skipped.  In strict mode the first malformed line
-    raises; otherwise issues accumulate in the result.  A file whose
-    every non-blank line is malformed raises either way.
+    User, item and value tokens are interned as they are read, so each
+    distinct value is converted once.  Blank lines are skipped.  In
+    strict mode the first malformed line raises; otherwise issues
+    accumulate in the result.  A file whose every non-blank line is
+    malformed raises either way.
     """
     sep = _SEPARATORS.get(format)
     if sep is None:
         raise ConfigError(f"unknown interaction format {format!r} (expected tsv or csv)")
 
-    result = ParseResult()
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    values: dict[str, int] = {}
+    user, item, value = [], [], []
+    stamped, stamps = [], []  # rows that carry a timestamp, and their timestamps
+    issues: list[ParseIssue] = []
     n_lines = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
+        text = fh.read()  # universal newlines: "\r\n" and "\r" are read as "\n"
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        n_lines += 1
+        fields = [f.strip() for f in line.split(sep)]
+        issue = None
+        if len(fields) not in (3, 4):
+            issue = f"expected 3 or 4 fields, got {len(fields)}"
+        elif not fields[0] or not fields[1]:
+            issue = "empty user or item id"
+        elif not fields[2]:
+            issue = "empty value field"
+        else:
+            if len(fields) == 4:
+                try:
+                    ts = int(fields[3])
+                except ValueError:
+                    issue = f"timestamp is not an integer: {fields[3]!r}"
+                else:
+                    if NO_TIME < ts <= _INT64_MAX:
+                        stamped.append(len(user))
+                        stamps.append(ts)
+                    else:
+                        issue = f"timestamp is out of the 64-bit range: {fields[3]!r}"
+            if issue is None:
+                user.append(users.setdefault(fields[0], len(users)))
+                item.append(items.setdefault(fields[1], len(items)))
+                value.append(values.setdefault(fields[2], len(values)))
                 continue
-            n_lines += 1
-            fields = [f.strip() for f in line.split(sep)]
-            issue = None
-            if len(fields) not in (3, 4):
-                issue = f"expected 3 or 4 fields, got {len(fields)}"
-            elif not fields[0] or not fields[1]:
-                issue = "empty user or item id"
-            elif not fields[2]:
-                issue = "empty value field"
-            else:
-                ts = None
-                if len(fields) == 4:
-                    try:
-                        ts = int(fields[3])
-                    except ValueError:
-                        issue = f"timestamp is not an integer: {fields[3]!r}"
-                if issue is None:
-                    result.records.append(
-                        RawRating(fields[0], fields[1], _parse_value(fields[2]), ts)
-                    )
-                    continue
-            if strict:
-                raise FormatError(f"{path}:{lineno}: {issue}")
-            result.issues.append(ParseIssue(lineno, issue, line))
+        if strict:
+            raise FormatError(f"{path}:{lineno}: {issue}")
+        issues.append(ParseIssue(lineno, issue, line))
 
-    if n_lines > 0 and not result.records:
+    if n_lines > 0 and not user:
         raise FormatError(f"{path}: no valid interaction rows among {n_lines} lines")
-    return result
+    timestamp = np.full(len(user), NO_TIME, dtype=np.int64)
+    timestamp[stamped] = stamps
+    user, item, value = (np.array(c, dtype=np.int64) for c in (user, item, value))
+    ratings = Ratings(list(users), list(items), [_parse_value(t) for t in values], user, item, value, timestamp)
+    return ParseResult(ratings, issues)
 
 
-def write_interactions(ratings, path, format: str = "tsv") -> None:
-    """Serialize RawRating records; parse(write(x)) reproduces x exactly."""
+def write_interactions(ratings: Ratings, path, format: str = "tsv") -> None:
+    """Serialize Ratings; parse(write(x)) reproduces x's rows exactly."""
     sep = _SEPARATORS.get(format)
     if sep is None:
         raise ConfigError(f"unknown interaction format {format!r} (expected tsv or csv)")
+    texts = [repr(v) if isinstance(v, float) else v for v in ratings.values]
+    columns = (ratings.user.tolist(), ratings.item.tolist(), ratings.value.tolist(), ratings.timestamp.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in ratings:
-            value = repr(r.value) if isinstance(r.value, float) else r.value
-            fields = [r.user, r.item, value]
-            if r.timestamp is not None:
-                fields.append(str(r.timestamp))
+        for u, i, v, t in zip(*columns):
+            fields = [ratings.user_tokens[u], ratings.item_tokens[i], texts[v]]
+            if t != NO_TIME:
+                fields.append(str(t))
             fh.write(sep.join(fields) + "\n")
 
 
@@ -147,57 +200,48 @@ def parse_attribute_triples(path, strict: bool = False):
     return triples, issues
 
 
-def to_implicit(ratings, threshold: float = float("-inf")):
-    """Binarize ratings into InteractionRecords.
+def to_implicit(ratings: Ratings, threshold: float = float("-inf")) -> Interactions:
+    """Binarize ratings into an Interactions table.
 
     Numeric values >= threshold become positives of type "rated"; values
     below are dropped.  Non-numeric tokens pass through as named
     interaction types.  Never increases the record count.
     """
-    out: list[InteractionRecord] = []
-    for r in ratings:
-        if isinstance(r.value, float):
-            if r.value >= threshold:
-                out.append(InteractionRecord(r.user, r.item, frozenset({"rated"}), timestamp=r.timestamp))
-        else:
-            out.append(InteractionRecord(r.user, r.item, frozenset({r.value}), timestamp=r.timestamp))
-    return out
+    names: dict[str, int] = {}
+    type_of = np.full(len(ratings.values), -1, dtype=np.int64)
+    for v, value in enumerate(ratings.values):
+        if not isinstance(value, float):
+            type_of[v] = names.setdefault(value, len(names))
+        elif value >= threshold:
+            type_of[v] = names.setdefault("rated", len(names))
+    codes = type_of[ratings.value]
+    keep = np.flatnonzero(codes >= 0)
+    return Interactions(
+        ratings.user_tokens, ratings.item_tokens, list(names),
+        ratings.user[keep], ratings.item[keep],
+        type_bits(np.arange(len(keep)), codes[keep], len(keep), len(names)),
+        ratings.timestamp[keep],
+    )
 
 
-def merge_records(records):
+def merge_records(records: Interactions) -> Interactions:
     """One record per (user, item) pair, interaction types unioned.
 
     Splitting and filtering treat a user-item pair as a single
     interaction even when the file carries one line per fine-grained
     type, so a pair can never straddle the train/test boundary.
     """
-    merged: dict[tuple[str, str], int] = {}
-    out: list[InteractionRecord] = []
-    for rec in records:
-        key = (rec.user, rec.item)
-        at = merged.get(key)
-        if at is None:
-            merged[key] = len(out)
-            out.append(rec)
-        else:
-            prev = out[at]
-            out[at] = InteractionRecord(
-                prev.user, prev.item, prev.types | rec.types, prev.weight, prev.timestamp, prev.line
-            )
-    return out
+    return records.merged()
 
 
-def filter_min_interactions(records, n: int):
+def filter_min_interactions(records: Interactions, n: int) -> Interactions:
     """Drop every record of users with fewer than n records.  Applied once."""
     if n < 0:
         raise ConfigError(f"minimum interaction count must be >= 0, got {n}")
     if n == 0:
-        return list(records)
-    records = list(records)
-    counts: dict[str, int] = {}
-    for rec in records:
-        counts[rec.user] = counts.get(rec.user, 0) + 1
-    return [rec for rec in records if counts[rec.user] >= n]
+        return records
+    counts = np.bincount(records.user, minlength=len(records.user_tokens))
+    return records.take(counts[records.user] >= n)
 
 
 def verify_manifest(path, n_users: int, n_items: int, n_interactions: int) -> None:
@@ -278,7 +322,7 @@ def synth_generate(cfg: SynthConfig):
     user_factor = _blocks(cfg.n_users, f)
     item_factor = _blocks(cfg.n_items, f)
 
-    interactions: list[InteractionRecord] = []
+    picked, liked = [], []
     pick_rng = rng.split(1)
     type_rng = rng.split(2)
     for u in range(cfg.n_users):
@@ -296,11 +340,17 @@ def synth_generate(cfg: SynthConfig):
                 f"interactions_per_user={cfg.interactions_per_user} exceeds the "
                 f"{support} items reachable by user {u} at noise {cfg.noise}"
             )
-        items = pick_rng.choice(cfg.n_items, size=cfg.interactions_per_user, replace=False, p=weights)
-        liked = type_rng.random(cfg.interactions_per_user) < 0.3
-        for i, extra in zip(items.tolist(), liked.tolist()):
-            types = frozenset({"view", "like"}) if extra else frozenset({"view"})
-            interactions.append(InteractionRecord(f"u{u}", f"i{i}", types))
+        picked.append(pick_rng.choice(cfg.n_items, size=cfg.interactions_per_user, replace=False, p=weights))
+        liked.append(type_rng.random(cfg.interactions_per_user) < 0.3)
+    # every pick is a "view" (bit 0); about 30% are also a "like" (bit 1)
+    interactions = Interactions(
+        [f"u{u}" for u in range(cfg.n_users)],
+        [f"i{i}" for i in range(cfg.n_items)],
+        ["view", "like"],
+        np.repeat(np.arange(cfg.n_users, dtype=np.int64), cfg.interactions_per_user),
+        np.concatenate(picked).astype(np.int64),
+        (1 + 2 * np.concatenate(liked)).astype(np.uint64).reshape(-1, 1),
+    )
 
     attr_rng = rng.split(3)
     flip_rng = rng.split(4)
@@ -328,16 +378,24 @@ def write_attribute_triples(triples, path) -> None:
             fh.write(f"{h}\t{r}\t{t}\n")
 
 
-def records_to_ratings(records):
-    """InteractionRecords back to RawRatings, one per interaction type."""
-    out = []
-    for rec in records:
-        for t in sorted(rec.types):
-            value = 1.0 if t == "rated" else t
-            out.append(RawRating(rec.user, rec.item, value, rec.timestamp))
-    return out
+def records_to_ratings(records: Interactions) -> Ratings:
+    """Interactions back to Ratings, one per interaction type in name order ("rated" as 1.0)."""
+    sets, group = records.type_sets()
+    values: dict = {}
+    per_set = np.zeros((len(sets), max(map(len, sets), default=0)), dtype=np.int64)
+    for s, types in enumerate(sets):
+        for j, name in enumerate(sorted(types)):
+            value = 1.0 if name == "rated" else name
+            per_set[s, j] = values.setdefault((type(value), value), (len(values), value))[0]
+    counts = np.array([len(t) for t in sets], dtype=np.int64)[group]
+    rows = np.repeat(np.arange(len(records)), counts)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return Ratings(
+        records.user_tokens, records.item_tokens, [v for _, v in values.values()],
+        records.user[rows], records.item[rows], per_set[group[rows], slot], records.timestamp[rows],
+    )
 
 
-def write_records(records, path, format: str = "tsv") -> None:
-    """Serialize InteractionRecords as an interaction file."""
+def write_records(records: Interactions, path, format: str = "tsv") -> None:
+    """Serialize an Interactions table as an interaction file."""
     write_interactions(records_to_ratings(records), path, format)

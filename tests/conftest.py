@@ -13,7 +13,6 @@ from ckgrec.evaluate import make_val_recall, pairs_of, split_dataset
 from ckgrec.graph import (
     BuildStats,
     CollaborativeKG,
-    InteractionRecord,
     RelationRegistry,
     build_bipartite,
     build_graphs,
@@ -21,6 +20,7 @@ from ckgrec.graph import (
 from ckgrec.ingest import SynthConfig, merge_records, synth_generate
 from ckgrec.model import BprBatch, build_model
 from ckgrec.rng import Rng
+from ckgrec.table import Interactions
 from ckgrec.training import TrainSettings, train
 from ckgrec.transr import TripleBatch, init_table
 
@@ -39,7 +39,12 @@ def make_kg(n_entities: int, triples, n_relations: int | None = None) -> Collabo
 
 
 def rec(u, i, *types):
-    return InteractionRecord(u, i, frozenset(types or ("view",)))
+    """One interaction row, (user, item, type set); "view" when no type is given."""
+    return (u, i, frozenset(types or ("view",)))
+
+
+def table(rows) -> Interactions:
+    return Interactions.from_rows(rows)
 
 
 def toy_dual(seed: int = 3, d: int = 4, k: int = 3, n_layers: int = 2, dims=(4, 3, 2), **kwargs):
@@ -48,8 +53,7 @@ def toy_dual(seed: int = 3, d: int = 4, k: int = 3, n_layers: int = 2, dims=(4, 
     Each side: 2 users + 2 items + 1 attribute value, one interaction
     relation plus one attribute relation.
     """
-    records = [rec("u0", "i0"), rec("u1", "i1")]
-    bg = build_bipartite(records)
+    bg = build_bipartite(table([rec("u0", "i0"), rec("u1", "i1")]))
     user_attrs = [("u0", "group", "G"), ("u1", "group", "G")]
     item_attrs = [("i0", "topic", "T"), ("i1", "topic", "T")]
     kg_u, kg_i, align = build_graphs(bg, user_attrs, item_attrs)

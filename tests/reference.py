@@ -7,6 +7,7 @@ implementations.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,6 +81,17 @@ def propagate_reference(
         collected.append([v.copy() for v in x])
 
     return np.array([np.concatenate([collected[l][e] for l in range(n_layers + 1)]) for e in range(n)])
+
+
+def precision_recall_at_k(recommended, ground_truth, k: int):
+    """(|hits|/K, |hits|/|truth|); the caller skips users with empty truth."""
+    if k < 1:
+        raise ValueError(f"K must be >= 1, got {k}")
+    truth = set(ground_truth)
+    if not truth:
+        raise ValueError("ground truth is empty; exclude this user from averages")
+    hits = sum(1 for i in recommended if int(i) in truth)
+    return hits / k, hits / len(truth)
 
 
 def rank_and_score_reference(score_matrix, train_items, truth, k):
@@ -254,3 +266,238 @@ def propagate_backward_edgewise(kg, table, stack, result, grad_stitched):
             g += g_layers[l - 1]
     grads["entity"] += g + g_layers[0]
     return grads
+
+
+# ---------------------------------------------------------------------------
+# Record-path world build: one object per parsed line and per interaction,
+# dicts and sets throughout.  The oracle for the columnar tables.
+
+
+class RecordError(ValueError):
+    """Raised where the package raises FormatError or ConfigError, with the same message."""
+
+
+@dataclass(frozen=True)
+class RawRating:
+    user: str
+    item: str
+    value: object  # float rating or interaction-type name
+    timestamp: object = None
+
+
+@dataclass(frozen=True)
+class InteractionRecord:
+    user: str
+    item: str
+    types: frozenset
+    timestamp: object = None
+    line: object = None
+
+
+def parse_interactions_records(path, format="tsv", strict=False):
+    """(ratings, issues); each issue is (line, message, raw)."""
+    sep = {"tsv": "\t", "csv": ","}[format]
+    ratings, issues = [], []
+    n_lines = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            n_lines += 1
+            fields = [f.strip() for f in line.split(sep)]
+            issue = None
+            if len(fields) not in (3, 4):
+                issue = f"expected 3 or 4 fields, got {len(fields)}"
+            elif not fields[0] or not fields[1]:
+                issue = "empty user or item id"
+            elif not fields[2]:
+                issue = "empty value field"
+            else:
+                ts = None
+                if len(fields) == 4:
+                    try:
+                        ts = int(fields[3])
+                    except ValueError:
+                        issue = f"timestamp is not an integer: {fields[3]!r}"
+                if issue is None:
+                    try:
+                        value = float(fields[2])
+                    except ValueError:
+                        value = fields[2]
+                    ratings.append(RawRating(fields[0], fields[1], value, ts))
+                    continue
+            if strict:
+                raise RecordError(f"{path}:{lineno}: {issue}")
+            issues.append((lineno, issue, line))
+    if n_lines > 0 and not ratings:
+        raise RecordError(f"{path}: no valid interaction rows among {n_lines} lines")
+    return ratings, issues
+
+
+def to_implicit_records(ratings, threshold=float("-inf")):
+    out = []
+    for r in ratings:
+        if isinstance(r.value, float):
+            if r.value >= threshold:
+                out.append(InteractionRecord(r.user, r.item, frozenset({"rated"}), r.timestamp))
+        else:
+            out.append(InteractionRecord(r.user, r.item, frozenset({r.value}), r.timestamp))
+    return out
+
+
+def merge_records(records):
+    at_of = {}
+    out = []
+    for rec in records:
+        at = at_of.get((rec.user, rec.item))
+        if at is None:
+            at_of[(rec.user, rec.item)] = len(out)
+            out.append(rec)
+        else:
+            prev = out[at]
+            out[at] = InteractionRecord(prev.user, prev.item, prev.types | rec.types, prev.timestamp, prev.line)
+    return out
+
+
+def filter_min_interactions_records(records, n):
+    counts = {}
+    for rec in records:
+        counts[rec.user] = counts.get(rec.user, 0) + 1
+    return [rec for rec in records if counts[rec.user] >= n]
+
+
+def split_records(records, ratios, seed):
+    """(train, validation, test): per user in first-seen order, shuffle, cut with stochastic rounding."""
+    by_user = {}
+    for rec in records:
+        by_user.setdefault(rec.user, []).append(rec)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 501))))
+    train, val, test = [], [], []
+    for recs in by_user.values():
+        n = len(recs)
+        if n < 3:
+            train.extend(recs)
+            continue
+        order = gen.permutation(n)
+        cut = []
+        for fraction in ratios[1:]:
+            exact = n * fraction
+            cut.append(int(exact) + (1 if gen.random() < exact - int(exact) else 0))
+        n_val, n_test = cut
+        while n - n_val - n_test < 1:
+            if n_test > 0:
+                n_test -= 1
+            else:
+                n_val -= 1
+        shuffled = [recs[i] for i in order]
+        train.extend(shuffled[: n - n_val - n_test])
+        val.extend(shuffled[n - n_val - n_test: n - n_test])
+        test.extend(shuffled[n - n_test:])
+    return train, val, test
+
+
+def bipartite_records(records, order="first-seen", vocab_records=None):
+    """(user tokens, item tokens, edges); an edge is (user id, item id, type set)."""
+    source = records if vocab_records is None else vocab_records
+    for recs in (source, records):
+        for pos, rec in enumerate(recs):
+            if not rec.types:
+                where = f"line {rec.line}" if rec.line is not None else f"record {pos + 1}"
+                raise RecordError(f"empty interaction-type set ({where}, user={rec.user!r}, item={rec.item!r})")
+    users, items = {}, {}
+    if order == "sorted":
+        for u in sorted({r.user for r in source}):
+            users[u] = len(users)
+        for i in sorted({r.item for r in source}):
+            items[i] = len(items)
+    else:
+        for rec in source:
+            users.setdefault(rec.user, len(users))
+            items.setdefault(rec.item, len(items))
+    edges, at_of = [], {}
+    for rec in records:
+        key = (users.setdefault(rec.user, len(users)), items.setdefault(rec.item, len(items)))
+        if key in at_of:
+            u, i, types = edges[at_of[key]]
+            edges[at_of[key]] = (u, i, types | rec.types)
+        else:
+            at_of[key] = len(edges)
+            edges.append((*key, rec.types))
+    return list(users), list(items), edges
+
+
+def graph_side_records(user_tokens, item_tokens, edges, attrs, head_is_user):
+    """One collaborative graph as plain lists, triples in insertion order.
+
+    Returns entity_count, relations as (kind, label) by id, heads, rels,
+    tails, entity names and (interaction, attribute, duplicate) counts.
+    """
+    n_u, n_i = len(user_tokens), len(item_tokens)
+    relations, by_types, by_name = [], {}, {}
+    heads, rels, tails = [], [], []
+    for u, i, types in edges:
+        if types not in by_types:
+            by_types[types] = len(relations)
+            kind = "interaction" if len(types) == 1 else "composite-interaction"
+            relations.append((kind, "|".join(sorted(types))))
+        heads.append(u if head_is_user else i)
+        tails.append(n_u + i if head_is_user else n_i + u)
+        rels.append(by_types[types])
+    n_interactions = len(heads)
+    head_ids = {t: h for h, t in enumerate(item_tokens if head_is_user else user_tokens)}
+    head_base = n_u if head_is_user else n_i
+    kind = "item-attribute" if head_is_user else "user-attribute"
+    attr_tokens, seen, unresolved, duplicates = [], set(), [], 0
+    for h_tok, rel_name, t_tok in attrs:
+        if h_tok not in head_ids:
+            unresolved.append(h_tok)
+            continue
+        if rel_name not in by_name:
+            by_name[rel_name] = len(relations)
+            relations.append((kind, rel_name))
+        if t_tok not in attr_tokens:
+            attr_tokens.append(t_tok)
+        triple = (head_base + head_ids[h_tok], by_name[rel_name], n_u + n_i + attr_tokens.index(t_tok))
+        if triple in seen:
+            duplicates += 1
+            continue
+        seen.add(triple)
+        heads.append(triple[0])
+        rels.append(triple[1])
+        tails.append(triple[2])
+    if unresolved:
+        side = "item" if head_is_user else "user"
+        raise RecordError(f"attribute triples reference unknown {side} heads: {', '.join(sorted(set(unresolved)))}")
+    users = [("user", t) for t in user_tokens]
+    items = [("item", t) for t in item_tokens]
+    names = (users + items if head_is_user else items + users) + [("attr", t) for t in attr_tokens]
+    counts = (n_interactions, len(heads) - n_interactions, duplicates)
+    return n_u + n_i + len(attr_tokens), relations, heads, rels, tails, names, counts
+
+
+def pairs_records(records, user_tokens, item_tokens):
+    users = {t: u for u, t in enumerate(user_tokens)}
+    items = {t: i for i, t in enumerate(item_tokens)}
+    out = [(users[r.user], items[r.item]) for r in records if r.user in users and r.item in items]
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def world_records(path, user_attrs, item_attrs, format="tsv", threshold=float("-inf"),
+                  min_interactions=0, ratios=(0.8, 0.1, 0.1), seed=0, order="first-seen"):
+    """Every stage of the world build, as the package's `cli` chains them."""
+    ratings, issues = parse_interactions_records(path, format)
+    records = filter_min_interactions_records(merge_records(to_implicit_records(ratings, threshold)), min_interactions)
+    train, val, test = split_records(records, ratios, seed)
+    user_tokens, item_tokens, edges = bipartite_records(train, order, records)
+    return {
+        "ratings": ratings,
+        "issues": issues,
+        "records": records,
+        "split": (train, val, test),
+        "user_tokens": user_tokens,
+        "item_tokens": item_tokens,
+        "user_side": graph_side_records(user_tokens, item_tokens, edges, item_attrs, True),
+        "item_side": graph_side_records(user_tokens, item_tokens, edges, user_attrs, False),
+        "pairs": tuple(pairs_records(part, user_tokens, item_tokens) for part in (train, val, test)),
+    }

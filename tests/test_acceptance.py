@@ -30,7 +30,7 @@ from ckgrec.propagation import init_stack, propagate
 from ckgrec.rng import Rng
 from ckgrec.transr import EmbeddingTable, init_table, kg_loss, sample_batch
 
-from conftest import fresh_table, make_kg, rec, toy_cf_batch, toy_dual
+from conftest import fresh_table, make_kg, rec, table, toy_cf_batch, toy_dual
 from reference import propagate_reference, softmax_reference
 
 
@@ -196,8 +196,8 @@ def _random_counts_instance(rng):
     for _ in range(int(rng.integers(1, 30))):
         chosen = [t for t in types if rng.random() < 0.5] or ["view"]
         records.append(rec(f"u{int(rng.integers(n_u))}", f"i{int(rng.integers(n_i))}", *chosen))
-    users = sorted({r.user for r in records})
-    items = sorted({r.item for r in records})
+    users = sorted({u for u, _, _ in records})
+    items = sorted({i for _, i, _ in records})
     user_attrs = sorted({
         (users[int(rng.integers(len(users)))], "age", f"a{int(rng.integers(4))}")
         for _ in range(int(rng.integers(0, 8)))
@@ -214,7 +214,7 @@ def test_criterion_5_graph_construction_counts(capsys):
     ok = True
     for trial in range(100):
         records, user_attrs, item_attrs = _random_counts_instance(rng.split(trial))
-        bg = build_bipartite(records)
+        bg = build_bipartite(table(records))
         kg_u = build_user_side_ckg(bg, item_attrs)
         kg_i = build_item_side_ckg(bg, user_attrs)
         ok = ok and kg_u.n_triples == bg.n_edges + len(item_attrs)

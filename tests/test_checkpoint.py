@@ -1,6 +1,7 @@
 """Binary checkpoint round-trips and malformed-file rejection."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,29 @@ def saved_toy(tmp_path, name="m.ckgr", **kwargs):
     path = tmp_path / name
     save(model, path, {"seed": 3, "epoch": 7})
     return model, path
+
+
+class TestCrashSafety:
+    def test_failed_replace_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        _, path = saved_toy(tmp_path)
+        before = path.read_bytes()
+        other, _ = toy_dual(seed=4)
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            save(other, path, {"seed": 4, "epoch": 1})
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == [path.name]
+
+    def test_save_leaves_only_the_target(self, tmp_path):
+        _, path = saved_toy(tmp_path)
+        other, _ = toy_dual(seed=4)
+        save(other, path, {"seed": 4, "epoch": 1})
+        assert sorted(os.listdir(tmp_path)) == [path.name]
+        assert np.array_equal(load(path)[0].entity, other.table_u.entity)
 
 
 class TestRoundTrip:

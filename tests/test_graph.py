@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ckgrec.errors import FormatError, UnresolvedEntityError
 from ckgrec.graph import (
-    InteractionRecord,
     RelationRegistry,
     build_bipartite,
     build_graphs,
@@ -17,50 +16,50 @@ from ckgrec.graph import (
 )
 from ckgrec.rng import Rng
 
-from conftest import rec
+from conftest import rec, table
 
 
 class TestBuildBipartite:
     def test_empty(self):
-        bg = build_bipartite([])
+        bg = build_bipartite(table([]))
         assert (bg.n_users, bg.n_items, bg.n_edges) == (0, 0, 0)
 
     def test_singleton(self):
-        bg = build_bipartite([rec("u1", "i1", "view")])
+        bg = build_bipartite(table([rec("u1", "i1", "view")]))
         assert (bg.n_users, bg.n_items, bg.n_edges) == (1, 1, 1)
-        assert bg.edges[0] == (0, 0, frozenset({"view"}))
+        assert (bg.edges.user[0], bg.edges.item[0], bg.edges.rows()[0][2]) == (0, 0, frozenset({"view"}))
 
     def test_duplicate_pair_merges_types(self):
-        bg = build_bipartite([rec("u1", "i1", "like"), rec("u1", "i1", "favorite")])
+        bg = build_bipartite(table([rec("u1", "i1", "like"), rec("u1", "i1", "favorite")]))
         assert bg.n_edges == 1
-        assert bg.edges[0][2] == frozenset({"like", "favorite"})
+        assert bg.edges.rows()[0][2] == frozenset({"like", "favorite"})
 
     def test_first_seen_order(self):
-        bg = build_bipartite([rec("b", "y"), rec("a", "x")])
+        bg = build_bipartite(table([rec("b", "y"), rec("a", "x")]))
         assert bg.user_vocab.tokens() == ["b", "a"]
         assert bg.item_vocab.tokens() == ["y", "x"]
 
     def test_sorted_order(self):
-        bg = build_bipartite([rec("b", "y"), rec("a", "x")], order="sorted")
+        bg = build_bipartite(table([rec("b", "y"), rec("a", "x")]), order="sorted")
         assert bg.user_vocab.tokens() == ["a", "b"]
         assert bg.item_vocab.tokens() == ["x", "y"]
 
     def test_unknown_order_rejected(self):
         with pytest.raises(FormatError):
-            build_bipartite([], order="alphabetical")
+            build_bipartite(table([]), order="alphabetical")
 
     def test_empty_type_set_names_line(self):
-        bad = InteractionRecord("u1", "i1", frozenset(), line=17)
+        bad = ("u1", "i1", frozenset(), None, 17)  # (user, item, types, timestamp, line)
         with pytest.raises(FormatError, match="line 17"):
-            build_bipartite([bad])
+            build_bipartite(table([bad]))
 
     def test_vocab_records_widen_vocabulary(self):
         all_recs = [rec("u1", "i1"), rec("u2", "i2")]
-        bg = build_bipartite(all_recs[:1], vocab_records=all_recs)
+        bg = build_bipartite(table(all_recs[:1]), vocab_records=table(all_recs))
         assert bg.n_users == 2 and bg.n_items == 2 and bg.n_edges == 1
 
     def test_vocab_round_trip(self):
-        bg = build_bipartite([rec("u1", "i1"), rec("u2", "i1")])
+        bg = build_bipartite(table([rec("u1", "i1"), rec("u2", "i1")]))
         for tok in ["u1", "u2"]:
             assert bg.user_vocab.token(bg.user_vocab.id_of(tok)) == tok
 
@@ -106,11 +105,11 @@ class TestCompositeRelation:
 
 class TestUserSideCkg:
     def test_empty(self):
-        kg = build_user_side_ckg(build_bipartite([]), [])
+        kg = build_user_side_ckg(build_bipartite(table([])), [])
         assert kg.entity_count == 0 and kg.n_triples == 0
 
     def test_two_users_one_item_plus_attr(self):
-        bg = build_bipartite([rec("u1", "i1", "view"), rec("u2", "i1", "view")])
+        bg = build_bipartite(table([rec("u1", "i1", "view"), rec("u2", "i1", "view")]))
         kg = build_user_side_ckg(bg, [("i1", "genre", "g1")])
         assert kg.n_triples == 3
         # u1 -> 1 neighbor, u2 -> 1, i1 -> 1 (its attribute)
@@ -121,18 +120,18 @@ class TestUserSideCkg:
         assert len(kg.tails[kg.neighbor_slice(i1)]) == 1
 
     def test_distinct_type_sets_distinct_relations(self):
-        bg = build_bipartite([rec("u1", "i1", "like"), rec("u2", "i2", "like", "favorite")])
+        bg = build_bipartite(table([rec("u1", "i1", "like"), rec("u2", "i2", "like", "favorite")]))
         kg = build_user_side_ckg(bg, [])
         rels = {int(r) for r in kg.rels}
         assert len(rels) == 2
 
     def test_unknown_attr_head_rejected(self):
-        bg = build_bipartite([rec("u1", "i1")])
+        bg = build_bipartite(table([rec("u1", "i1")]))
         with pytest.raises(UnresolvedEntityError, match="ghost"):
             build_user_side_ckg(bg, [("ghost", "genre", "g1")])
 
     def test_duplicate_attr_triples_dropped_with_count(self):
-        bg = build_bipartite([rec("u1", "i1")])
+        bg = build_bipartite(table([rec("u1", "i1")]))
         kg = build_user_side_ckg(bg, [("i1", "genre", "g1"), ("i1", "genre", "g1")])
         assert kg.n_triples == 2  # 1 edge + 1 attr
         assert kg.stats.duplicate_attributes == 1
@@ -140,11 +139,11 @@ class TestUserSideCkg:
 
 class TestItemSideCkg:
     def test_empty(self):
-        kg = build_item_side_ckg(build_bipartite([]), [])
+        kg = build_item_side_ckg(build_bipartite(table([])), [])
         assert kg.n_triples == 0
 
     def test_one_edge_one_user_attr(self):
-        bg = build_bipartite([rec("u1", "i1", "view")])
+        bg = build_bipartite(table([rec("u1", "i1", "view")]))
         kg = build_item_side_ckg(bg, [("u1", "age", "a30")])
         assert kg.n_triples == 2
         i1, u1 = 0, 1  # items first on the item side
@@ -153,7 +152,7 @@ class TestItemSideCkg:
 
     def test_interaction_counts_mirror(self):
         records = [rec("u1", "i1", "like"), rec("u2", "i1", "view"), rec("u2", "i2", "view")]
-        bg = build_bipartite(records)
+        bg = build_bipartite(table(records))
         kg_u = build_user_side_ckg(bg, [])
         kg_i = build_item_side_ckg(bg, [])
         assert kg_u.stats.interaction_triples == kg_i.stats.interaction_triples == bg.n_edges
@@ -161,7 +160,7 @@ class TestItemSideCkg:
 
 class TestNeighbors:
     def make(self):
-        bg = build_bipartite([rec("u1", "i1"), rec("u1", "i2"), rec("u1", "i3"), rec("u2", "i9")])
+        bg = build_bipartite(table([rec("u1", "i1"), rec("u1", "i2"), rec("u1", "i3"), rec("u2", "i9")]))
         return build_user_side_ckg(bg, [])
 
     def test_isolated_node_empty(self):
@@ -198,15 +197,15 @@ def random_instance(rng: Rng):
         u = f"u{int(rng.integers(n_u))}"
         i = f"i{int(rng.integers(n_i))}"
         chosen = [t for t in types if rng.random() < 0.5] or ["view"]
-        records.append(InteractionRecord(u, i, frozenset(chosen)))
+        records.append((u, i, frozenset(chosen)))
     n_attr = int(rng.integers(0, 6))
-    seen_items = sorted({r.item for r in records})
+    seen_items = sorted({i for _, i, _ in records})
     item_attrs = []
     if seen_items:
         for _ in range(n_attr):
             item = seen_items[int(rng.integers(len(seen_items)))]
             item_attrs.append((item, "genre", f"g{int(rng.integers(3))}"))
-    seen_users = sorted({r.user for r in records})
+    seen_users = sorted({u for u, _, _ in records})
     user_attrs = []
     if seen_users:
         for _ in range(n_attr):
@@ -220,7 +219,7 @@ class TestInvariants:
         rng = Rng(77)
         for trial in range(60):
             records, user_attrs, item_attrs = random_instance(rng.split(trial))
-            bg = build_bipartite(records)
+            bg = build_bipartite(table(records))
             kg_u = build_user_side_ckg(bg, item_attrs)
             kg_i = build_item_side_ckg(bg, user_attrs)
             uniq_item_attrs = len(set(item_attrs))
@@ -230,22 +229,22 @@ class TestInvariants:
 
     def test_rebuild_is_bitwise_identical(self):
         records, user_attrs, item_attrs = random_instance(Rng(5))
-        first = build_user_side_ckg(build_bipartite(records), item_attrs)
-        second = build_user_side_ckg(build_bipartite(records), item_attrs)
+        first = build_user_side_ckg(build_bipartite(table(records)), item_attrs)
+        second = build_user_side_ckg(build_bipartite(table(records)), item_attrs)
         assert first.serialized() == second.serialized()
         assert first.digest() == second.digest()
 
     def test_digest_changes_with_input(self):
         records, _, item_attrs = random_instance(Rng(5))
-        base = build_user_side_ckg(build_bipartite(records), item_attrs)
-        extra = build_user_side_ckg(build_bipartite(records + [rec("uX", "iX")]), item_attrs)
+        base = build_user_side_ckg(build_bipartite(table(records)), item_attrs)
+        extra = build_user_side_ckg(build_bipartite(table(records + [rec("uX", "iX")])), item_attrs)
         assert base.digest() != extra.digest()
 
     def test_neighbor_flatten_reproduces_triples(self):
         rng = Rng(91)
         for trial in range(20):
             records, user_attrs, item_attrs = random_instance(rng.split(trial))
-            kg = build_item_side_ckg(build_bipartite(records), user_attrs)
+            kg = build_item_side_ckg(build_bipartite(table(records)), user_attrs)
             flat = []
             for h in range(kg.entity_count):
                 s = kg.neighbor_slice(h)
@@ -257,7 +256,7 @@ class TestInvariants:
 
 class TestAlignment:
     def test_layout(self):
-        bg = build_bipartite([rec("u1", "i1"), rec("u2", "i2"), rec("u1", "i3")])
+        bg = build_bipartite(table([rec("u1", "i1"), rec("u2", "i2"), rec("u1", "i3")]))
         align = plan_alignment(bg)
         assert align.n_users == 2 and align.n_items == 3
         assert align.users_user_side.tolist() == [0, 1]
@@ -267,7 +266,7 @@ class TestAlignment:
 
     def test_build_graphs_names_agree_with_map(self):
         records = [rec("u1", "i1"), rec("u2", "i1")]
-        bg = build_bipartite(records)
+        bg = build_bipartite(table(records))
         kg_u, kg_i, align = build_graphs(bg, [("u1", "age", "a30")], [("i1", "genre", "g1")])
         for u in range(bg.n_users):
             tok = bg.user_vocab.token(u)
@@ -279,7 +278,7 @@ class TestAlignment:
             assert kg_i.entity_names[align.items_item_side[i]] == ("item", tok)
 
     def test_attribute_entities_follow_base(self):
-        bg = build_bipartite([rec("u1", "i1")])
+        bg = build_bipartite(table([rec("u1", "i1")]))
         kg_u, kg_i, _ = build_graphs(bg, [("u1", "age", "a30")], [("i1", "genre", "g1")])
         assert kg_u.entity_count == 3  # u1, i1, g1
         assert kg_i.entity_count == 3  # i1, u1, a30

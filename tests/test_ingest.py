@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckgrec.errors import ConfigError, FormatError
-from ckgrec.graph import InteractionRecord
 from ckgrec.ingest import (
-    RawRating,
+    Ratings,
     SynthConfig,
     filter_min_interactions,
     merge_records,
@@ -24,25 +23,32 @@ from ckgrec.ingest import (
 )
 from ckgrec.rng import Rng
 
+from conftest import table
+
+
+def ratings(*rows):
+    """Ratings of (user, item, value, timestamp) rows."""
+    return Ratings.from_rows(rows)
+
 
 class TestParseInteractions:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.tsv"
         p.write_text("")
         result = parse_interactions(p)
-        assert result.records == [] and result.issues == []
+        assert result.records.rows() == [] and result.issues == []
 
     def test_single_tsv_row(self, tmp_path):
         p = tmp_path / "one.tsv"
         p.write_text("u1\ti1\t4.0\n")
         result = parse_interactions(p)
-        assert result.records == [RawRating("u1", "i1", 4.0, None)]
+        assert result.records.rows() == [("u1", "i1", 4.0, None)]
 
     def test_csv_with_timestamp(self, tmp_path):
         p = tmp_path / "one.csv"
         p.write_text("u1,i1,like,1609459200\n")
         result = parse_interactions(p, format="csv")
-        assert result.records == [RawRating("u1", "i1", "like", 1609459200)]
+        assert result.records.rows() == [("u1", "i1", "like", 1609459200)]
 
     def test_bad_line_among_hundred(self, tmp_path):
         lines = [f"u{n}\ti{n}\t1.0" for n in range(1, 51)]
@@ -77,33 +83,45 @@ class TestParseInteractions:
         p.write_text("u1\ti1\t1.0\tnot_a_time\nu1\ti2\t1.0\t55\n")
         result = parse_interactions(p)
         assert len(result.records) == 1
-        assert result.records[0].timestamp == 55
+        assert result.records.rows()[0][3] == 55
         assert result.issues[0].line == 1
+
+    def test_timestamp_outside_64_bits_reported(self, tmp_path):
+        p = tmp_path / "big.tsv"
+        p.write_text(
+            "u1\ti1\t1.0\t9223372036854775808\n"
+            "u1\ti2\t1.0\t-9223372036854775807\n"
+            "u1\ti3\t1.0\t-9223372036854775808\n"
+        )
+        result = parse_interactions(p)
+        assert result.records.rows() == [("u1", "i2", 1.0, -9223372036854775807)]
+        assert [i.line for i in result.issues] == [1, 3]
+        assert all("64-bit range" in i.message for i in result.issues)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_interactions(tmp_path / "nope.tsv")
 
     def test_round_trip_exact(self, tmp_path):
-        ratings = [
-            RawRating("u1", "i1", 4.0, None),
-            RawRating("u2", "i2", "like", 123),
-            RawRating("u3", "i3", 0.125, 7),
-            RawRating("u4", "i4", 1e-9, None),
+        rows = [
+            ("u1", "i1", 4.0, None),
+            ("u2", "i2", "like", 123),
+            ("u3", "i3", 0.125, 7),
+            ("u4", "i4", 1e-9, None),
         ]
         p = tmp_path / "rt.tsv"
-        write_interactions(ratings, p)
+        write_interactions(ratings(*rows), p)
         back = parse_interactions(p)
-        assert back.issues == [] and back.records == ratings
+        assert back.issues == [] and back.records.rows() == rows
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=20))
     @settings(max_examples=50)
     def test_round_trip_arbitrary_floats(self, values):
-        ratings = [RawRating(f"u{n}", f"i{n}", v, None) for n, v in enumerate(values)]
+        rows = [(f"u{n}", f"i{n}", v, None) for n, v in enumerate(values)]
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "vals.tsv"
-            write_interactions(ratings, p)
-            assert parse_interactions(p).records == ratings
+            write_interactions(ratings(*rows), p)
+            assert parse_interactions(p).records.rows() == rows
 
 
 class TestAttributeTriples:
@@ -128,56 +146,56 @@ class TestAttributeTriples:
 
 class TestToImplicit:
     def test_any_rating_positive_by_default(self):
-        out = to_implicit([RawRating("u1", "i1", 4.0, None)])
-        assert out == [InteractionRecord("u1", "i1", frozenset({"rated"}))]
+        out = to_implicit(ratings(("u1", "i1", 4.0, None)))
+        assert out.rows() == [("u1", "i1", frozenset({"rated"}), None)]
 
     def test_token_becomes_named_type(self):
-        out = to_implicit([RawRating("u1", "i1", "like", None)])
-        assert out[0].types == frozenset({"like"})
+        out = to_implicit(ratings(("u1", "i1", "like", None)))
+        assert out.rows()[0][2] == frozenset({"like"})
 
     def test_threshold_histogram(self):
-        ratings = [RawRating(f"u{n}", "i1", float(v), None) for n, v in enumerate([1, 2, 3, 4, 5, 4, 5, 1])]
-        out = to_implicit(ratings, threshold=4.0)
-        want = sum(1 for r in ratings if float(r.value) >= 4.0)
+        rows = [(f"u{n}", "i1", float(v), None) for n, v in enumerate([1, 2, 3, 4, 5, 4, 5, 1])]
+        out = to_implicit(ratings(*rows), threshold=4.0)
+        want = sum(1 for _, _, value, _ in rows if value >= 4.0)
         assert len(out) == want == 4
 
     def test_never_increases_count(self):
-        ratings = [RawRating("u1", "i1", 1.0, None), RawRating("u2", "i2", "like", None)]
+        two = ratings(("u1", "i1", 1.0, None), ("u2", "i2", "like", None))
         for thr in [float("-inf"), 0.5, 2.0]:
-            assert len(to_implicit(ratings, thr)) <= len(ratings)
+            assert len(to_implicit(two, thr)) <= len(two)
 
 
 class TestMergeRecords:
     def test_unions_types_per_pair(self):
-        records = [
-            InteractionRecord("u1", "i1", frozenset({"view"})),
-            InteractionRecord("u1", "i1", frozenset({"like"})),
-            InteractionRecord("u1", "i2", frozenset({"view"})),
-        ]
+        records = table([
+            ("u1", "i1", frozenset({"view"})),
+            ("u1", "i1", frozenset({"like"})),
+            ("u1", "i2", frozenset({"view"})),
+        ])
         merged = merge_records(records)
         assert len(merged) == 2
-        assert merged[0].types == frozenset({"view", "like"})
+        assert merged.rows()[0][2] == frozenset({"view", "like"})
 
     def test_identity_when_unique(self):
-        records = [InteractionRecord("u1", "i1", frozenset({"view"}))]
-        assert merge_records(records) == records
+        records = table([("u1", "i1", frozenset({"view"}))])
+        assert merge_records(records).rows() == records.rows()
 
 
 class TestFilterMinInteractions:
-    def make(self, counts: dict) -> list:
+    def make(self, counts: dict):
         records = []
         for user, n in counts.items():
-            records += [InteractionRecord(user, f"i{j}", frozenset({"view"})) for j in range(n)]
-        return records
+            records += [(user, f"i{j}", frozenset({"view"})) for j in range(n)]
+        return table(records)
 
     def test_zero_is_identity(self):
         records = self.make({"a": 2, "b": 1})
-        assert filter_min_interactions(records, 0) == records
+        assert filter_min_interactions(records, 0).rows() == records.rows()
 
     def test_user_below_threshold_removed(self):
         records = self.make({"a": 4, "b": 5})
         out = filter_min_interactions(records, 5)
-        assert {r.user for r in out} == {"b"}
+        assert {u for u, *_ in out.rows()} == {"b"}
 
     def test_histogram_oracle_and_own_predicate(self):
         counts = {"a": 1, "b": 3, "c": 5, "d": 7, "e": 2}
@@ -185,22 +203,22 @@ class TestFilterMinInteractions:
         for n in range(0, 9):
             out = filter_min_interactions(records, n)
             survivors = {u for u, c in counts.items() if c >= n}
-            assert {r.user for r in out} == survivors
+            assert {u for u, *_ in out.rows()} == survivors
             from collections import Counter
 
-            by_user = Counter(r.user for r in out)
+            by_user = Counter(u for u, *_ in out.rows())
             assert all(c >= n for c in by_user.values())
 
     def test_no_cascade(self):
         # removing user 'a' leaves item i0 with one record; a cascading
         # item-side filter would drop user 'b' too — a single pass keeps it
-        records = [
-            InteractionRecord("a", "i0", frozenset({"view"})),
-            InteractionRecord("b", "i0", frozenset({"view"})),
-            InteractionRecord("b", "i1", frozenset({"view"})),
-        ]
+        records = table([
+            ("a", "i0", frozenset({"view"})),
+            ("b", "i0", frozenset({"view"})),
+            ("b", "i1", frozenset({"view"})),
+        ])
         out = filter_min_interactions(records, 2)
-        assert {r.user for r in out} == {"b"}
+        assert {u for u, *_ in out.rows()} == {"b"}
 
 
 class TestManifest:
@@ -227,7 +245,7 @@ class TestSynthGenerate:
         cfg = SynthConfig(40, 30, 4, 5, noise=0.2, seed=9)
         a = synth_generate(cfg)
         b = synth_generate(cfg)
-        assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
+        assert a[0].rows() == b[0].rows() and a[1] == b[1] and a[2] == b[2]
         assert np.array_equal(a[3].user_factor, b[3].user_factor)
 
     def test_interaction_count_arithmetic(self):
@@ -239,8 +257,8 @@ class TestSynthGenerate:
         interactions, _, _, truth = synth_generate(cfg)
         item_factor = {f"i{j}": int(truth.item_factor[j]) for j in range(60)}
         user_factor = {f"u{j}": int(truth.user_factor[j]) for j in range(50)}
-        for r in interactions:
-            assert item_factor[r.item] == user_factor[r.user]
+        for user, item, *_ in interactions.rows():
+            assert item_factor[item] == user_factor[user]
 
     def test_dominant_attribute_always_present(self):
         interactions, user_attrs, item_attrs, truth = synth_generate(
@@ -262,5 +280,5 @@ class TestSynthGenerate:
 
     def test_unique_pairs_per_user(self):
         interactions, _, _, _ = synth_generate(SynthConfig(20, 40, 2, 8, noise=0.3, seed=2))
-        pairs = [(r.user, r.item) for r in interactions]
+        pairs = [(user, item) for user, item, *_ in interactions.rows()]
         assert len(pairs) == len(set(pairs))

@@ -13,7 +13,7 @@ from ckgrec.model import BprBatch, bpr_loss, build_model, total_loss
 from ckgrec.rng import Rng
 from ckgrec.transr import sample_batch
 
-from conftest import rec, toy_cf_batch, toy_dual
+from conftest import rec, table, toy_cf_batch, toy_dual
 
 
 class TestDualModel:
@@ -23,8 +23,7 @@ class TestDualModel:
         assert model.final_dim == 18
 
     def test_final_dim_default_widths(self):
-        records = [rec("u0", "i0"), rec("u1", "i1")]
-        bg = build_bipartite(records)
+        bg = build_bipartite(table([rec("u0", "i0"), rec("u1", "i1")]))
         kg_u, kg_i, align = build_graphs(bg, [], [])
         model = build_model(kg_u, kg_i, align, d=64, k=64, n_layers=2, dims=None, std=0.1, rng=Rng(1))
         assert model.stack_u.stitched_dim == 64 + 32 + 16

@@ -12,7 +12,7 @@ from ckgrec.model import BprBatch, build_model, bpr_loss
 from ckgrec.rng import Rng
 from ckgrec.training import Adam, TrainSettings, train
 
-from conftest import rec, toy_dual
+from conftest import rec, table, toy_dual
 
 # chi-square critical value at p = 0.01 for 98 degrees of freedom
 CHI2_98_P01 = 133.476
@@ -158,7 +158,7 @@ class TestRankingNegatives:
         # 100 items; user u0 trained on i0 only, user u1 on i1 and i2
         items = [f"i{j}" for j in range(100)]
         records = [rec("u0", "i0"), rec("u1", "i1"), rec("u1", "i2")]
-        bg = build_bipartite(records, vocab_records=records + [rec("u0", it) for it in items])
+        bg = build_bipartite(table(records), vocab_records=table(records + [rec("u0", it) for it in items]))
         kg_u, kg_i, align = build_graphs(bg, [], [])
         model = build_model(kg_u, kg_i, align, d=2, k=2, n_layers=1, dims=(2, 2), std=0.1, rng=Rng(1))
         pairs = np.array([[0, 0]] * 10_000 + [[1, 1], [1, 2]] * 500, dtype=np.int64)
