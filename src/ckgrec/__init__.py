@@ -10,7 +10,6 @@ pipeline and the CLI.
 from .config import RunConfig, load_config
 from .errors import (
     CkgrecError,
-    ColdEntityError,
     ConfigError,
     DimensionConflictError,
     FormatError,
@@ -31,7 +30,6 @@ from .graph import (
     build_graphs,
     build_item_side_ckg,
     build_user_side_ckg,
-    plan_alignment,
 )
 from .ingest import (
     Ratings,

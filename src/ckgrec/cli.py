@@ -346,7 +346,7 @@ def cmd_recommend(args) -> int:
         raise ConfigError(f"unknown user id {args.user!r}")
     u = world.bg.user_vocab.id_of(args.user)
     scores = model_scores(model)[u]
-    exclude = truth_by_user(world.train_pairs).get(u, set())
+    exclude = world.train_pairs[world.train_pairs[:, 0] == u, 1]
     top = topk_from_scores(scores, k, exclude)
     for rank, item in enumerate(top.tolist(), start=1):
         print(f"{rank}\t{world.bg.item_vocab.token(item)}\t{float(scores[item])!r}")

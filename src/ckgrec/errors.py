@@ -37,10 +37,6 @@ class OracleError(CkgrecError):
     """A verification oracle detected it cannot trust its own inputs."""
 
 
-class ColdEntityError(CkgrecError):
-    """Requested a representation for an id missing from one of the graphs."""
-
-
 class TrainingDiverged(CkgrecError):
     """Training hit a non-finite loss; carries the last finite state."""
 

@@ -80,18 +80,6 @@ def split_dataset(records: Interactions, ratios=(0.8, 0.1, 0.1), seed: int = 0) 
     return Split(train, val, test, seed, ratios)
 
 
-def topk_from_scores(scores: np.ndarray, k: int, exclude=None) -> np.ndarray:
-    """Top-k item ids by descending score, ties by ascending id."""
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
-    order = np.argsort(-scores, kind="stable")  # stable keeps ties in id order
-    if exclude is not None and len(exclude):
-        mask = np.zeros(len(scores), dtype=bool)
-        mask[list(exclude)] = True
-        order = order[~mask[order]]
-    return order[:k]
-
-
 def pairs_of(records: Interactions, bg: BipartiteGraph) -> np.ndarray:
     """(user, item) index pairs of records under the bipartite vocabularies."""
     users = bg.user_vocab.ids_of(records.user_tokens)[records.user]
@@ -121,8 +109,8 @@ def _user_item_mask(block, sets: dict, n_items: int) -> np.ndarray:
     return mask
 
 
-def _top_k_hits(neg: np.ndarray, excluded: np.ndarray, relevant: np.ndarray, k: int) -> np.ndarray:
-    """Relevant items among each row's top k by ascending `neg`, ties by ascending column.
+def _top_k(neg: np.ndarray, excluded: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each row's top k by ascending `neg`, ties by ascending column, in rank order.
 
     Excluded entries never rank; NaN entries rank last, as a stable
     argsort places them.  Only the entries at or below each row's k-th
@@ -139,7 +127,16 @@ def _top_k_hits(neg: np.ndarray, excluded: np.ndarray, relevant: np.ndarray, k: 
     rows, cols = rows[order], cols[order]
     starts = np.searchsorted(rows, np.arange(len(neg)))
     top = np.arange(len(rows)) - starts[rows] < k
-    return np.bincount(rows[top], weights=relevant[rows[top], cols[top]], minlength=len(neg))
+    return rows[top], cols[top]
+
+
+def topk_from_scores(scores: np.ndarray, k: int, exclude=None) -> np.ndarray:
+    """Top-k item ids of one score row by descending score, ties by ascending id."""
+    if k < 1:
+        raise ConfigError(f"K must be >= 1, got {k}")
+    neg = -np.asarray(scores, dtype=np.float64)[None, :]
+    excluded = _user_item_mask([0], {0: () if exclude is None else exclude}, neg.shape[1])
+    return _top_k(neg, excluded, k)[1]
 
 
 def rank_and_score(score_matrix: np.ndarray, train_items: dict[int, set], truth: dict[int, set], k: int):
@@ -159,8 +156,9 @@ def rank_and_score(score_matrix: np.ndarray, train_items: dict[int, set], truth:
     for at in range(0, len(users), RANK_BLOCK):
         block = users[at: at + RANK_BLOCK]
         neg = -np.asarray(score_matrix[block], dtype=np.float64)
-        excluded = _user_item_mask(block, train_items, n_items)
-        hits.append(_top_k_hits(neg, excluded, _user_item_mask(block, truth, n_items), k))
+        rows, cols = _top_k(neg, _user_item_mask(block, train_items, n_items), k)
+        relevant = _user_item_mask(block, truth, n_items)
+        hits.append(np.bincount(rows, weights=relevant[rows, cols], minlength=len(block)))
     hits = np.concatenate(hits)
     sizes = np.array([len(truth[u]) for u in users])
     return float(np.mean(hits / k)), float(np.mean(hits / sizes))
@@ -168,8 +166,7 @@ def rank_and_score(score_matrix: np.ndarray, train_items: dict[int, set], truth:
 
 def model_scores(model) -> np.ndarray:
     """Full user-by-item score matrix from the current parameters."""
-    # the propagation results, per-edge caches included, are freed before the product
-    users, items = model.representations(*model.propagate_both())
+    users, items = model.representations(*model.stitched())
     return users @ items.T
 
 

@@ -202,34 +202,26 @@ def build_bipartite(
 
 @dataclass(frozen=True)
 class AlignmentMap:
-    """Entity ids of each user/item inside the two collaborative graphs.
+    """Rows of the users and items in the two collaborative graphs.
 
-    A value of -1 marks an id absent from that graph (a cold entity).
+    Each graph lists its head side first, then the other side, then its
+    attribute entities: users then items in the user-side graph, items
+    then users in the item-side graph.  Every user and every item has a
+    row in both graphs.
     """
 
-    users_user_side: np.ndarray
-    items_user_side: np.ndarray
-    users_item_side: np.ndarray
-    items_item_side: np.ndarray
+    n_users: int
+    n_items: int
 
     @property
-    def n_users(self) -> int:
-        return len(self.users_user_side)
+    def user_side(self) -> tuple[slice, slice]:
+        """(user rows, item rows) of the user-side graph."""
+        return slice(0, self.n_users), slice(self.n_users, self.n_users + self.n_items)
 
     @property
-    def n_items(self) -> int:
-        return len(self.items_user_side)
-
-
-def plan_alignment(bg: BipartiteGraph) -> AlignmentMap:
-    """Canonical entity layout: each graph places its head side first."""
-    n_u, n_i = bg.n_users, bg.n_items
-    return AlignmentMap(
-        users_user_side=np.arange(n_u, dtype=np.int64),
-        items_user_side=np.arange(n_i, dtype=np.int64) + n_u,
-        users_item_side=np.arange(n_u, dtype=np.int64) + n_i,
-        items_item_side=np.arange(n_i, dtype=np.int64),
-    )
+    def item_side(self) -> tuple[slice, slice]:
+        """(user rows, item rows) of the item-side graph."""
+        return slice(self.n_items, self.n_items + self.n_users), slice(0, self.n_items)
 
 
 @dataclass
@@ -310,7 +302,7 @@ class CollaborativeKG:
         return hashlib.sha256(self.serialized()).hexdigest()
 
 
-def _build_side(bg, attrs, align, head_is_user):
+def _build_side(bg, attrs, head_is_user):
     """Shared construction for both collaborative graphs."""
     registry = RelationRegistry()
     stats = BuildStats()
@@ -318,20 +310,17 @@ def _build_side(bg, attrs, align, head_is_user):
     edges = bg.edges
     sets, set_of_edge = edges.type_sets()
     composite = np.array([registry.composite(types) for types in sets], dtype=np.int64)
+    align = AlignmentMap(bg.n_users, bg.n_items)
+    user_rows, item_rows = align.user_side if head_is_user else align.item_side
+    user_ents, item_ents = user_rows.start + edges.user, item_rows.start + edges.item
     users = [("user", t) for t in bg.user_vocab.tokens()]
     items = [("item", t) for t in bg.item_vocab.tokens()]
     if head_is_user:
-        heads = align.users_user_side[edges.user]
-        tails = align.items_user_side[edges.item]
-        attr_head_vocab, attr_kind = bg.item_vocab, ITEM_ATTRIBUTE
-        attr_head_ents = align.items_user_side
-        names = users + items
+        heads, tails, names = user_ents, item_ents, users + items
+        attr_head_vocab, attr_kind, attr_head_rows = bg.item_vocab, ITEM_ATTRIBUTE, item_rows
     else:
-        heads = align.items_item_side[edges.item]
-        tails = align.users_item_side[edges.user]
-        attr_head_vocab, attr_kind = bg.user_vocab, USER_ATTRIBUTE
-        attr_head_ents = align.users_item_side
-        names = items + users
+        heads, tails, names = item_ents, user_ents, items + users
+        attr_head_vocab, attr_kind, attr_head_rows = bg.user_vocab, USER_ATTRIBUTE, user_rows
     stats.interaction_triples = len(edges)
 
     base = bg.n_users + bg.n_items
@@ -342,7 +331,7 @@ def _build_side(bg, attrs, align, head_is_user):
         if h_tok not in attr_head_vocab:
             unresolved.append(h_tok)
             continue
-        h_ent = int(attr_head_ents[attr_head_vocab.id_of(h_tok)])
+        h_ent = attr_head_rows.start + attr_head_vocab.id_of(h_tok)
         rid = registry.attribute(rel_name, attr_kind)
         t_ent = base + attr_vocab.add(t_tok)
         key = (h_ent, rid, t_ent)
@@ -369,21 +358,18 @@ def _build_side(bg, attrs, align, head_is_user):
     )
 
 
-def build_user_side_ckg(bg: BipartiteGraph, item_attrs, align: AlignmentMap | None = None) -> CollaborativeKG:
+def build_user_side_ckg(bg: BipartiteGraph, item_attrs) -> CollaborativeKG:
     """Graph rooted at users: (user, interaction, item) plus item attributes."""
-    align = plan_alignment(bg) if align is None else align
-    return _build_side(bg, item_attrs, align, head_is_user=True)
+    return _build_side(bg, item_attrs, head_is_user=True)
 
 
-def build_item_side_ckg(bg: BipartiteGraph, user_attrs, align: AlignmentMap | None = None) -> CollaborativeKG:
+def build_item_side_ckg(bg: BipartiteGraph, user_attrs) -> CollaborativeKG:
     """Graph rooted at items: (item, interaction, user) plus user attributes."""
-    align = plan_alignment(bg) if align is None else align
-    return _build_side(bg, user_attrs, align, head_is_user=False)
+    return _build_side(bg, user_attrs, head_is_user=False)
 
 
 def build_graphs(bg: BipartiteGraph, user_attrs, item_attrs):
-    """Convenience: both collaborative graphs plus their shared alignment."""
-    align = plan_alignment(bg)
-    gu = build_user_side_ckg(bg, item_attrs, align)
-    gi = build_item_side_ckg(bg, user_attrs, align)
-    return gu, gi, align
+    """Convenience: both collaborative graphs plus their shared entity layout."""
+    gu = build_user_side_ckg(bg, item_attrs)
+    gi = build_item_side_ckg(bg, user_attrs)
+    return gu, gi, AlignmentMap(bg.n_users, bg.n_items)

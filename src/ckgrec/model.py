@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ColdEntityError, NumericFaultError
+from .errors import NumericFaultError
 from .graph import AlignmentMap, CollaborativeKG
 from .kernels import sigmoid, softplus
 from .propagation import LayerStack, PropagationResult, init_stack, propagate, propagate_backward, resolve_dims
@@ -71,44 +71,23 @@ class DualModel:
             propagate(self.kg_i, self.table_i, self.stack_i),
         )
 
-    def representations(self, res_u: PropagationResult, res_i: PropagationResult):
-        """Final user matrix (n_users, 2S) and item matrix (n_items, 2S).
+    def stitched(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each graph's stitched output, one forward pass at a time.
 
-        Ids missing from one graph get zeros on that side, so cold
-        entities still rank (poorly) at evaluation time.
+        Only the stitched matrix of a pass is kept, so the user-side
+        per-edge caches are freed before the item-side pass starts.
         """
-        a = self.align
-        su, si = self.stack_u.stitched_dim, self.stack_i.stitched_dim
-        users = np.zeros((a.n_users, su + si))
-        items = np.zeros((a.n_items, su + si))
-        mu = a.users_user_side >= 0
-        users[mu, :su] = res_u.stitched[a.users_user_side[mu]]
-        mu = a.users_item_side >= 0
-        users[mu, su:] = res_i.stitched[a.users_item_side[mu]]
-        mi = a.items_user_side >= 0
-        items[mi, :su] = res_u.stitched[a.items_user_side[mi]]
-        mi = a.items_item_side >= 0
-        items[mi, su:] = res_i.stitched[a.items_item_side[mi]]
-        return users, items
-
-    def final_representation(self, kind: str, idx: int, res_u: PropagationResult, res_i: PropagationResult) -> np.ndarray:
-        """Concatenated [user-side ; item-side] vector; strict about cold ids."""
-        a = self.align
-        if kind == "user":
-            left, right = a.users_user_side[idx], a.users_item_side[idx]
-        elif kind == "item":
-            left, right = a.items_user_side[idx], a.items_item_side[idx]
-        else:
-            raise ValueError(f"kind must be 'user' or 'item', got {kind!r}")
-        if left < 0 or right < 0:
-            raise ColdEntityError(f"{kind} {idx} is missing from one collaborative graph")
-        return np.concatenate([res_u.stitched[left], res_i.stitched[right]])
-
-    def predict_score(self, u: int, i: int, res_u: PropagationResult, res_i: PropagationResult) -> float:
-        return float(
-            self.final_representation("user", u, res_u, res_i)
-            @ self.final_representation("item", i, res_u, res_i)
+        return (
+            propagate(self.kg_u, self.table_u, self.stack_u).stitched,
+            propagate(self.kg_i, self.table_i, self.stack_i).stitched,
         )
+
+    def representations(self, stitched_u: np.ndarray, stitched_i: np.ndarray):
+        """Final user matrix (n_users, 2S) and item matrix (n_items, 2S)."""
+        (users_u, items_u), (users_i, items_i) = self.align.user_side, self.align.item_side
+        users = np.concatenate([stitched_u[users_u], stitched_i[users_i]], axis=1)
+        items = np.concatenate([stitched_u[items_u], stitched_i[items_i]], axis=1)
+        return users, items
 
 
 def build_model(
@@ -151,7 +130,7 @@ def bpr_loss(model: DualModel, batch: BprBatch, res_u: PropagationResult, res_i:
     L = sum -ln sigma(score(u, i) - score(u, j)).  Returns (loss, grads)
     with the same flat parameter names as model.params().
     """
-    users, items = model.representations(res_u, res_i)
+    users, items = model.representations(res_u.stitched, res_i.stitched)
     fu = users[batch.users]
     fi = items[batch.pos_items]
     fj = items[batch.neg_items]
@@ -171,18 +150,12 @@ def bpr_loss(model: DualModel, batch: BprBatch, res_u: PropagationResult, res_i:
     np.add.at(g_items, batch.neg_items, -coeff[:, None] * fu)
 
     # route final-vector gradients back to each graph's stitched output
-    a = model.align
+    (users_u, items_u), (users_i, items_i) = model.align.user_side, model.align.item_side
     su = model.stack_u.stitched_dim
     gs_u = np.zeros_like(res_u.stitched)
     gs_i = np.zeros_like(res_i.stitched)
-    mu = a.users_user_side >= 0
-    gs_u[a.users_user_side[mu]] += g_users[mu, :su]
-    mi = a.items_user_side >= 0
-    gs_u[a.items_user_side[mi]] += g_items[mi, :su]
-    mu = a.users_item_side >= 0
-    gs_i[a.users_item_side[mu]] += g_users[mu, su:]
-    mi = a.items_item_side >= 0
-    gs_i[a.items_item_side[mi]] += g_items[mi, su:]
+    gs_u[users_u], gs_u[items_u] = g_users[:, :su], g_items[:, :su]
+    gs_i[users_i], gs_i[items_i] = g_users[:, su:], g_items[:, su:]
 
     grads = {}
     for name, g in propagate_backward(model.kg_u, model.table_u, model.stack_u, res_u, gs_u).items():

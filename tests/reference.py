@@ -94,6 +94,17 @@ def precision_recall_at_k(recommended, ground_truth, k: int):
     return hits / k, hits / len(truth)
 
 
+def topk_reference(scores, k, exclude=None):
+    """Top-k ids of one score row: a stable argsort of the negated scores
+    (ties by ascending id, NaN last) with the excluded ids dropped."""
+    order = np.argsort(-scores, kind="stable")
+    if exclude is not None and len(exclude):
+        mask = np.zeros(len(scores), dtype=bool)
+        mask[list(exclude)] = True
+        order = order[~mask[order]]
+    return order[:k]
+
+
 def rank_and_score_reference(score_matrix, train_items, truth, k):
     """Macro Precision@K / Recall@K, ranking one user at a time.
 
@@ -105,14 +116,7 @@ def rank_and_score_reference(score_matrix, train_items, truth, k):
     for u in sorted(truth):
         if not truth[u]:
             continue
-        scores = score_matrix[u]
-        order = np.argsort(-scores, kind="stable")
-        exclude = train_items.get(u, ())
-        if len(exclude):
-            mask = np.zeros(len(scores), dtype=bool)
-            mask[list(exclude)] = True
-            order = order[~mask[order]]
-        top = order[:k]
+        top = topk_reference(score_matrix[u], k, train_items.get(u, ()))
         hits = sum(1 for i in top if int(i) in truth[u])
         precisions.append(hits / k)
         recalls.append(hits / len(truth[u]))

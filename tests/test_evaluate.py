@@ -1,10 +1,13 @@
 """Splitting, ranking, the two metrics, baselines, and the sweep harness."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckgrec import model as model_module
 from ckgrec.errors import ConfigError
 from ckgrec.evaluate import (
     EvalReport,
@@ -23,7 +26,7 @@ from ckgrec.graph import build_bipartite
 from ckgrec.rng import Rng
 
 from conftest import rec, table, toy_dual
-from reference import precision_recall_at_k, rank_and_score_reference
+from reference import precision_recall_at_k, rank_and_score_reference, topk_reference
 
 
 def user_records(user: str, n: int):
@@ -119,12 +122,43 @@ class TestTopK:
     def test_hand_ranking_on_toy_model(self):
         model, _ = toy_dual()
         scores = model_scores(model)
-        res_u, res_i = model.propagate_both()
+        users, items = model.representations(*model.stitched())
         for u in range(2):
-            by_hand = sorted(
-                range(2), key=lambda i: (-model.predict_score(u, i, res_u, res_i), i)
-            )
+            by_hand = sorted(range(2), key=lambda i: (-float(users[u] @ items[i]), i))
             assert topk_from_scores(scores[u], 2).tolist() == by_hand
+
+    def test_ties_infinities_nan_and_exclusions(self):
+        scores = np.array([np.nan, 1.0, np.inf, 1.0, -np.inf, np.nan, 0.0, np.inf])
+        got = topk_from_scores(scores, 10, exclude={2, 6})
+        assert got.tolist() == [7, 1, 3, 4, 0, 5]
+        assert got.tolist() == topk_reference(scores, 10, {2, 6}).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_argsort_oracle(self, data):
+        value = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan])
+        scores = np.array(data.draw(st.lists(value, min_size=1, max_size=12)))
+        exclude = data.draw(st.sets(st.integers(0, len(scores) - 1)))
+        k = data.draw(st.integers(1, len(scores) + 3))
+        assert topk_from_scores(scores, k, exclude).tolist() == topk_reference(scores, k, exclude).tolist()
+
+
+class TestModelScores:
+    def test_one_propagation_result_alive_at_a_time(self, monkeypatch):
+        model, _ = toy_dual()
+        real = model_module.propagate
+        earlier = []
+
+        def tracked(*args):
+            alive = sum(ref() is not None for ref in earlier)
+            assert not alive, "an earlier propagation result is still alive"
+            result = real(*args)
+            earlier.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(model_module, "propagate", tracked)
+        model_scores(model)
+        assert len(earlier) == 2
 
 
 class TestPrecisionRecall:

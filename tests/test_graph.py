@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from ckgrec.errors import FormatError, UnresolvedEntityError
 from ckgrec.graph import (
+    AlignmentMap,
     RelationRegistry,
     build_bipartite,
     build_graphs,
     build_item_side_ckg,
     build_user_side_ckg,
-    plan_alignment,
 )
 from ckgrec.rng import Rng
 
@@ -257,25 +257,20 @@ class TestInvariants:
 class TestAlignment:
     def test_layout(self):
         bg = build_bipartite(table([rec("u1", "i1"), rec("u2", "i2"), rec("u1", "i3")]))
-        align = plan_alignment(bg)
-        assert align.n_users == 2 and align.n_items == 3
-        assert align.users_user_side.tolist() == [0, 1]
-        assert align.items_user_side.tolist() == [2, 3, 4]
-        assert align.items_item_side.tolist() == [0, 1, 2]
-        assert align.users_item_side.tolist() == [3, 4]
+        _, _, align = build_graphs(bg, [], [])
+        assert align == AlignmentMap(n_users=2, n_items=3)
+        assert align.user_side == (slice(0, 2), slice(2, 5))
+        assert align.item_side == (slice(3, 5), slice(0, 3))
 
     def test_build_graphs_names_agree_with_map(self):
         records = [rec("u1", "i1"), rec("u2", "i1")]
         bg = build_bipartite(table(records))
         kg_u, kg_i, align = build_graphs(bg, [("u1", "age", "a30")], [("i1", "genre", "g1")])
-        for u in range(bg.n_users):
-            tok = bg.user_vocab.token(u)
-            assert kg_u.entity_names[align.users_user_side[u]] == ("user", tok)
-            assert kg_i.entity_names[align.users_item_side[u]] == ("user", tok)
-        for i in range(bg.n_items):
-            tok = bg.item_vocab.token(i)
-            assert kg_u.entity_names[align.items_user_side[i]] == ("item", tok)
-            assert kg_i.entity_names[align.items_item_side[i]] == ("item", tok)
+        users = [("user", t) for t in bg.user_vocab.tokens()]
+        items = [("item", t) for t in bg.item_vocab.tokens()]
+        for kg, (user_rows, item_rows) in ((kg_u, align.user_side), (kg_i, align.item_side)):
+            assert kg.entity_names[user_rows] == users
+            assert kg.entity_names[item_rows] == items
 
     def test_attribute_entities_follow_base(self):
         bg = build_bipartite(table([rec("u1", "i1")]))

@@ -1,13 +1,11 @@
 """Dual-graph stitching, ranking loss, and the joint objective."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ckgrec.errors import ColdEntityError
-from ckgrec.graph import AlignmentMap, build_bipartite, build_graphs
+from ckgrec.graph import build_bipartite, build_graphs
 from ckgrec.kernels import finite_diff_check
 from ckgrec.model import BprBatch, bpr_loss, build_model, total_loss
 from ckgrec.rng import Rng
@@ -53,62 +51,36 @@ class TestDualModel:
         assert model.table_u.entity[0, 0] != clone.table_u.entity[0, 0]
         assert model.stack_u.w1[0][0, 0] != clone.stack_u.w1[0][0, 0]
 
-    def test_final_representation_concatenates_sides(self):
+    def test_representations_concatenate_sides(self):
         model, _ = toy_dual()
-        res_u, res_i = model.propagate_both()
-        a = model.align
-        for u in range(2):
-            want = np.concatenate(
-                [res_u.stitched[a.users_user_side[u]], res_i.stitched[a.users_item_side[u]]]
-            )
-            assert np.array_equal(model.final_representation("user", u, res_u, res_i), want)
-        for i in range(2):
-            want = np.concatenate(
-                [res_u.stitched[a.items_user_side[i]], res_i.stitched[a.items_item_side[i]]]
-            )
-            assert np.array_equal(model.final_representation("item", i, res_u, res_i), want)
+        stitched_u, stitched_i = model.stitched()
+        (users_u, items_u), (users_i, items_i) = model.align.user_side, model.align.item_side
+        users, items = model.representations(stitched_u, stitched_i)
+        su = model.stack_u.stitched_dim
+        assert users.shape == (2, model.final_dim) and items.shape == (2, model.final_dim)
+        assert np.array_equal(users[:, :su], stitched_u[users_u])
+        assert np.array_equal(users[:, su:], stitched_i[users_i])
+        assert np.array_equal(items[:, :su], stitched_u[items_u])
+        assert np.array_equal(items[:, su:], stitched_i[items_i])
 
     def test_representations_match_per_entity_path(self):
         model, _ = toy_dual()
-        res_u, res_i = model.propagate_both()
-        users, items = model.representations(res_u, res_i)
+        stitched_u, stitched_i = model.stitched()
+        users, items = model.representations(stitched_u, stitched_i)
+        (users_u, items_u), (users_i, items_i) = model.align.user_side, model.align.item_side
         for u in range(2):
-            assert np.array_equal(users[u], model.final_representation("user", u, res_u, res_i))
+            want = np.concatenate([stitched_u[users_u.start + u], stitched_i[users_i.start + u]])
+            assert np.array_equal(users[u], want)
         for i in range(2):
-            assert np.array_equal(items[i], model.final_representation("item", i, res_u, res_i))
+            want = np.concatenate([stitched_u[items_u.start + i], stitched_i[items_i.start + i]])
+            assert np.array_equal(items[i], want)
 
-    def test_predict_score_is_inner_product(self):
+    def test_stitched_matches_propagate_both(self):
         model, _ = toy_dual()
         res_u, res_i = model.propagate_both()
-        fu = model.final_representation("user", 0, res_u, res_i)
-        fi = model.final_representation("item", 1, res_u, res_i)
-        want = float(sum(a * b for a, b in zip(fu, fi)))
-        assert abs(model.predict_score(0, 1, res_u, res_i) - want) < 1e-12
-
-    def test_cold_entity_strict_and_zero_filled(self):
-        model, _ = toy_dual()
-        a = model.align
-        cold = AlignmentMap(
-            users_user_side=a.users_user_side.copy(),
-            items_user_side=a.items_user_side.copy(),
-            users_item_side=a.users_item_side.copy(),
-            items_item_side=a.items_item_side.copy(),
-        )
-        cold.users_item_side[0] = -1
-        chilled = dataclasses.replace(model, align=cold)
-        res_u, res_i = chilled.propagate_both()
-        with pytest.raises(ColdEntityError):
-            chilled.final_representation("user", 0, res_u, res_i)
-        users, _ = chilled.representations(res_u, res_i)
-        su = chilled.stack_u.stitched_dim
-        assert not np.any(users[0, su:])  # missing side zero-filled
-        assert np.any(users[0, :su])
-
-    def test_unknown_kind_rejected(self):
-        model, _ = toy_dual()
-        res_u, res_i = model.propagate_both()
-        with pytest.raises(ValueError):
-            model.final_representation("session", 0, res_u, res_i)
+        stitched_u, stitched_i = model.stitched()
+        assert np.array_equal(stitched_u, res_u.stitched)
+        assert np.array_equal(stitched_i, res_i.stitched)
 
 
 class TestBprLoss:

@@ -203,8 +203,7 @@ class TestTrainingProperties:
 
     def test_ranking_invariant_to_positive_rescale(self):
         model, _ = toy_dual()
-        res_u, res_i = model.propagate_both()
-        users, items = model.representations(res_u, res_i)
+        users, items = model.representations(*model.stitched())
         scores = users @ items.T
         scaled = users @ (37.5 * items).T
         assert np.array_equal(
