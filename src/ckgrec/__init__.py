@@ -14,7 +14,6 @@ from .errors import (
     DimensionConflictError,
     FormatError,
     NumericFaultError,
-    OracleError,
     SamplingExhaustedError,
     ShapeError,
     TrainingDiverged,
@@ -40,7 +39,7 @@ from .ingest import (
     synth_generate,
     to_implicit,
 )
-from .model import BprBatch, DualModel, bpr_loss, build_model, total_loss
+from .model import BprBatch, DualModel, bpr_loss, build_model
 from .propagation import (
     LayerStack,
     init_stack,
@@ -50,6 +49,6 @@ from .propagation import (
 from .rng import Rng
 from .table import Interactions
 from .training import Adam, TrainSettings, train
-from .transr import EmbeddingTable, TripleBatch, init_table, kg_loss, project, sample_absent, triple_energy
+from .transr import EmbeddingTable, TripleBatch, init_table, kg_loss, sample_absent
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,6 @@ from .config import RunConfig, parse_assignments
 from .errors import CkgrecError, ConfigError, FormatError, UnresolvedEntityError
 from .evaluate import (
     EvalReport,
-    evaluate_model,
     make_val_recall,
     model_scores,
     pairs_of,
@@ -315,19 +315,18 @@ def _load_checkpoint_world(args):
 def cmd_evaluate(args) -> int:
     cfg, world, model, _ = _load_checkpoint_world(args)
     k = args.k or cfg.top_k
-    report = EvalReport()
-    row = evaluate_model(model, world.train_pairs, world.test_pairs, k, cfg.seed)
-    report.rows.append(row)
-
     train_truth = truth_by_user(world.train_pairs)
     test_truth = truth_by_user(world.test_pairs)
     n_users, n_items = world.align.n_users, world.align.n_items
-    for label, scores in (
-        ("popularity", popularity_scores(world.train_pairs, n_users, n_items)),
-        ("random", random_scores(cfg.seed, n_users, n_items)),
+    report = EvalReport()
+    for label, scores_of in (
+        ("model", lambda: model_scores(model)),
+        ("popularity", lambda: popularity_scores(world.train_pairs, n_users, n_items)),
+        ("random", lambda: random_scores(cfg.seed, n_users, n_items)),
     ):
-        p, r = rank_and_score(scores, train_truth, test_truth, k)
-        report.add(label, k, p, r, cfg.seed, 0.0)
+        started = time.perf_counter()
+        p, r = rank_and_score(scores_of(), train_truth, test_truth, k)
+        report.add(label, k, p, r, cfg.seed, (time.perf_counter() - started) * 1e3)
 
     for r in report.rows:
         print(f"{r.label}: precision@{r.k}={r.precision:.4f} recall@{r.k}={r.recall:.4f}")

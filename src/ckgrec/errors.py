@@ -33,10 +33,6 @@ class SamplingExhaustedError(CkgrecError):
     """Negative sampling gave up after the rejection budget was spent."""
 
 
-class OracleError(CkgrecError):
-    """A verification oracle detected it cannot trust its own inputs."""
-
-
 class TrainingDiverged(CkgrecError):
     """Training hit a non-finite loss; carries the last finite state."""
 

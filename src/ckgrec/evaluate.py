@@ -171,15 +171,15 @@ def model_scores(model) -> np.ndarray:
 
 
 def popularity_scores(train_pairs: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
-    """Every user sees the same ranking: training interaction counts."""
+    """Every user sees the same ranking: training interaction counts, as a read-only view of one row."""
     counts = np.bincount(train_pairs[:, 1], minlength=n_items).astype(np.float64)
-    return np.tile(counts, (n_users, 1))
+    return np.broadcast_to(counts, (n_users, n_items))
 
 
 def random_scores(seed: int, n_users: int, n_items: int) -> np.ndarray:
-    """One seeded random ranking shared by all users."""
+    """One seeded random ranking shared by all users, as a read-only view of one row."""
     values = Rng(seed, (907,)).random(n_items)
-    return np.tile(values, (n_users, 1))
+    return np.broadcast_to(values, (n_users, n_items))
 
 
 @dataclass
@@ -238,7 +238,6 @@ def sweep_layers(build_and_train, l_values=(1, 2, 3, 4), k: int = 10, seed: int 
     for l in l_values:
         started = time.perf_counter()
         model, train_pairs, test_pairs = build_and_train(int(l))
-        scores = model_scores(model)
-        p, r = rank_and_score(scores, truth_by_user(train_pairs), truth_by_user(test_pairs), k)
-        report.add(f"L={l}", k, p, r, seed, (time.perf_counter() - started) * 1e3)
+        row = evaluate_model(model, train_pairs, test_pairs, k, seed)
+        report.add(f"L={l}", k, row.precision, row.recall, seed, (time.perf_counter() - started) * 1e3)
     return report

@@ -5,9 +5,9 @@ stack.  A user's final representation concatenates its stitched vector
 from the user-side graph with its stitched vector from the item-side
 graph (items symmetrically), and a score is the inner product of the
 two final vectors.  The ranking objective is the pairwise BPR loss over
-(user, observed item, unobserved item) triplets; the total training
-objective adds both graphs' encoding losses and an L2 penalty on every
-parameter.
+(user, observed item, unobserved item) triplets.  Training alternates
+it with both graphs' encoding losses (see `training`); no joint
+objective is ever formed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .graph import AlignmentMap, CollaborativeKG
 from .kernels import sigmoid, softplus
 from .propagation import LayerStack, PropagationResult, init_stack, propagate, propagate_backward, resolve_dims
 from .rng import Rng
-from .transr import EmbeddingTable, TripleBatch, init_table, kg_loss
+from .transr import EmbeddingTable, init_table
 
 
 @dataclass
@@ -163,38 +163,3 @@ def bpr_loss(model: DualModel, batch: BprBatch, res_u: PropagationResult, res_i:
     for name, g in propagate_backward(model.kg_i, model.table_i, model.stack_i, res_i, gs_i).items():
         grads["i." + name] = g
     return float(np.sum(losses)), grads
-
-
-def _merge(into: dict, frm: dict) -> dict:
-    for name, g in frm.items():
-        if name in into:
-            into[name] = into[name] + g
-        else:
-            into[name] = g
-    return into
-
-
-def total_loss(model: DualModel, batch_u: TripleBatch, batch_i: TripleBatch, cf_batch: BprBatch, lam: float):
-    """L = L_KG_u + L_KG_i + L_CF + lambda * ||params||^2, with gradients.
-
-    Returns (total, grads, parts); parts carries each term so logs can
-    verify the decomposition exactly.
-    """
-    l_u, g_u = kg_loss(model.table_u, batch_u)
-    l_i, g_i = kg_loss(model.table_i, batch_i)
-    res_u, res_i = model.propagate_both()
-    l_cf, g_cf = bpr_loss(model, cf_batch, res_u, res_i)
-
-    grads: dict[str, np.ndarray] = {}
-    _merge(grads, {"u." + n: g for n, g in g_u.items()})
-    _merge(grads, {"i." + n: g for n, g in g_i.items()})
-    _merge(grads, g_cf)
-
-    reg = 0.0
-    for name, p in model.params().items():
-        reg += float(np.sum(p * p))
-        grads[name] = grads.get(name, 0.0) + 2.0 * lam * p
-    reg *= lam
-
-    parts = {"kg_u": l_u, "kg_i": l_i, "cf": l_cf, "reg": reg}
-    return l_u + l_i + l_cf + reg, grads, parts

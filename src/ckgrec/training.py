@@ -2,9 +2,11 @@
 
 One epoch runs (a) a pass of encoding-loss mini-batches on the
 user-side graph, (b) the same on the item-side graph, then (c) a pass
-of pairwise ranking mini-batches.  The regularizer is applied per step
-as weight decay on exactly the parameters the step touches, so a
-knowledge-graph batch never moves entities outside the batch.
+of pairwise ranking mini-batches.  A knowledge-graph step works on the
+rows its batch touches: `kg_loss` returns gradients for those rows
+only, the regularizer is added to them as weight decay, and Adam
+advances their moments alone, so the batch never moves other entities.
+A ranking step sends every parameter row through the same Adam update.
 
 All sampling derives from one root Rng split by (epoch, phase, batch),
 making runs bitwise reproducible; validation recall drives early
@@ -22,15 +24,16 @@ import numpy as np
 from .errors import NumericFaultError, TrainingDiverged
 from .model import BprBatch, DualModel, bpr_loss
 from .rng import Rng
-from .transr import kg_loss, sample_absent, sample_batch, touched_rows
+from .transr import kg_loss, sample_absent, sample_batch
 
 
 class Adam:
     """Adam with per-parameter step counts and lazy row-subset updates.
 
-    For sparse phases only the touched rows' moments advance (lazy
-    variant); bias correction uses the per-parameter step count.  A zero
-    learning rate is a strict no-op so frozen runs stay bitwise stable.
+    A step advances the moments of the given rows only (the lazy
+    variant; all rows when `rows` is None), and bias correction uses the
+    per-parameter step count.  A zero learning rate is a strict no-op so
+    frozen runs stay bitwise stable.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -43,6 +46,7 @@ class Adam:
         self.t: dict[str, int] = {}
 
     def step(self, name: str, param: np.ndarray, grad: np.ndarray, rows=None) -> None:
+        """Update param[rows] from `grad`, which holds one row per entry of `rows`."""
         if self.lr == 0.0:
             return
         if name not in self.m:
@@ -53,20 +57,12 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t[name]
         c2 = 1.0 - b2 ** self.t[name]
-        if rows is None:
-            m, v = self.m[name], self.v[name]
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            param -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        else:
-            g = grad[rows]
-            m = b1 * self.m[name][rows] + (1.0 - b1) * g
-            v = b2 * self.v[name][rows] + (1.0 - b2) * g * g
-            self.m[name][rows] = m
-            self.v[name][rows] = v
-            param[rows] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        rows = slice(None) if rows is None else rows
+        m = b1 * self.m[name][rows] + (1.0 - b1) * grad
+        v = b2 * self.v[name][rows] + (1.0 - b2) * grad * grad
+        self.m[name][rows] = m
+        self.v[name][rows] = v
+        param[rows] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 @dataclass
@@ -108,18 +104,15 @@ def _kg_epoch(model, side: str, opt: Adam, settings: TrainSettings, rng: Rng) ->
     total = 0.0
     for b, idx in enumerate(_batches(kg.n_triples, settings.kg_batch, order)):
         batch = sample_batch(kg, idx, rng.split(1, b), settings.corrupt_heads)
-        loss, grads = kg_loss(table, batch)
+        loss, grads, ents, rels = kg_loss(table, batch)
         total += loss
-        ents, rels = touched_rows(batch)
         lam2 = 2.0 * settings.reg
-        if lam2:
-            # per-step weight decay, restricted to the rows this batch touches
-            grads["entity"][ents] += lam2 * table.entity[ents]
-            grads["relation"][rels] += lam2 * table.relation[rels]
-            grads["projection"][rels] += lam2 * table.projection[rels]
-        opt.step(f"{side}.entity", table.entity, grads["entity"], rows=ents)
-        opt.step(f"{side}.relation", table.relation, grads["relation"], rows=rels)
-        opt.step(f"{side}.projection", table.projection, grads["projection"], rows=rels)
+        for name, rows in (("entity", ents), ("relation", rels), ("projection", rels)):
+            param, g = getattr(table, name), grads[name]
+            if lam2:
+                # per-step weight decay on the rows this batch touches
+                g += lam2 * param[rows]
+            opt.step(f"{side}.{name}", param, g, rows)
     return total
 
 

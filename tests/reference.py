@@ -125,6 +125,61 @@ def rank_and_score_reference(score_matrix, train_items, truth, k):
     return float(np.mean(precisions)), float(np.mean(recalls))
 
 
+def kg_loss_dense_reference(table, batch):
+    """Encoding loss with gradients scattered into table-shaped zero arrays.
+
+    Relation by relation, four np.add.at scatters (h, t, h', t') write
+    the entity gradient.  Reads the table and batch by attribute only;
+    the sigmoid and softplus are the package's formulas written out, so
+    the results are bitwise comparable.
+    """
+    h, r, t = batch.h, batch.r, batch.t
+    hn, tn = batch.h_neg, batch.t_neg
+    n_pairs = len(h)
+    k = table.relation.shape[1]
+    grad_entity = np.zeros_like(table.entity)
+    grad_relation = np.zeros_like(table.relation)
+    grad_projection = np.zeros_like(table.projection)
+    grads = {"entity": grad_entity, "relation": grad_relation, "projection": grad_projection}
+    if n_pairs == 0:
+        return 0.0, grads
+
+    d_pos = np.empty((n_pairs, k))
+    d_neg = np.empty((n_pairs, k))
+    for rel in np.unique(r):
+        rows = np.nonzero(r == rel)[0]
+        w = table.projection[rel]
+        e_r = table.relation[rel]
+        d_pos[rows] = (table.entity[h[rows]] - table.entity[t[rows]]) @ w.T + e_r
+        d_neg[rows] = (table.entity[hn[rows]] - table.entity[tn[rows]]) @ w.T + e_r
+    g_pos = np.einsum("ij,ij->i", d_pos, d_pos)
+    g_neg = np.einsum("ij,ij->i", d_neg, d_neg)
+    delta = g_neg - g_pos
+    losses = np.logaddexp(0.0, -delta)
+    sig = np.empty_like(delta)
+    pos = delta >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-delta[pos]))
+    ex = np.exp(delta[~pos])
+    sig[~pos] = ex / (1.0 + ex)
+    coeff = sig - 1.0
+
+    u_pos = (-2.0 * coeff)[:, None] * d_pos
+    u_neg = (2.0 * coeff)[:, None] * d_neg
+    for rel in np.unique(r):
+        rows = np.nonzero(r == rel)[0]
+        w = table.projection[rel]
+        e_h, e_t = table.entity[h[rows]], table.entity[t[rows]]
+        e_hn, e_tn = table.entity[hn[rows]], table.entity[tn[rows]]
+        up, un = u_pos[rows], u_neg[rows]
+        grad_relation[rel] += np.sum(up + un, axis=0)
+        grad_projection[rel] += up.T @ (e_h - e_t) + un.T @ (e_hn - e_tn)
+        np.add.at(grad_entity, h[rows], up @ w)
+        np.add.at(grad_entity, t[rows], -(up @ w))
+        np.add.at(grad_entity, hn[rows], un @ w)
+        np.add.at(grad_entity, tn[rows], -(un @ w))
+    return float(np.sum(losses)), grads
+
+
 # ---------------------------------------------------------------------------
 # Edgewise propagation kernel: every edge projects its own head and tail
 # with A_r, and messages and gradients are scattered edge by edge with

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckgrec.errors import ConfigError, OracleError, ShapeError
+from ckgrec.errors import ConfigError, ShapeError
 from ckgrec.kernels import (
-    finite_diff_check,
     gaussian_init,
     leaky_relu,
     leaky_relu_grad,
@@ -19,6 +18,7 @@ from ckgrec.kernels import (
 from ckgrec.propagation import _Segments
 from ckgrec.rng import Rng
 
+from gradcheck import OracleError, finite_diff_check
 from reference import softmax_reference
 
 

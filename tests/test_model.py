@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from ckgrec.graph import build_bipartite, build_graphs
-from ckgrec.kernels import finite_diff_check
-from ckgrec.model import BprBatch, bpr_loss, build_model, total_loss
+from ckgrec.model import BprBatch, bpr_loss, build_model
 from ckgrec.rng import Rng
 from ckgrec.transr import sample_batch
 
 from conftest import rec, table, toy_cf_batch, toy_dual
+from gradcheck import finite_diff_check, total_loss
 
 
 class TestDualModel:

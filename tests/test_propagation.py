@@ -7,7 +7,7 @@ import pytest
 
 from ckgrec import propagation
 from ckgrec.errors import ConfigError, ShapeError
-from ckgrec.kernels import finite_diff_check, leaky_relu
+from ckgrec.kernels import leaky_relu
 from ckgrec.propagation import (
     LayerStack,
     _Segments,
@@ -20,6 +20,7 @@ from ckgrec.rng import Rng
 from ckgrec.transr import EmbeddingTable, init_table
 
 from conftest import fresh_table, make_kg
+from gradcheck import finite_diff_check
 from reference import (
     aggregate_reference,
     logit_reference,

@@ -46,7 +46,7 @@ class TestAdam:
         before = p.copy()
         opt = Adam(lr=0.01)
         rows = np.array([1, 3])
-        opt.step("p", p, np.ones_like(p), rows=rows)
+        opt.step("p", p, np.ones((len(rows), 4)), rows=rows)  # one gradient row per stepped row
         untouched = np.array([0, 2, 4, 5])
         assert np.array_equal(p[untouched], before[untouched])
         assert not np.array_equal(p[rows], before[rows])

@@ -6,22 +6,19 @@ import numpy as np
 import pytest
 
 from ckgrec.errors import NumericFaultError, SamplingExhaustedError, ShapeError
-from ckgrec.kernels import finite_diff_check
 from ckgrec.rng import Rng
 from ckgrec.transr import (
     EmbeddingTable,
     TripleBatch,
     init_table,
     kg_loss,
-    project,
     sample_absent,
     sample_batch,
-    touched_rows,
-    triple_energy,
 )
 
 from conftest import fresh_table, make_kg
-from reference import energy_reference
+from gradcheck import dense_kg_loss, finite_diff_check, project, triple_energy
+from reference import energy_reference, kg_loss_dense_reference
 
 # chi-square critical value at p = 0.01 for 98 degrees of freedom
 CHI2_98_P01 = 133.476
@@ -191,7 +188,7 @@ class TestKgLoss:
             h_neg=np.array([0, 1, 2]),
             t_neg=np.array([3, 0, 1]),
         )
-        loss, _ = kg_loss(t, batch)
+        loss, *_ = kg_loss(t, batch)
         assert abs(loss - 3 * math.log(2)) < 1e-9
 
     def test_saturated_pair_loss_vanishes(self):
@@ -202,16 +199,20 @@ class TestKgLoss:
             h=np.array([0]), r=np.array([0]), t=np.array([1]),
             h_neg=np.array([0]), t_neg=np.array([2]),
         )
-        loss, _ = kg_loss(t, batch)
+        loss, *_ = kg_loss(t, batch)
         assert loss < 1e-12
 
     def test_empty_batch(self):
         t = fresh_table()
         empty = np.array([], dtype=np.int64)
         batch = TripleBatch(empty, empty, empty, empty, empty)
-        loss, grads = kg_loss(t, batch)
+        loss, grads, ents, rels = kg_loss(t, batch)
         assert loss == 0.0
-        assert not np.any(grads["entity"])
+        assert len(ents) == 0 and len(rels) == 0
+        assert grads["entity"].shape == (0, t.d)
+        assert grads["relation"].shape == (0, t.k)
+        assert grads["projection"].shape == (0, t.k, t.d)
+        self.assert_matches_dense_oracle(t, batch)
 
     def test_non_finite_reports_pair(self):
         t = table_from([[np.inf, 0.0], [0.0, 0.0]], np.zeros((1, 2)), [np.eye(2)])
@@ -234,7 +235,7 @@ class TestKgLoss:
 
         def loss_fn(params):
             t = EmbeddingTable(params["entity"], params["relation"], params["projection"])
-            return kg_loss(t, batch)
+            return dense_kg_loss(t, batch)
 
         report = finite_diff_check(
             loss_fn,
@@ -246,14 +247,50 @@ class TestKgLoss:
     def test_grads_touch_only_batch_rows(self):
         _, batch = self.sample_toy()
         t = fresh_table(seed=13)
-        _, grads = kg_loss(t, batch)
-        ents, rels = touched_rows(batch)
-        all_ents = np.arange(t.n_entities)
-        untouched = np.setdiff1d(all_ents, ents)
-        assert not np.any(grads["entity"][untouched])
-        untouched_r = np.setdiff1d(np.arange(t.n_relations), rels)
-        assert not np.any(grads["relation"][untouched_r])
-        assert not np.any(grads["projection"][untouched_r])
+        _, grads, ents, rels = kg_loss(t, batch)
+        assert ents.tolist() == sorted({*batch.h, *batch.t, *batch.h_neg, *batch.t_neg})
+        assert rels.tolist() == sorted(set(batch.r))
+        assert grads["entity"].shape == (len(ents), t.d)
+        assert grads["relation"].shape == (len(rels), t.k)
+        assert grads["projection"].shape == (len(rels), t.k, t.d)
+
+    def assert_matches_dense_oracle(self, t, batch):
+        loss, grads, ents, rels = kg_loss(t, batch)
+        want_loss, want = kg_loss_dense_reference(t, batch)
+        assert loss == want_loss
+        for name, rows in (("entity", ents), ("relation", rels), ("projection", rels)):
+            assert np.array_equal(grads[name], want[name][rows]), name
+            assert not np.any(np.delete(want[name], rows, axis=0)), name
+
+    def test_matches_dense_oracle_bitwise(self):
+        rng = Rng(43)
+        triples = list(dict.fromkeys(
+            (int(rng.integers(12)), int(rng.integers(3)), int(rng.integers(12))) for _ in range(40)
+        ))
+        kg = make_kg(12, triples, n_relations=3)
+        t = fresh_table(n_entities=12, n_relations=3, d=5, k=4, seed=3)
+        for corrupt_heads in (False, True):
+            idx = rng.integers(len(triples), size=60)  # repeated triples too
+            self.assert_matches_dense_oracle(t, sample_batch(kg, idx, rng.split(int(corrupt_heads)), corrupt_heads))
+
+    def test_one_entity_in_every_role_and_relation(self):
+        # entity 0 is head, tail, corrupted head and corrupted tail, under both relations
+        t = fresh_table(n_entities=4, n_relations=3, seed=17)
+        batch = TripleBatch(
+            h=np.array([0, 1, 0, 2, 0]),
+            r=np.array([2, 0, 0, 2, 2]),
+            t=np.array([1, 0, 3, 0, 0]),
+            h_neg=np.array([0, 0, 3, 2, 1]),
+            t_neg=np.array([2, 0, 0, 3, 0]),
+        )
+        self.assert_matches_dense_oracle(t, batch)
+        _, _, ents, rels = kg_loss(t, batch)
+        assert ents.tolist() == [0, 1, 2, 3] and rels.tolist() == [0, 2]
+
+    def test_one_pair_batch(self):
+        t = fresh_table(seed=29)
+        batch = TripleBatch(h=np.array([3]), r=np.array([1]), t=np.array([4]), h_neg=np.array([3]), t_neg=np.array([0]))
+        self.assert_matches_dense_oracle(t, batch)
 
     def test_full_batch_descent_monotone_after_transient(self):
         # 10-triple toy graph, 50 plain gradient steps at lr 0.01
@@ -265,11 +302,11 @@ class TestKgLoss:
         t = fresh_table(n_entities=6, n_relations=2, d=4, k=3, seed=19, std=0.5)
         losses = []
         for _ in range(50):
-            loss, grads = kg_loss(t, batch)
+            loss, grads, ents, rels = kg_loss(t, batch)
             losses.append(loss)
-            t.entity -= 0.01 * grads["entity"]
-            t.relation -= 0.01 * grads["relation"]
-            t.projection -= 0.01 * grads["projection"]
+            t.entity[ents] -= 0.01 * grads["entity"]
+            t.relation[rels] -= 0.01 * grads["relation"]
+            t.projection[rels] -= 0.01 * grads["projection"]
         for j in range(3, 49):
             assert losses[j + 1] < losses[j], f"loss rose at step {j}: {losses[j]} -> {losses[j + 1]}"
 
