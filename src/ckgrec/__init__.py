@@ -23,7 +23,6 @@ from .graph import (
     AlignmentMap,
     BipartiteGraph,
     CollaborativeKG,
-    RelationRegistry,
     Vocab,
     build_bipartite,
     build_graphs,

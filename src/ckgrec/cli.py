@@ -129,14 +129,13 @@ def _build_world(cfg: RunConfig) -> World:
         item_attrs = parse_attribute_triples(cfg.item_attrs)[0]
         inputs[cfg.item_attrs] = _sha256(cfg.item_attrs)
 
-    if cfg.manifest:
-        full = build_bipartite(records, order=cfg.id_order)
-        verify_manifest(cfg.manifest, full.n_users, full.n_items, full.n_edges)
-
     split = split_dataset(records, cfg.ratios, cfg.seed)
     # vocabularies span the full dataset so held-out entities keep their ids,
     # but only training interactions become graph edges
     bg = build_bipartite(split.train, order=cfg.id_order, vocab_records=records)
+    if cfg.manifest:
+        # records are merged already: one per (user, item) pair
+        verify_manifest(cfg.manifest, bg.n_users, bg.n_items, len(records))
     kg_u, kg_i, align = build_graphs(bg, user_attrs, item_attrs)
     return World(
         cfg=cfg,
@@ -210,11 +209,11 @@ def _train_once(world: World, cfg: RunConfig):
 
 def _write_history(history, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,kg_u,kg_i,cf,reg,total,val_recall\n")
+        fh.write("epoch,kg_u,kg_i,cf,reg,total,val_recall,wall_ms\n")
         for row in history:
             fh.write(
                 f"{row['epoch']},{row['kg_u']!r},{row['kg_i']!r},{row['cf']!r},"
-                f"{row['reg']!r},{row['total']!r},{row['val_recall']!r}\n"
+                f"{row['reg']!r},{row['total']!r},{row['val_recall']!r},{row['wall_ms']!r}\n"
             )
 
 

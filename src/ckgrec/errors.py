@@ -26,7 +26,7 @@ class NumericFaultError(CkgrecError):
 
 
 class UnresolvedEntityError(CkgrecError):
-    """An attribute triple references a head entity that does not exist."""
+    """An attribute triple or an edge record names an entity that has no id."""
 
 
 class SamplingExhaustedError(CkgrecError):

@@ -7,11 +7,11 @@ Two directed knowledge graphs are built from the same interaction data:
 * the item-side graph points each item at its users, then hangs user
   attributes off the users.
 
-Edges carrying several fine-grained interaction types (say both "like"
-and "favorite") are represented by a single composite relation id per
-distinct type set, so the downstream encoder can give each combination
-its own relation space.  Graphs are immutable after construction and
-indexed per head for O(1) neighborhood lookups.
+Each distinct set of interaction types on an edge is one relation, so
+an edge carrying both "like" and "favorite" gets a composite relation
+whose space the encoder learns apart from either type alone.  A graph
+keeps its relations as (kind, label) rows by id.  Graphs are immutable
+after construction and indexed per head for O(1) neighborhood lookups.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormatError, UnresolvedEntityError
-from .table import Interactions, first_seen
+from .table import Interactions, first_seen, first_seen_groups
 
 INTERACTION = "interaction"
 COMPOSITE_INTERACTION = "composite-interaction"
@@ -37,14 +37,6 @@ class Vocab:
     def __init__(self, tokens=()):
         self._tokens: list[str] = list(dict.fromkeys(tokens))
         self._index: dict[str, int] = {t: i for i, t in enumerate(self._tokens)}
-
-    def add(self, token: str) -> int:
-        idx = self._index.get(token)
-        if idx is None:
-            idx = len(self._tokens)
-            self._index[token] = idx
-            self._tokens.append(token)
-        return idx
 
     def id_of(self, token: str) -> int:
         return self._index[token]
@@ -64,60 +56,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-
-class RelationRegistry:
-    """Allocates dense relation ids for interaction type sets and attributes.
-
-    Identical type sets map to the same id regardless of insertion order;
-    distinct sets get distinct ids.  Attribute relations live in the same
-    id space, keyed by their relation name.
-    """
-
-    def __init__(self):
-        self._by_types: dict[frozenset[str], int] = {}
-        self._by_attr: dict[str, int] = {}
-        self._kinds: list[str] = []
-        self._labels: list[str] = []
-        self._types: list[frozenset[str] | None] = []
-
-    def composite(self, types) -> int:
-        key = frozenset(types)
-        if not key:
-            raise FormatError("interaction relation requires a non-empty type set")
-        rid = self._by_types.get(key)
-        if rid is None:
-            rid = len(self._kinds)
-            self._by_types[key] = rid
-            self._kinds.append(INTERACTION if len(key) == 1 else COMPOSITE_INTERACTION)
-            self._labels.append("|".join(sorted(key)))
-            self._types.append(key)
-        return rid
-
-    def attribute(self, name: str, kind: str) -> int:
-        if kind not in (USER_ATTRIBUTE, ITEM_ATTRIBUTE):
-            raise ValueError(f"not an attribute kind: {kind}")
-        rid = self._by_attr.get(name)
-        if rid is None:
-            rid = len(self._kinds)
-            self._by_attr[name] = rid
-            self._kinds.append(kind)
-            self._labels.append(name)
-            self._types.append(None)
-        return rid
-
-    def kind(self, rid: int) -> str:
-        return self._kinds[rid]
-
-    def label(self, rid: int) -> str:
-        return self._labels[rid]
-
-    def types_of(self, rid: int) -> frozenset[str] | None:
-        """Type set backing an interaction relation; None for attributes."""
-        return self._types[rid]
-
-    def __len__(self) -> int:
-        return len(self._kinds)
 
 
 @dataclass
@@ -168,9 +106,10 @@ def build_bipartite(
 
     Ids are assigned in first-seen order by default, or lexicographically
     with order="sorted".  Duplicate records for the same pair merge by set
-    union of their interaction types.  `vocab_records` optionally widens
-    the vocabularies beyond the records that contribute edges, so entities
-    seen only in held-out data still receive ids.
+    union of their interaction types.  `vocab_records` optionally names
+    the vocabularies' entities instead of `records`, so entities seen
+    only in held-out data still receive ids; every user and item of
+    `records` must be among them.
     """
     if order not in ("first-seen", "sorted"):
         raise FormatError(f"unknown id assignment order: {order!r}")
@@ -181,21 +120,19 @@ def build_bipartite(
 
     user_vocab = _vocab(source.user_tokens, source.user, order)
     item_vocab = _vocab(source.item_tokens, source.item, order)
-    if vocab_records is not None:
-        # entities only the edge records name follow, in first-seen order
-        for vocab, tokens, codes in (
-            (user_vocab, records.user_tokens, records.user),
-            (item_vocab, records.item_tokens, records.item),
-        ):
-            for c in first_seen(codes).tolist():
-                vocab.add(tokens[c])
+    user = user_vocab.ids_of(records.user_tokens)[records.user]
+    item = item_vocab.ids_of(records.item_tokens)[records.item]
+    unknown = np.flatnonzero((user < 0) | (item < 0))
+    if len(unknown):
+        pos = int(unknown[0])
+        if user[pos] < 0:
+            side, token = "user", records.user_tokens[records.user[pos]]
+        else:
+            side, token = "item", records.item_tokens[records.item[pos]]
+        raise UnresolvedEntityError(f"edge record {pos + 1} names {side} {token!r}, which the vocabulary records lack")
 
     edges = replace(
-        records,
-        user_tokens=user_vocab.tokens(),
-        item_tokens=item_vocab.tokens(),
-        user=user_vocab.ids_of(records.user_tokens)[records.user],
-        item=item_vocab.ids_of(records.item_tokens)[records.item],
+        records, user_tokens=user_vocab.tokens(), item_tokens=item_vocab.tokens(), user=user, item=item,
     ).merged()
     return BipartiteGraph(user_vocab, item_vocab, edges)
 
@@ -236,13 +173,14 @@ class CollaborativeKG:
 
     Triples are grouped by head entity in insertion order, so
     `neighbor_slice` spans exactly the (relation, tail) pairs of a head.
-    `keys` holds the sorted membership key of every triple (see `key`),
-    which the negative sampler searches.
+    `relations[r]` is the (kind, label) of relation id r.  `keys` holds
+    the sorted membership key of every triple (see `key`), which the
+    negative sampler searches.
     """
 
-    def __init__(self, entity_count, registry, heads, rels, tails, entity_names, stats):
+    def __init__(self, entity_count, relations, heads, rels, tails, entity_names, stats):
         self.entity_count = int(entity_count)
-        self.registry = registry
+        self.relations = list(relations)  # list of (kind, label)
         self.entity_names = entity_names  # list of (kind, token)
         self.stats = stats
 
@@ -259,7 +197,7 @@ class CollaborativeKG:
 
     @property
     def relation_count(self) -> int:
-        return len(self.registry)
+        return len(self.relations)
 
     @property
     def n_triples(self) -> int:
@@ -291,10 +229,7 @@ class CollaborativeKG:
             self.rels.tobytes(),
             self.tails.tobytes(),
             "\x1f".join(f"{k}\x1e{t}" for k, t in self.entity_names).encode(),
-            "\x1f".join(
-                f"{self.registry.kind(r)}\x1e{self.registry.label(r)}"
-                for r in range(self.relation_count)
-            ).encode(),
+            "\x1f".join(f"{k}\x1e{label}" for k, label in self.relations).encode(),
         ]
         return b"".join(parts)
 
@@ -303,13 +238,15 @@ class CollaborativeKG:
 
 
 def _build_side(bg, attrs, head_is_user):
-    """Shared construction for both collaborative graphs."""
-    registry = RelationRegistry()
-    stats = BuildStats()
+    """Shared construction for both collaborative graphs.
 
+    Relation j is the j-th distinct interaction type set of the edges.
+    The attribute relations follow those, and the attribute entities
+    follow the users and items, both in order of first appearance.
+    """
     edges = bg.edges
     sets, set_of_edge = edges.type_sets()
-    composite = np.array([registry.composite(types) for types in sets], dtype=np.int64)
+    relations = [(INTERACTION if len(types) == 1 else COMPOSITE_INTERACTION, "|".join(sorted(types))) for types in sets]
     align = AlignmentMap(bg.n_users, bg.n_items)
     user_rows, item_rows = align.user_side if head_is_user else align.item_side
     user_ents, item_ents = user_rows.start + edges.user, item_rows.start + edges.item
@@ -321,40 +258,32 @@ def _build_side(bg, attrs, head_is_user):
     else:
         heads, tails, names = item_ents, user_ents, items + users
         attr_head_vocab, attr_kind, attr_head_rows = bg.user_vocab, USER_ATTRIBUTE, user_rows
-    stats.interaction_triples = len(edges)
 
-    base = bg.n_users + bg.n_items
-    attr_vocab = Vocab()
-    kept: dict[tuple[int, int, int], None] = {}  # distinct attribute triples, first-seen order
-    unresolved: list[str] = []
-    for h_tok, rel_name, t_tok in attrs:
-        if h_tok not in attr_head_vocab:
-            unresolved.append(h_tok)
-            continue
-        h_ent = attr_head_rows.start + attr_head_vocab.id_of(h_tok)
-        rid = registry.attribute(rel_name, attr_kind)
-        t_ent = base + attr_vocab.add(t_tok)
-        key = (h_ent, rid, t_ent)
-        if key in kept:
-            stats.duplicate_attributes += 1
-            continue
-        kept[key] = None
-    if unresolved:
+    head_tokens, rel_names, tail_tokens = zip(*attrs) if len(attrs) else ((), (), ())
+    head_ids = attr_head_vocab.ids_of(head_tokens)
+    if (head_ids < 0).any():
         side = "item" if head_is_user else "user"
-        missing = ", ".join(sorted(set(unresolved)))
-        raise UnresolvedEntityError(
-            f"attribute triples reference unknown {side} heads: {missing}"
-        )
-    stats.attribute_triples = len(kept)
-    attr = np.array(list(kept), dtype=np.int64).reshape(-1, 3)
-
-    names += [("attr", t) for t in attr_vocab.tokens()]
+        missing = ", ".join(sorted({h for h, i in zip(head_tokens, head_ids.tolist()) if i < 0}))
+        raise UnresolvedEntityError(f"attribute triples reference unknown {side} heads: {missing}")
+    rel_vocab, tail_vocab = Vocab(rel_names), Vocab(tail_tokens)
+    base = bg.n_users + bg.n_items
+    attr = np.stack([
+        attr_head_rows.start + head_ids,
+        len(relations) + rel_vocab.ids_of(rel_names),
+        base + tail_vocab.ids_of(tail_tokens),
+    ], axis=1)
+    attr = attr[first_seen_groups(attr.view(f"V{attr.itemsize * 3}").reshape(-1))[1]]  # distinct rows
+    stats = BuildStats(
+        duplicate_attributes=len(head_ids) - len(attr), attribute_triples=len(attr), interaction_triples=len(edges),
+    )
     return CollaborativeKG(
-        base + len(attr_vocab), registry,
+        base + len(tail_vocab),
+        relations + [(attr_kind, name) for name in rel_vocab.tokens()],
         np.concatenate([heads, attr[:, 0]]),
-        np.concatenate([composite[set_of_edge], attr[:, 1]]),
+        np.concatenate([set_of_edge, attr[:, 1]]),
         np.concatenate([tails, attr[:, 2]]),
-        names, stats,
+        names + [("attr", t) for t in tail_vocab.tokens()],
+        stats,
     )
 
 

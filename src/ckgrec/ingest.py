@@ -161,21 +161,6 @@ def parse_interactions(path, format: str = "tsv", strict: bool = False) -> Parse
     return ParseResult(ratings, issues)
 
 
-def write_interactions(ratings: Ratings, path, format: str = "tsv") -> None:
-    """Serialize Ratings; parse(write(x)) reproduces x's rows exactly."""
-    sep = _SEPARATORS.get(format)
-    if sep is None:
-        raise ConfigError(f"unknown interaction format {format!r} (expected tsv or csv)")
-    texts = [repr(v) if isinstance(v, float) else v for v in ratings.values]
-    columns = (ratings.user.tolist(), ratings.item.tolist(), ratings.value.tolist(), ratings.timestamp.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u, i, v, t in zip(*columns):
-            fields = [ratings.user_tokens[u], ratings.item_tokens[i], texts[v]]
-            if t != NO_TIME:
-                fields.append(str(t))
-            fh.write(sep.join(fields) + "\n")
-
-
 def parse_attribute_triples(path, strict: bool = False):
     """Parse TSV `head<TAB>relation<TAB>tail`; '#' lines are comments.
 
@@ -378,24 +363,23 @@ def write_attribute_triples(triples, path) -> None:
             fh.write(f"{h}\t{r}\t{t}\n")
 
 
-def records_to_ratings(records: Interactions) -> Ratings:
-    """Interactions back to Ratings, one per interaction type in name order ("rated" as 1.0)."""
-    sets, group = records.type_sets()
-    values: dict = {}
-    per_set = np.zeros((len(sets), max(map(len, sets), default=0)), dtype=np.int64)
-    for s, types in enumerate(sets):
-        for j, name in enumerate(sorted(types)):
-            value = 1.0 if name == "rated" else name
-            per_set[s, j] = values.setdefault((type(value), value), (len(values), value))[0]
-    counts = np.array([len(t) for t in sets], dtype=np.int64)[group]
-    rows = np.repeat(np.arange(len(records)), counts)
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return Ratings(
-        records.user_tokens, records.item_tokens, [v for _, v in values.values()],
-        records.user[rows], records.item[rows], per_set[group[rows], slot], records.timestamp[rows],
-    )
-
-
 def write_records(records: Interactions, path, format: str = "tsv") -> None:
-    """Serialize an Interactions table as an interaction file."""
-    write_interactions(records_to_ratings(records), path, format)
+    """Serialize an Interactions table as an interaction file.
+
+    Each row becomes one line per interaction type, in name order, with
+    "rated" written as the rating 1.0 and the timestamp when there is one.
+    """
+    sep = _SEPARATORS.get(format)
+    if sep is None:
+        raise ConfigError(f"unknown interaction format {format!r} (expected tsv or csv)")
+    sets, group = records.type_sets()
+    values = [["1.0" if name == "rated" else name for name in sorted(types)] for types in sets]
+    users, items = records.user_tokens, records.item_tokens
+    columns = (records.user.tolist(), records.item.tolist(), group.tolist(), records.timestamp.tolist())
+    lines = [
+        f"{users[u]}{sep}{items[i]}{sep}{v}{'' if t == NO_TIME else sep + str(t)}\n"
+        for u, i, g, t in zip(*columns)
+        for v in values[g]
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)

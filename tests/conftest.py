@@ -13,7 +13,6 @@ from ckgrec.evaluate import make_val_recall, pairs_of, split_dataset
 from ckgrec.graph import (
     BuildStats,
     CollaborativeKG,
-    RelationRegistry,
     build_bipartite,
     build_graphs,
 )
@@ -28,14 +27,12 @@ from ckgrec.transr import TripleBatch, init_table
 def make_kg(n_entities: int, triples, n_relations: int | None = None) -> CollaborativeKG:
     """Bare triple store for propagation/encoding unit tests."""
     n_relations = n_relations or (max((r for _, r, _ in triples), default=-1) + 1)
-    registry = RelationRegistry()
-    for i in range(n_relations):
-        registry.composite({f"t{i}"})
+    relations = [("interaction", f"t{i}") for i in range(n_relations)]
     heads = [h for h, _, _ in triples]
     rels = [r for _, r, _ in triples]
     tails = [t for _, _, t in triples]
     names = [("e", str(i)) for i in range(n_entities)]
-    return CollaborativeKG(n_entities, registry, heads, rels, tails, names, BuildStats())
+    return CollaborativeKG(n_entities, relations, heads, rels, tails, names, BuildStats())
 
 
 def rec(u, i, *types):

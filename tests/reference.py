@@ -476,7 +476,7 @@ def bipartite_records(records, order="first-seen", vocab_records=None):
             items.setdefault(rec.item, len(items))
     edges, at_of = [], {}
     for rec in records:
-        key = (users.setdefault(rec.user, len(users)), items.setdefault(rec.item, len(items)))
+        key = (users[rec.user], items[rec.item])  # every edge entity is in the vocabulary records
         if key in at_of:
             u, i, types = edges[at_of[key]]
             edges[at_of[key]] = (u, i, types | rec.types)

@@ -308,7 +308,11 @@ def test_criterion_8_training_determinism(capsys, tmp_path):
         assert code == 0
         runs.append(out)
     same_ckpt = (runs[0] / "checkpoint.ckgr").read_bytes() == (runs[1] / "checkpoint.ckgr").read_bytes()
-    same_hist = (runs[0] / "history.csv").read_bytes() == (runs[1] / "history.csv").read_bytes()
+    # the last column, wall_ms, is each epoch's measured wall time; every other byte must repeat
+    histories = [(run / "history.csv").read_text().splitlines() for run in runs]
+    assert all(h[0].endswith(",wall_ms") for h in histories)
+    losses = [[line.rsplit(",", 1)[0] for line in h] for h in histories]
+    same_hist = losses[0] == losses[1]
     ok = same_ckpt and same_hist
     assert _verdict(
         capsys, 8,

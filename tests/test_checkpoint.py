@@ -170,7 +170,7 @@ def _widen(kg):
 
     return CollaborativeKG(
         kg.entity_count + 1,
-        kg.registry,
+        kg.relations,
         kg.heads.copy(),
         kg.rels.copy(),
         kg.tails.copy(),

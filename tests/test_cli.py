@@ -148,8 +148,9 @@ class TestBuildGraph:
 class TestTrain:
     def test_outputs(self, run_dir):
         history = (run_dir / "history.csv").read_text().splitlines()
-        assert history[0] == "epoch,kg_u,kg_i,cf,reg,total,val_recall"
+        assert history[0] == "epoch,kg_u,kg_i,cf,reg,total,val_recall,wall_ms"
         assert len(history) == 4  # header + one row per epoch
+        assert all(float(row.split(",")[-1]) > 0 for row in history[1:])
         assert (run_dir / "checkpoint.ckgr").stat().st_size > 0
 
         manifest = json.loads((run_dir / "run_manifest.json").read_text())
@@ -168,8 +169,23 @@ class TestTrain:
         again = tmp_path / "again"
         code = run("train", *data_flags(dataset), "--out", again, *TRAIN_SETS, "--seed", "7")
         assert code == 0
-        for name in ("checkpoint.ckgr", "history.csv"):
-            assert (again / name).read_bytes() == (run_dir / name).read_bytes()
+        assert (again / "checkpoint.ckgr").read_bytes() == (run_dir / "checkpoint.ckgr").read_bytes()
+
+        def deterministic_columns(out):  # every column but the last, wall_ms
+            return [line.rsplit(",", 1)[0] for line in (out / "history.csv").read_text().splitlines()]
+
+        assert deterministic_columns(again) == deterministic_columns(run_dir)
+
+    def test_manifest_checked(self, dataset, tmp_path, capsys):
+        flags = [*data_flags(dataset), *TRAIN_SETS, "--set", "epochs=0"]
+        assert run("train", *flags, "--manifest", dataset / "manifest.txt", "--out", tmp_path / "ok") == 0
+        bad = tmp_path / "manifest.txt"
+        bad.write_text("users=20\nitems=16\ninteractions=100\n")
+        capsys.readouterr()
+        assert run("train", *flags, "--manifest", bad, "--out", tmp_path / "bad") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "items: manifest says 16, parsed 15" in err
+        assert not (tmp_path / "bad").exists()
 
     def test_config_file_with_set_overrides(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,4 +1,6 @@
-"""Bipartite indexing, composite relations, and the two collaborative graphs."""
+"""Bipartite indexing, interaction relations, and the two collaborative graphs."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from ckgrec.errors import FormatError, UnresolvedEntityError
 from ckgrec.graph import (
     AlignmentMap,
-    RelationRegistry,
     build_bipartite,
     build_graphs,
     build_item_side_ckg,
@@ -58,49 +59,71 @@ class TestBuildBipartite:
         bg = build_bipartite(table(all_recs[:1]), vocab_records=table(all_recs))
         assert bg.n_users == 2 and bg.n_items == 2 and bg.n_edges == 1
 
+    @pytest.mark.parametrize(
+        "edge, named", [(rec("u3", "i1"), "user 'u3'"), (rec("u1", "i9"), "item 'i9'")], ids=["user", "item"]
+    )
+    def test_edge_entity_outside_vocab_records_rejected(self, edge, named):
+        vocab = table([rec("u1", "i1"), rec("u2", "i2")])
+        with pytest.raises(UnresolvedEntityError, match=f"edge record 2 names {named}"):
+            build_bipartite(table([rec("u2", "i2"), edge]), vocab_records=vocab)
+
     def test_vocab_round_trip(self):
         bg = build_bipartite(table([rec("u1", "i1"), rec("u2", "i1")]))
         for tok in ["u1", "u2"]:
             assert bg.user_vocab.token(bg.user_vocab.id_of(tok)) == tok
 
 
+def one_edge_each(type_sets):
+    """Bipartite graph with edge j from user uj to item ij carrying type_sets[j]."""
+    return build_bipartite(table([(f"u{j}", f"i{j}", frozenset(types)) for j, types in enumerate(type_sets)]))
+
+
+def interaction_kind(types) -> str:
+    return "interaction" if len(types) == 1 else "composite-interaction"
+
+
 class TestCompositeRelation:
+    """Interaction relations of built graphs: one per distinct type set."""
+
     def test_deterministic(self):
-        reg = RelationRegistry()
-        assert reg.composite({"like"}) == reg.composite({"like"})
+        kg = build_user_side_ckg(one_edge_each([{"like"}, {"like"}]), [])
+        assert kg.rels.tolist() == [0, 0] and kg.relations == [("interaction", "like")]
 
     def test_distinct_sets_distinct_ids(self):
-        reg = RelationRegistry()
-        assert reg.composite({"like"}) != reg.composite({"like", "favorite"})
+        kg = build_user_side_ckg(one_edge_each([{"like"}, {"like", "favorite"}]), [])
+        assert kg.rels.tolist() == [0, 1]
 
     def test_order_insensitive(self):
-        reg = RelationRegistry()
-        a = reg.composite(["favorite", "like"])
-        b = reg.composite(["like", "favorite"])
-        assert a == b
+        bg = build_bipartite(table([rec("u1", "i1", "favorite", "like"), rec("u2", "i1", "like", "favorite")]))
+        kg = build_user_side_ckg(bg, [])
+        assert kg.rels.tolist() == [0, 0] and kg.relations == [("composite-interaction", "favorite|like")]
 
     def test_kind_classification(self):
-        reg = RelationRegistry()
-        single = reg.composite({"view"})
-        multi = reg.composite({"view", "like"})
-        attr = reg.attribute("genre", "item-attribute")
-        assert reg.kind(single) == "interaction"
-        assert reg.kind(multi) == "composite-interaction"
-        assert reg.kind(attr) == "item-attribute"
+        kg = build_user_side_ckg(one_edge_each([{"view"}, {"view", "like"}]), [("i0", "genre", "g1")])
+        assert [kind for kind, _ in kg.relations] == ["interaction", "composite-interaction", "item-attribute"]
 
     def test_rejects_empty_set(self):
-        with pytest.raises(FormatError):
-            RelationRegistry().composite(set())
+        with pytest.raises(FormatError, match="empty interaction-type set"):
+            one_edge_each([{"view"}, set()])
 
     @given(st.lists(st.sets(st.sampled_from("abcdef"), min_size=1, max_size=4), min_size=1, max_size=30))
     @settings(max_examples=100)
     def test_bijection_round_trip(self, type_sets):
-        reg = RelationRegistry()
-        ids = [reg.composite(s) for s in type_sets]
-        # same set <=> same id, and types_of inverts the allocation
-        for s, rid in zip(type_sets, ids):
-            assert reg.types_of(rid) == frozenset(s)
-        assert len(set(ids)) == len({frozenset(s) for s in type_sets})
+        n = len(type_sets)
+        kg_u, kg_i, _ = build_graphs(
+            one_edge_each(type_sets), [("u0", "age", "a1")], [("i0", "genre", "g1"), ("i0", "era", "e1")]
+        )
+        for kg, attr_kind, n_attr in ((kg_u, "item-attribute", 2), (kg_i, "user-attribute", 1)):
+            # rows 0..n-1 each head one interaction edge, in edge order; attributes hang off the other side
+            rels = kg.rels[:n].tolist()
+            for a, b in itertools.combinations(range(n), 2):
+                assert (rels[a] == rels[b]) == (type_sets[a] == type_sets[b])
+            for types, r in zip(type_sets, rels):
+                assert kg.relations[r] == (interaction_kind(types), "|".join(sorted(types)))
+            n_sets = len({frozenset(types) for types in type_sets})
+            assert kg.relation_count == n_sets + n_attr
+            assert [kind for kind, _ in kg.relations[n_sets:]] == [attr_kind] * n_attr
+            assert set(kg.rels[n:].tolist()) == set(range(n_sets, n_sets + n_attr))
 
 
 class TestUserSideCkg:

@@ -19,9 +19,10 @@ from ckgrec.ingest import (
     synth_generate,
     to_implicit,
     verify_manifest,
-    write_interactions,
+    write_records,
 )
 from ckgrec.rng import Rng
+from ckgrec.table import NO_TIME
 
 from conftest import table
 
@@ -104,24 +105,35 @@ class TestParseInteractions:
 
     def test_round_trip_exact(self, tmp_path):
         rows = [
-            ("u1", "i1", 4.0, None),
-            ("u2", "i2", "like", 123),
-            ("u3", "i3", 0.125, 7),
-            ("u4", "i4", 1e-9, None),
+            ("u1", "i1", frozenset({"rated"}), None),
+            ("u2", "i2", frozenset({"like"}), 123),
+            ("u3", "i3", frozenset({"view", "like", "rated"}), 7),
+            ("u4", "i4", frozenset({"favorite", "view"}), None),
         ]
-        p = tmp_path / "rt.tsv"
-        write_interactions(ratings(*rows), p)
-        back = parse_interactions(p)
-        assert back.issues == [] and back.records.rows() == rows
+        for fmt in ("tsv", "csv"):
+            p = tmp_path / f"rt.{fmt}"
+            write_records(table(rows), p, fmt)
+            back = parse_interactions(p, fmt)
+            assert back.issues == [] and merge_records(to_implicit(back.records)).rows() == rows
+        # one line per type, in name order, "rated" as the rating 1.0
+        assert p.read_text().splitlines()[2:5] == ["u3,i3,like,7", "u3,i3,1.0,7", "u3,i3,view,7"]
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=20))
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.integers(0, 5),
+            st.sets(st.sampled_from(["rated", "like", "view", "favorite"]), min_size=1),
+            st.none() | st.integers(int(NO_TIME) + 1, int(np.iinfo(np.int64).max)),
+        ),
+        min_size=1, max_size=20, unique_by=lambda row: row[:2],
+    ))
     @settings(max_examples=50)
-    def test_round_trip_arbitrary_floats(self, values):
-        rows = [(f"u{n}", f"i{n}", v, None) for n, v in enumerate(values)]
+    def test_round_trip_arbitrary_tables(self, rows):
+        rows = [(f"u{u}", f"i{i}", frozenset(types), stamp) for u, i, types, stamp in rows]
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "vals.tsv"
-            write_interactions(ratings(*rows), p)
-            assert parse_interactions(p).records.rows() == rows
+            write_records(table(rows), p)
+            assert merge_records(to_implicit(parse_interactions(p).records)).rows() == rows
 
 
 class TestAttributeTriples:

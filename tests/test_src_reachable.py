@@ -45,3 +45,25 @@ def test_every_top_level_definition_is_referenced():
         and node.name not in used | EXEMPT
     ]
     assert not unreferenced, f"defined in src/ but used only by tests, or not at all: {unreferenced}"
+
+
+def test_no_unused_imports():
+    """Every name a module of src/ckgrec imports is used in that module.
+
+    __init__.py only re-exports, and `from __future__` imports switch on
+    language features; both are exempt.
+    """
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in imported if name not in used]
+    assert not unused, f"imported but never used: {unused}"

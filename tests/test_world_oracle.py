@@ -26,25 +26,9 @@ from ckgrec.ingest import (
 from conftest import table
 
 
-class _Relations:
-    """The part of a RelationRegistry that CollaborativeKG reads, from (kind, label) pairs."""
-
-    def __init__(self, pairs):
-        self.pairs = pairs
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def kind(self, rid):
-        return self.pairs[rid][0]
-
-    def label(self, rid):
-        return self.pairs[rid][1]
-
-
 def oracle_digest(side) -> str:
     entity_count, relations, heads, rels, tails, names, _ = side
-    return CollaborativeKG(entity_count, _Relations(relations), heads, rels, tails, names, BuildStats()).digest()
+    return CollaborativeKG(entity_count, relations, heads, rels, tails, names, BuildStats()).digest()
 
 
 def record_rows(records):
@@ -71,7 +55,7 @@ def assert_same_world(cfg: RunConfig) -> None:
     assert world.bg.item_vocab.tokens() == want["item_tokens"]
     for kg, side in ((world.kg_u, want["user_side"]), (world.kg_i, want["item_side"])):
         assert kg.digest() == oracle_digest(side)
-        assert [(kg.registry.kind(r), kg.registry.label(r)) for r in range(kg.relation_count)] == side[1]
+        assert kg.relations == side[1]
         s = kg.stats
         assert (s.interaction_triples, s.attribute_triples, s.duplicate_attributes) == side[6]
     for got, expected in zip((world.train_pairs, world.val_pairs, world.test_pairs), want["pairs"]):
