@@ -7,6 +7,13 @@ model, `evaluate` scores it against popularity/random baselines,
 `recommend` prints a ranked list for one user, and `sweep-layers` runs
 the depth study.
 
+Each command resolves one `RunConfig` through `config.load_config`, and
+that object goes unchanged to graph building, the model and `train`.
+Later sources win: defaults, `CKGR_SEED`, the checkpoint's own config
+(`evaluate`, `recommend`), `--config`, `--set`, the data-path flags,
+`--seed`.  A set, non-empty `CKGR_SEED` that is not an integer is an
+error for every command, even when another source supplies the seed.
+
 Exit codes: 0 success, 1 for validation problems (bad config, malformed
 or missing inputs, mismatched checkpoints), 2 for runtime faults.
 Every training/evaluation run writes a `run_manifest.json` with the
@@ -22,12 +29,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .config import RunConfig, parse_assignments
+from .config import RunConfig, load_config
 from .errors import CkgrecError, ConfigError, FormatError, UnresolvedEntityError
 from .evaluate import (
     EvalReport,
@@ -58,29 +65,27 @@ from .ingest import (
 from .model import build_model
 from .rng import Rng
 from .table import Interactions
-from .training import TrainSettings, train
+from .training import train
 
 
-def _resolve_config(args, extra=()) -> RunConfig:
-    """defaults <- checkpoint metadata <- config file <- --set/--seed flags."""
-    values: dict = {}
-    meta_cfg = getattr(args, "_meta_config", None)
-    if meta_cfg:
-        known = set(RunConfig.__dataclass_fields__)
-        values.update({k: tuple(v) if k == "dims" else v for k, v in meta_cfg.items() if k in known})
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            values.update(parse_assignments(fh, args.config))
-    overrides = list(getattr(args, "set", None) or []) + list(extra)
-    values.update(parse_assignments(overrides, "<cli>"))
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = int(args.seed)
-    elif "seed" not in values and os.environ.get("CKGR_SEED"):
-        try:
-            values["seed"] = int(os.environ["CKGR_SEED"])
-        except ValueError:
-            raise ConfigError(f"CKGR_SEED is not an integer: {os.environ['CKGR_SEED']!r}")
-    return RunConfig(**values).validate()
+def _env_seed() -> int:
+    """CKGR_SEED as an integer; 0, the default seed, when unset or empty."""
+    raw = os.environ.get("CKGR_SEED")
+    try:
+        return int(raw) if raw else 0
+    except ValueError:
+        raise ConfigError(f"CKGR_SEED is not an integer: {raw!r}")
+
+
+def _resolve_config(args, meta_config=None) -> RunConfig:
+    """defaults <- CKGR_SEED <- checkpoint metadata <- config file <- --set <- data-path flags <- --seed."""
+    overrides = list(args.set or [])
+    for name in ("interactions", "user_attrs", "item_attrs", "manifest"):
+        if getattr(args, name):
+            overrides.append(f"{name}={getattr(args, name)}")
+    if args.seed is not None:
+        overrides.append(f"seed={args.seed}")
+    return load_config(args.config, overrides, {"seed": _env_seed(), **(meta_config or {})})
 
 
 @dataclass
@@ -114,20 +119,26 @@ def _read_interactions(cfg: RunConfig, path, strict: bool = False):
     return parsed, records
 
 
+def _read_attributes(path, inputs: dict) -> list:
+    """Attribute triples of `path` (none when unset); records its hash in `inputs`."""
+    if not path:
+        return []
+    triples, issues = parse_attribute_triples(path)
+    if issues:
+        print(f"warning: {len(issues)} malformed attribute lines skipped in {path}", file=sys.stderr)
+    inputs[path] = _sha256(path)
+    return triples
+
+
 def _build_world(cfg: RunConfig) -> World:
     path = _require_path(cfg, "interactions")
     parsed, records = _read_interactions(cfg, path)
     if parsed.issues:
         print(f"warning: {len(parsed.issues)} malformed interaction lines skipped", file=sys.stderr)
 
-    user_attrs, item_attrs = [], []
     inputs = {path: _sha256(path)}
-    if cfg.user_attrs:
-        user_attrs = parse_attribute_triples(cfg.user_attrs)[0]
-        inputs[cfg.user_attrs] = _sha256(cfg.user_attrs)
-    if cfg.item_attrs:
-        item_attrs = parse_attribute_triples(cfg.item_attrs)[0]
-        inputs[cfg.item_attrs] = _sha256(cfg.item_attrs)
+    user_attrs = _read_attributes(cfg.user_attrs, inputs)
+    item_attrs = _read_attributes(cfg.item_attrs, inputs)
 
     split = split_dataset(records, cfg.ratios, cfg.seed)
     # vocabularies span the full dataset so held-out entities keep their ids,
@@ -167,7 +178,7 @@ def _write_run_manifest(out_dir, command: str, cfg: RunConfig, inputs: dict) -> 
         fh.write("\n")
 
 
-def _fresh_model(world: World, cfg: RunConfig, salt: int = 11):
+def _fresh_model(world: World, cfg: RunConfig):
     return build_model(
         world.kg_u,
         world.kg_i,
@@ -177,24 +188,10 @@ def _fresh_model(world: World, cfg: RunConfig, salt: int = 11):
         n_layers=cfg.layers,
         dims=cfg.dims,
         std=cfg.init_std,
-        rng=Rng(cfg.seed, (salt,)),
+        rng=Rng(cfg.seed, (11,)),
         shared_weights=cfg.shared_weights,
         slope=cfg.slope,
         printed_attention=cfg.printed_attention,
-    )
-
-
-def _settings(cfg: RunConfig) -> TrainSettings:
-    return TrainSettings(
-        lr=cfg.lr,
-        reg=cfg.reg,
-        kg_batch=cfg.kg_batch,
-        cf_batch=cfg.cf_batch,
-        epochs=cfg.epochs,
-        patience=cfg.patience,
-        top_k=cfg.top_k,
-        eval_every=cfg.eval_every,
-        corrupt_heads=cfg.corrupt_heads,
     )
 
 
@@ -203,8 +200,7 @@ def _train_once(world: World, cfg: RunConfig):
     val_fn = None
     if len(world.val_pairs):
         val_fn = make_val_recall(world.train_pairs, world.val_pairs, cfg.top_k)
-    result = train(model, world.train_pairs, _settings(cfg), Rng(cfg.seed, (13,)), val_fn)
-    return result
+    return train(model, world.train_pairs, cfg, Rng(cfg.seed, (13,)), val_fn)
 
 
 def _write_history(history, path) -> None:
@@ -218,6 +214,7 @@ def _write_history(history, path) -> None:
 
 
 def cmd_synth(args) -> int:
+    env_seed = _env_seed()  # checked even when --seed is given, as for every command
     cfg = SynthConfig(
         n_users=args.users,
         n_items=args.items,
@@ -225,7 +222,7 @@ def cmd_synth(args) -> int:
         interactions_per_user=args.per_user,
         attr_entities_per_factor=args.attrs_per_factor,
         noise=args.noise,
-        seed=args.seed if args.seed is not None else int(os.environ.get("CKGR_SEED", "0")),
+        seed=env_seed if args.seed is None else args.seed,
     )
     interactions, user_attrs, item_attrs, truth = synth_generate(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -246,13 +243,11 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
-    path = args.interactions or _require_path(cfg, "interactions")
-    parsed, records = _read_interactions(cfg, path, strict=args.strict)
+    parsed, records = _read_interactions(cfg, _require_path(cfg, "interactions"), strict=args.strict)
     bg = build_bipartite(records, order=cfg.id_order)
-    manifest = args.manifest or cfg.manifest
-    if manifest:
-        verify_manifest(manifest, bg.n_users, bg.n_items, bg.n_edges)
-        print(f"manifest {manifest}: counts match")
+    if cfg.manifest:
+        verify_manifest(cfg.manifest, bg.n_users, bg.n_items, bg.n_edges)
+        print(f"manifest {cfg.manifest}: counts match")
     for issue in parsed.issues:
         print(f"line {issue.line}: {issue.message}", file=sys.stderr)
     print(f"rows={len(parsed.records)} malformed={len(parsed.issues)} "
@@ -304,8 +299,7 @@ def cmd_train(args) -> int:
 def _load_checkpoint_world(args):
     """Rebuild graphs per the checkpoint's own config (overridable), then bind."""
     loaded = ckpt.load(args.checkpoint)
-    args._meta_config = loaded[-1].get("config", {})
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, loaded[-1].get("config"))
     world = _build_world(cfg)
     model, meta = ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
     return cfg, world, model, meta
@@ -313,7 +307,7 @@ def _load_checkpoint_world(args):
 
 def cmd_evaluate(args) -> int:
     cfg, world, model, _ = _load_checkpoint_world(args)
-    k = args.k or cfg.top_k
+    k = cfg.top_k if args.k is None else args.k
     train_truth = truth_by_user(world.train_pairs)
     test_truth = truth_by_user(world.test_pairs)
     n_users, n_items = world.align.n_users, world.align.n_items
@@ -339,7 +333,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_recommend(args) -> int:
     cfg, world, model, _ = _load_checkpoint_world(args)
-    k = args.k or cfg.top_k
+    k = cfg.top_k if args.k is None else args.k
     if args.user not in world.bg.user_vocab:
         raise ConfigError(f"unknown user id {args.user!r}")
     u = world.bg.user_vocab.id_of(args.user)
@@ -352,13 +346,15 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_sweep_layers(args) -> int:
+    try:
+        l_values = [int(x) for x in args.l_values.split(",")] if args.l_values else [1, 2, 3, 4]
+    except ValueError:
+        raise ConfigError(f"--l-values must be a comma-separated integer list, got {args.l_values!r}")
     cfg = _resolve_config(args)
     world = _build_world(cfg)
-    l_values = [int(x) for x in args.l_values.split(",")] if args.l_values else [1, 2, 3, 4]
 
     def build_and_train(n_layers: int):
-        layer_cfg = _resolve_config(args, extra=[f"layers={n_layers}"])
-        result = _train_once(world, layer_cfg)
+        result = _train_once(world, replace(cfg, layers=n_layers).validate())
         return result.model, world.train_pairs, world.test_pairs
 
     report = sweep_layers(build_and_train, l_values, cfg.top_k, cfg.seed)
@@ -450,14 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # data-path flags override config file values
-    extra = []
-    for name in ("interactions", "user_attrs", "item_attrs", "manifest"):
-        value = getattr(args, name, None)
-        if value:
-            extra.append(f"{name}={value}")
-    if extra and hasattr(args, "set"):
-        args.set = (args.set or []) + extra
     try:
         return args.fn(args)
     except (ConfigError, FormatError, UnresolvedEntityError) as err:

@@ -136,11 +136,14 @@ def _coerce(attr: str, raw: str):
     return raw if raw else None
 
 
-def parse_assignments(lines, source: str) -> dict:
-    """`key = value` pairs -> attribute dict, rejecting unknown keys."""
+def parse_assignments(lines, source: str, comments: bool = True) -> dict:
+    """`key = value` pairs -> attribute dict, rejecting unknown keys.
+
+    With `comments`, a `#` starts a comment that runs to the end of the line.
+    """
     out = {}
     for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
+        body = (line.split("#", 1)[0] if comments else line).strip()
         if not body:
             continue
         if "=" not in body:
@@ -154,12 +157,18 @@ def parse_assignments(lines, source: str) -> dict:
     return out
 
 
-def load_config(path=None, overrides=None) -> RunConfig:
-    """Defaults <- config file <- override assignments, then validate."""
-    values = {}
+def load_config(path=None, overrides=None, base=None) -> RunConfig:
+    """Defaults <- `base` <- config file <- override assignments, then validate.
+
+    `base` maps field names to values, such as the config a checkpoint
+    echoes: names RunConfig lacks are dropped and `dims` becomes a tuple.
+    Overrides are `key=value` strings, later ones winning; a `#` in them
+    is part of the value, so a path may hold one.
+    """
+    values = {k: tuple(v) if k == "dims" else v for k, v in (base or {}).items() if k in _TYPES}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             values.update(parse_assignments(fh, str(path)))
     if overrides:
-        values.update(parse_assignments(overrides, "<override>"))
+        values.update(parse_assignments(overrides, "<override>", comments=False))
     return RunConfig(**values).validate()

@@ -12,6 +12,10 @@ All sampling derives from one root Rng split by (epoch, phase, batch),
 making runs bitwise reproducible; validation recall drives early
 stopping, and a non-finite loss aborts with the last finite snapshot
 attached to the error.
+
+The settings are the run's `RunConfig` itself: `train` reads `lr`,
+`reg`, `kg_batch`, `cf_batch`, `epochs`, `patience`, `eval_every` and
+`corrupt_heads` from it, and nothing else.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import NumericFaultError, TrainingDiverged
 from .model import BprBatch, DualModel, bpr_loss
 from .rng import Rng
@@ -65,17 +70,9 @@ class Adam:
         param[rows] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-@dataclass
-class TrainSettings:
-    lr: float = 0.001
-    reg: float = 1e-5
-    kg_batch: int = 1024
-    cf_batch: int = 1024
-    epochs: int = 100
-    patience: int = 10
-    top_k: int = 10
-    eval_every: int = 1
-    corrupt_heads: bool = False
+# a second name for RunConfig, which bench/workloads.settings_of still
+# builds by keyword; `TrainSettings(epochs=3)` keeps its old meaning
+TrainSettings = RunConfig
 
 
 @dataclass
@@ -95,18 +92,18 @@ def _snapshot(model: DualModel) -> dict[str, np.ndarray]:
     return {name: p.copy() for name, p in model.params().items()}
 
 
-def _kg_epoch(model, side: str, opt: Adam, settings: TrainSettings, rng: Rng) -> float:
+def _kg_epoch(model, side: str, opt: Adam, cfg: RunConfig, rng: Rng) -> float:
     kg = model.kg_u if side == "u" else model.kg_i
     table = model.table_u if side == "u" else model.table_i
     if kg.n_triples == 0:
         return 0.0
     order = rng.split(0).permutation(kg.n_triples)
     total = 0.0
-    for b, idx in enumerate(_batches(kg.n_triples, settings.kg_batch, order)):
-        batch = sample_batch(kg, idx, rng.split(1, b), settings.corrupt_heads)
+    for b, idx in enumerate(_batches(kg.n_triples, cfg.kg_batch, order)):
+        batch = sample_batch(kg, idx, rng.split(1, b), cfg.corrupt_heads)
         loss, grads, ents, rels = kg_loss(table, batch)
         total += loss
-        lam2 = 2.0 * settings.reg
+        lam2 = 2.0 * cfg.reg
         for name, rows in (("entity", ents), ("relation", rels), ("projection", rels)):
             param, g = getattr(table, name), grads[name]
             if lam2:
@@ -116,14 +113,14 @@ def _kg_epoch(model, side: str, opt: Adam, settings: TrainSettings, rng: Rng) ->
     return total
 
 
-def _cf_epoch(model, pairs: np.ndarray, pos_keys: np.ndarray, opt: Adam, settings: TrainSettings, rng: Rng) -> float:
+def _cf_epoch(model, pairs: np.ndarray, pos_keys: np.ndarray, opt: Adam, cfg: RunConfig, rng: Rng) -> float:
     if len(pairs) == 0:
         return 0.0
     order = rng.split(0).permutation(len(pairs))
     total = 0.0
     params = model.params()
     n_items = model.align.n_items
-    for b, idx in enumerate(_batches(len(pairs), settings.cf_batch, order)):
+    for b, idx in enumerate(_batches(len(pairs), cfg.cf_batch, order)):
         chosen = pairs[idx]
         negs = sample_absent(pos_keys, chosen[:, 0] * n_items, 1, n_items, rng.split(1, b))
         batch = BprBatch(chosen[:, 0], chosen[:, 1], negs)
@@ -131,7 +128,7 @@ def _cf_epoch(model, pairs: np.ndarray, pos_keys: np.ndarray, opt: Adam, setting
         # the next batch's forward pass allocates its own
         loss, grads = bpr_loss(model, batch, *model.propagate_both())
         total += loss
-        lam2 = 2.0 * settings.reg
+        lam2 = 2.0 * cfg.reg
         for name, p in params.items():
             g = grads[name]
             if lam2:
@@ -143,11 +140,11 @@ def _cf_epoch(model, pairs: np.ndarray, pos_keys: np.ndarray, opt: Adam, setting
 def train(
     model: DualModel,
     train_pairs: np.ndarray,
-    settings: TrainSettings,
+    cfg: RunConfig,
     rng: Rng,
     val_recall=None,
 ) -> TrainResult:
-    """Alternating optimization; returns the best-validation state.
+    """Alternating optimization under `cfg`; returns the best-validation state.
 
     `train_pairs` is an (n, 2) array of (user, item) index pairs from the
     training split.  `val_recall`, when given, maps a DualModel to
@@ -161,25 +158,25 @@ def train(
     held = np.bincount(pos_keys // n_items)
     pairs = pairs[held[pairs[:, 0]] < n_items]
 
-    opt = Adam(settings.lr)
+    opt = Adam(cfg.lr)
     history: list[dict] = []
     best = _snapshot(model)
     best_recall = float("-inf")
     best_epoch = -1
     stale = 0
 
-    for epoch in range(settings.epochs):
+    for epoch in range(cfg.epochs):
         started = time.perf_counter()
         last_good = _snapshot(model)
         try:
-            loss_u = _kg_epoch(model, "u", opt, settings, rng.split(epoch, 0))
-            loss_i = _kg_epoch(model, "i", opt, settings, rng.split(epoch, 1))
-            loss_cf = _cf_epoch(model, pairs, pos_keys, opt, settings, rng.split(epoch, 2))
+            loss_u = _kg_epoch(model, "u", opt, cfg, rng.split(epoch, 0))
+            loss_i = _kg_epoch(model, "i", opt, cfg, rng.split(epoch, 1))
+            loss_cf = _cf_epoch(model, pairs, pos_keys, opt, cfg, rng.split(epoch, 2))
         except NumericFaultError as err:
             raise TrainingDiverged(
                 f"epoch {epoch}: {err}", last_good_state=last_good, history=history
             ) from err
-        reg_term = settings.reg * sum(float(np.sum(p * p)) for p in model.params().values())
+        reg_term = cfg.reg * sum(float(np.sum(p * p)) for p in model.params().values())
         row = {
             "epoch": epoch,
             "kg_u": loss_u,
@@ -195,7 +192,7 @@ def train(
                 f"epoch {epoch}: non-finite total loss", last_good_state=last_good, history=history
             )
 
-        if val_recall is not None and (epoch + 1) % settings.eval_every == 0:
+        if val_recall is not None and (epoch + 1) % cfg.eval_every == 0:
             recall = float(val_recall(model))
             row["val_recall"] = recall
             if recall > best_recall:
@@ -207,12 +204,12 @@ def train(
                 stale += 1
         row["wall_ms"] = (time.perf_counter() - started) * 1e3
         history.append(row)
-        if val_recall is not None and stale >= settings.patience:
+        if val_recall is not None and stale >= cfg.patience:
             break
 
     if val_recall is not None and best_epoch >= 0:
         model.set_params(best)
     else:
-        best_epoch = settings.epochs - 1
+        best_epoch = cfg.epochs - 1
         best_recall = float("nan")
     return TrainResult(model=model, history=history, best_epoch=best_epoch, best_recall=best_recall)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from ckgrec.config import RunConfig
 from ckgrec.evaluate import make_val_recall, pairs_of, split_dataset
 from ckgrec.graph import (
     BuildStats,
@@ -20,7 +21,7 @@ from ckgrec.ingest import SynthConfig, merge_records, synth_generate
 from ckgrec.model import BprBatch, build_model
 from ckgrec.rng import Rng
 from ckgrec.table import Interactions
-from ckgrec.training import TrainSettings, train
+from ckgrec.training import train
 from ckgrec.transr import TripleBatch, init_table
 
 
@@ -115,7 +116,7 @@ def synth_trained(synth_world):
         w["kg_u"], w["kg_i"], w["align"],
         d=64, k=64, n_layers=2, dims=(64, 32, 16), std=0.1, rng=Rng(42, (11,)),
     )
-    settings = TrainSettings(lr=0.001, reg=1e-5, epochs=50, patience=50, top_k=10)
+    settings = RunConfig(lr=0.001, reg=1e-5, epochs=50, patience=50, top_k=10)
     val_fn = make_val_recall(w["train_pairs"], w["val_pairs"], 10)
     started = time.perf_counter()
     result = train(model, w["train_pairs"], settings, Rng(42, (13,)), val_fn)

@@ -77,6 +77,13 @@ class TestSynth:
         assert synth_into(out) == 0
         assert (out / "interactions.tsv").read_bytes() == (dataset / "interactions.tsv").read_bytes()
 
+    def test_empty_env_seed_is_unset(self, tmp_path, monkeypatch):
+        assert synth_into(tmp_path / "zero", "--seed", "0") == 0
+        monkeypatch.setenv("CKGR_SEED", "")
+        assert synth_into(tmp_path / "empty") == 0
+        for name in self.FILES:
+            assert (tmp_path / "empty" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
+
 
 class TestIngest:
     def test_counts_line(self, dataset, capsys):
@@ -144,6 +151,30 @@ class TestBuildGraph:
             assert re.search(r"entities=\d+ relations=\d+ triples=\d+", line)
             assert re.search(r"digest=[0-9a-f]{16}", line)
 
+    def test_paths_may_hold_a_hash(self, dataset, tmp_path, capsys):
+        assert run("build-graph", *data_flags(dataset), "--manifest", dataset / "manifest.txt") == 0
+        expected = capsys.readouterr().out
+        hashed = tmp_path / "data#1"
+        hashed.mkdir()
+        for name in ("interactions.tsv", "user_attrs.tsv", "item_attrs.tsv", "manifest.txt"):
+            (hashed / name).write_bytes((dataset / name).read_bytes())
+        assert run("build-graph", *data_flags(hashed), "--manifest", hashed / "manifest.txt") == 0
+        assert capsys.readouterr().out == expected
+        assert run("ingest", "--interactions", hashed / "interactions.tsv") == 0
+        assert "records=100" in capsys.readouterr().out
+
+    def test_malformed_attribute_lines_warned(self, dataset, tmp_path, capsys):
+        assert run("build-graph", *data_flags(dataset)) == 0
+        clean = capsys.readouterr()
+        assert "warning" not in clean.err
+        attrs = tmp_path / "user_attrs.tsv"
+        attrs.write_text((dataset / "user_attrs.tsv").read_text() + "u0\tonly-two-fields\n")
+        flags = [*data_flags(dataset), "--user-attrs", attrs]
+        assert run("build-graph", *flags) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: 1 malformed attribute lines skipped in {attrs}\n"
+        assert captured.out == clean.out
+
 
 class TestTrain:
     def test_outputs(self, run_dir):
@@ -201,6 +232,17 @@ class TestTrain:
         assert manifest["config"]["epochs"] == 1  # --set wins
         assert len((out / "history.csv").read_text().splitlines()) == 2
 
+    def test_data_flags_and_seed_beat_set(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        code = run(
+            "train", *data_flags(dataset), *TRAIN_SETS, "--set", "epochs=0",
+            "--set", f"interactions={tmp_path / 'nope.tsv'}", "--set", "seed=1", "--seed", "3", "--out", out,
+        )
+        assert code == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["interactions"] == str(dataset / "interactions.tsv")
+        assert manifest["seed"] == 3
+
     def test_env_seed_lands_in_manifest(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setenv("CKGR_SEED", "5")
         out = tmp_path / "envrun"
@@ -256,6 +298,23 @@ class TestEvaluate:
         assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", "u0") == 0
         assert [str(path) for path in reads] == [str(ckpt)] * 2
 
+    def test_flags_beat_checkpoint_metadata_beats_env_seed(self, dataset, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr = 0.005\nepochs = 1\nd = 8\nk = 8\nlayers = 1\ndims = 8\n")
+        trained = tmp_path / "trained"
+        assert run("train", *data_flags(dataset), "--config", cfg, "--seed", "4", "--out", trained) == 0
+        monkeypatch.setenv("CKGR_SEED", "9")
+        out = tmp_path / "eval"
+        code = run(
+            "evaluate", "--checkpoint", trained / "checkpoint.ckgr", *data_flags(dataset),
+            "--set", "min_interactions=1", "--out", out,
+        )
+        assert code == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["lr"] == 0.005  # checkpoint metadata
+        assert manifest["seed"] == manifest["config"]["seed"] == 4  # metadata beats CKGR_SEED
+        assert manifest["config"]["min_interactions"] == 1  # --set beats metadata
+
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path, capsys):
         code = run(
             "evaluate", "--checkpoint", tmp_path / "no.ckgr",
@@ -305,3 +364,40 @@ class TestSweepLayers:
         csv_lines = (out / "sweep.csv").read_text().splitlines()
         assert csv_lines[0] == "label,K,precision,recall,seed,wall_ms"
         assert [l.split(",")[0] for l in csv_lines[1:]] == ["L=1", "L=2"]
+
+
+CHECKPOINT = ["--checkpoint", "{ran}/checkpoint.ckgr"]
+
+# case -> (CKGR_SEED or None, argv, a part of the error line); {data}, {ran}
+# and {tmp} stand for the dataset, the trained run and a scratch directory
+VALIDATION_FAILURES = {
+    "unknown-set-key": (None, ["ingest", "--interactions", "{data}/interactions.tsv", "--set", "wobble=3"],
+                        "unknown configuration key 'wobble'"),
+    "synth-bad-env-seed": ("lots", ["synth", "--out", "{tmp}/s"], "CKGR_SEED is not an integer: 'lots'"),
+    "synth-bad-env-seed-with-seed-flag": ("lots", ["synth", "--out", "{tmp}/s", "--seed", "7"],
+                                          "CKGR_SEED is not an integer: 'lots'"),
+    "train-bad-env-seed": ("lots", ["train", "--interactions", "{data}/interactions.tsv", "--out", "{tmp}/t"],
+                           "CKGR_SEED is not an integer: 'lots'"),
+    "evaluate-k-0": (None, ["evaluate", *CHECKPOINT, "--interactions", "{data}/interactions.tsv", "--k", "0"],
+                     "K must be >= 1, got 0"),
+    "recommend-k-0": (None, ["recommend", *CHECKPOINT, "--interactions", "{data}/interactions.tsv",
+                             "--user", "u0", "--k", "0"], "K must be >= 1, got 0"),
+    "l-values-not-integers": (None, ["sweep-layers", "--interactions", "{data}/interactions.tsv", "--l-values", "1,x"],
+                              "--l-values must be a comma-separated integer list, got '1,x'"),
+    "l-values-empty": (None, ["sweep-layers", "--interactions", "{data}/interactions.tsv", "--l-values", ","],
+                       "--l-values must be a comma-separated integer list, got ','"),
+    "missing-input": (None, ["build-graph", "--interactions", "{tmp}/nope.tsv"], "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATION_FAILURES))
+def test_validation_failures_exit_1(case, dataset, run_dir, tmp_path, monkeypatch, capsys):
+    """The module docstring's contract: a validation problem exits 1 with an `error:` line, never a fault."""
+    env_seed, argv, message = VALIDATION_FAILURES[case]
+    if env_seed is not None:
+        monkeypatch.setenv("CKGR_SEED", env_seed)
+    assert run(*[a.format(data=dataset, ran=run_dir, tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "fault:" not in captured.err

@@ -69,6 +69,33 @@ class TestFileParsing:
         with pytest.raises(ConfigError):
             load_config(overrides=["epochs=ten"])
 
+    def test_hash_in_override_is_part_of_the_value(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("interactions = data#1.tsv  # the file's comment\n")
+        assert load_config(p).interactions == "data"
+        assert load_config(p, overrides=["interactions=data#1.tsv"]).interactions == "data#1.tsv"
+
+
+class TestBase:
+    def test_base_below_file_and_overrides(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("lr = 0.01\n")
+        base = {"lr": 0.2, "epochs": 7, "seed": 3}
+        cfg = load_config(p, overrides=["seed=4"], base=base)
+        assert (cfg.lr, cfg.epochs, cfg.seed) == (0.01, 7, 4)
+
+    def test_echoed_config_round_trips(self):
+        # a checkpoint echoes to_dict(): dims as a list, plus keys a later
+        # version may have dropped
+        echoed = {**RunConfig(dims=(8, 4), layers=1).to_dict(), "workers": 1}
+        cfg = load_config(base=echoed)
+        assert cfg == RunConfig(dims=(8, 4), layers=1)
+        assert isinstance(cfg.dims, tuple)
+
+    def test_base_is_validated(self):
+        with pytest.raises(ConfigError, match="layer count"):
+            load_config(base={"layers": 9})
+
 
 class TestValidation:
     def test_layer_range(self):

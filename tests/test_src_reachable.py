@@ -13,10 +13,6 @@ import ckgrec
 SRC = Path(ckgrec.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# load_config is a public library entry point: callers outside this
-# repository read config files through it, though the CLI parses its own
-EXEMPT = {"load_config"}
-
 
 def _referenced(path: Path) -> set:
     """Names, attribute names and imported names a module mentions."""
@@ -42,7 +38,7 @@ def test_every_top_level_definition_is_referenced():
         for path in modules
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in used | EXEMPT
+        and node.name not in used
     ]
     assert not unreferenced, f"defined in src/ but used only by tests, or not at all: {unreferenced}"
 

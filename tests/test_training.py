@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from ckgrec import training
+from ckgrec.config import RunConfig
 from ckgrec.errors import TrainingDiverged
 from ckgrec.graph import build_bipartite, build_graphs
 from ckgrec.model import BprBatch, build_model, bpr_loss
 from ckgrec.rng import Rng
-from ckgrec.training import Adam, TrainSettings, train
+from ckgrec.training import Adam, train
 
 from conftest import rec, table, toy_dual
 
@@ -73,13 +74,13 @@ class TestTrainLoop:
     def test_zero_epochs_bitwise_unchanged(self):
         model, _ = toy_dual()
         saved = {n: p.copy() for n, p in model.params().items()}
-        result = train(model, toy_pairs(), TrainSettings(epochs=0), Rng(4))
+        result = train(model, toy_pairs(), RunConfig(epochs=0), Rng(4))
         assert result.history == []
         for n, p in result.model.params().items():
             assert np.array_equal(p, saved[n])
 
     def test_same_seed_identical_runs(self):
-        settings = TrainSettings(lr=0.01, epochs=5, kg_batch=3, cf_batch=1)
+        settings = RunConfig(lr=0.01, epochs=5, kg_batch=3, cf_batch=1)
         histories, finals = [], []
         for _ in range(2):
             model, _ = toy_dual()
@@ -94,7 +95,7 @@ class TestTrainLoop:
 
     def test_history_rows_are_complete(self):
         model, _ = toy_dual()
-        result = train(model, toy_pairs(), TrainSettings(epochs=3), Rng(5))
+        result = train(model, toy_pairs(), RunConfig(epochs=3), Rng(5))
         assert len(result.history) == 3
         for row in result.history:
             assert set(row) == {"epoch", "kg_u", "kg_i", "cf", "reg", "total", "wall_ms", "val_recall"}
@@ -103,14 +104,14 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_toy(self):
         model, _ = toy_dual()
-        result = train(model, toy_pairs(), TrainSettings(lr=0.01, epochs=40), Rng(6))
+        result = train(model, toy_pairs(), RunConfig(lr=0.01, epochs=40), Rng(6))
         assert result.history[-1]["total"] < result.history[0]["total"]
 
     def test_divergence_aborts_with_last_good_state(self):
         model, _ = toy_dual()
         saved = {n: p.copy() for n, p in model.params().items()}
         with pytest.raises(TrainingDiverged) as err:
-            train(model, toy_pairs(), TrainSettings(lr=1e154, epochs=3), Rng(7))
+            train(model, toy_pairs(), RunConfig(lr=1e154, epochs=3), Rng(7))
         state = err.value.last_good_state
         assert state is not None
         for n, p in state.items():
@@ -125,7 +126,7 @@ class TestTrainLoop:
         model, _ = toy_dual()
         recalls = iter([0.5, 0.4, 0.3, 0.2, 0.1, 0.05])
         result = train(
-            model, toy_pairs(), TrainSettings(epochs=30, patience=3), Rng(8),
+            model, toy_pairs(), RunConfig(epochs=30, patience=3), Rng(8),
             val_recall=lambda m: next(recalls),
         )
         assert len(result.history) == 4  # epoch 0 best, then 3 stale epochs
@@ -140,7 +141,7 @@ class TestTrainLoop:
             snapshots.append({n: p.copy() for n, p in m.params().items()})
             return recalls[len(snapshots) - 1]
 
-        result = train(model, toy_pairs(), TrainSettings(epochs=10, patience=3), Rng(9), val_fn)
+        result = train(model, toy_pairs(), RunConfig(epochs=10, patience=3), Rng(9), val_fn)
         assert result.best_epoch == 1 and result.best_recall == 0.9
         best = snapshots[1]
         for n, p in result.model.params().items():
@@ -149,7 +150,7 @@ class TestTrainLoop:
     def test_full_catalog_user_dropped_from_ranking(self):
         model, _ = toy_dual()
         pairs = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int64)  # user 0 holds every item
-        result = train(model, pairs, TrainSettings(lr=0.01, epochs=2), Rng(10))
+        result = train(model, pairs, RunConfig(lr=0.01, epochs=2), Rng(10))
         assert len(result.history) == 2  # completes without sampling exhaustion
 
 
@@ -169,7 +170,7 @@ class TestRankingNegatives:
             return bpr_loss(m, batch, res_u, res_i)
 
         monkeypatch.setattr(training, "bpr_loss", spy)
-        train(model, pairs, TrainSettings(epochs=1, cf_batch=len(pairs)), Rng(34))
+        train(model, pairs, RunConfig(epochs=1, cf_batch=len(pairs)), Rng(34))
         (batch,) = seen
         negs_u0 = batch.neg_items[batch.users == 0]
         negs_u1 = batch.neg_items[batch.users == 1]
