@@ -38,6 +38,7 @@ from .config import RunConfig, load_config
 from .errors import CkgrecError, ConfigError, FormatError, UnresolvedEntityError
 from .evaluate import (
     EvalReport,
+    evaluate_model,
     make_val_recall,
     model_scores,
     pairs_of,
@@ -45,7 +46,6 @@ from .evaluate import (
     random_scores,
     rank_and_score,
     split_dataset,
-    sweep_layers,
     topk_from_scores,
     truth_by_user,
 )
@@ -92,7 +92,6 @@ def _resolve_config(args, meta_config=None) -> RunConfig:
 class World:
     """Parsed dataset, split, graphs, and index-space interaction pairs."""
 
-    cfg: RunConfig
     records: Interactions
     split: object
     bg: object
@@ -149,7 +148,6 @@ def _build_world(cfg: RunConfig) -> World:
         verify_manifest(cfg.manifest, bg.n_users, bg.n_items, len(records))
     kg_u, kg_i, align = build_graphs(bg, user_attrs, item_attrs)
     return World(
-        cfg=cfg,
         records=records,
         split=split,
         bg=bg,
@@ -201,6 +199,19 @@ def _train_once(world: World, cfg: RunConfig):
     if len(world.val_pairs):
         val_fn = make_val_recall(world.train_pairs, world.val_pairs, cfg.top_k)
     return train(model, world.train_pairs, cfg, Rng(cfg.seed, (13,)), val_fn)
+
+
+def _report(report: EvalReport, out_dir, csv_name: str, command: str, cfg: RunConfig, inputs: dict, notes=()) -> None:
+    """Print the report's rows and then `notes`; with `out_dir`, write the CSV and run_manifest.json there."""
+    for r in report.rows:
+        print(f"{r.label}: precision@{r.k}={r.precision:.4f} recall@{r.k}={r.recall:.4f}")
+    for line in notes:
+        print(line)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        report.to_csv(os.path.join(out_dir, csv_name))
+        _write_run_manifest(out_dir, command, cfg, inputs)
+        print(f"report written to {os.path.join(out_dir, csv_name)}")
 
 
 def _write_history(history, path) -> None:
@@ -301,12 +312,12 @@ def _load_checkpoint_world(args):
     loaded = ckpt.load(args.checkpoint)
     cfg = _resolve_config(args, loaded[-1].get("config"))
     world = _build_world(cfg)
-    model, meta = ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
-    return cfg, world, model, meta
+    model, _ = ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
+    return cfg, world, model
 
 
 def cmd_evaluate(args) -> int:
-    cfg, world, model, _ = _load_checkpoint_world(args)
+    cfg, world, model = _load_checkpoint_world(args)
     k = cfg.top_k if args.k is None else args.k
     train_truth = truth_by_user(world.train_pairs)
     test_truth = truth_by_user(world.test_pairs)
@@ -320,19 +331,12 @@ def cmd_evaluate(args) -> int:
         started = time.perf_counter()
         p, r = rank_and_score(scores_of(), train_truth, test_truth, k)
         report.add(label, k, p, r, cfg.seed, (time.perf_counter() - started) * 1e3)
-
-    for r in report.rows:
-        print(f"{r.label}: precision@{r.k}={r.precision:.4f} recall@{r.k}={r.recall:.4f}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        report.to_csv(os.path.join(args.out, "eval.csv"))
-        _write_run_manifest(args.out, "evaluate", cfg, world.inputs)
-        print(f"report written to {os.path.join(args.out, 'eval.csv')}")
+    _report(report, args.out, "eval.csv", "evaluate", cfg, world.inputs)
     return 0
 
 
 def cmd_recommend(args) -> int:
-    cfg, world, model, _ = _load_checkpoint_world(args)
+    cfg, world, model = _load_checkpoint_world(args)
     k = cfg.top_k if args.k is None else args.k
     if args.user not in world.bg.user_vocab:
         raise ConfigError(f"unknown user id {args.user!r}")
@@ -351,22 +355,19 @@ def cmd_sweep_layers(args) -> int:
     except ValueError:
         raise ConfigError(f"--l-values must be a comma-separated integer list, got {args.l_values!r}")
     cfg = _resolve_config(args)
+    # every depth is checked before the first one trains
+    depth_cfgs = [replace(cfg, layers=n).validate() for n in l_values]
     world = _build_world(cfg)
-
-    def build_and_train(n_layers: int):
-        result = _train_once(world, replace(cfg, layers=n_layers).validate())
-        return result.model, world.train_pairs, world.test_pairs
-
-    report = sweep_layers(build_and_train, l_values, cfg.top_k, cfg.seed)
-    for r in report.rows:
-        print(f"{r.label}: precision@{r.k}={r.precision:.4f} recall@{r.k}={r.recall:.4f}")
+    report = EvalReport()
+    for depth_cfg in depth_cfgs:
+        started = time.perf_counter()
+        model = _train_once(world, depth_cfg).model
+        row = evaluate_model(model, world.train_pairs, world.test_pairs, cfg.top_k, cfg.seed)
+        wall_ms = (time.perf_counter() - started) * 1e3
+        report.add(f"L={depth_cfg.layers}", cfg.top_k, row.precision, row.recall, cfg.seed, wall_ms)
     best = max(report.rows, key=lambda r: r.recall)
-    print(f"best depth by recall: {best.label} (data-dependent, reported not asserted)")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        report.to_csv(os.path.join(args.out, "sweep.csv"))
-        _write_run_manifest(args.out, "sweep-layers", cfg, world.inputs)
-        print(f"report written to {os.path.join(args.out, 'sweep.csv')}")
+    notes = [f"best depth by recall: {best.label} (data-dependent, reported not asserted)"]
+    _report(report, args.out, "sweep.csv", "sweep-layers", cfg, world.inputs, notes)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Splits, top-K ranking, Precision/Recall@K, baselines, and the depth sweep.
+"""Splits, top-K ranking, Precision/Recall@K, and baselines.
 
 Splitting is per-user: each user's interactions are shuffled and cut to
 the requested ratios with stochastic rounding, so expectations match
@@ -209,11 +209,11 @@ class EvalReport:
                 fh.write(f"{r.label},{r.k},{r.precision},{r.recall},{r.seed},{r.wall_ms}\n")
 
 
-def evaluate_model(model, train_pairs, eval_pairs, k: int, seed: int, label: str = "model") -> EvalRow:
+def evaluate_model(model, train_pairs, eval_pairs, k: int, seed: int) -> EvalRow:
     started = time.perf_counter()
     scores = model_scores(model)
     p, r = rank_and_score(scores, truth_by_user(train_pairs), truth_by_user(eval_pairs), k)
-    return EvalRow(label, k, p, r, seed, (time.perf_counter() - started) * 1e3)
+    return EvalRow("model", k, p, r, seed, (time.perf_counter() - started) * 1e3)
 
 
 def make_val_recall(train_pairs, val_pairs, k: int):
@@ -226,18 +226,3 @@ def make_val_recall(train_pairs, val_pairs, k: int):
         return 0.0 if np.isnan(r) else r
 
     return recall
-
-
-def sweep_layers(build_and_train, l_values=(1, 2, 3, 4), k: int = 10, seed: int = 0) -> EvalReport:
-    """Train one model per depth and report a row per L.
-
-    `build_and_train(L)` returns (model, train_pairs, test_pairs); the
-    harness times each depth and collects Precision/Recall@K.
-    """
-    report = EvalReport()
-    for l in l_values:
-        started = time.perf_counter()
-        model, train_pairs, test_pairs = build_and_train(int(l))
-        row = evaluate_model(model, train_pairs, test_pairs, k, seed)
-        report.add(f"L={l}", k, row.precision, row.recall, seed, (time.perf_counter() - started) * 1e3)
-    return report

@@ -11,7 +11,7 @@ Each distinct set of interaction types on an edge is one relation, so
 an edge carrying both "like" and "favorite" gets a composite relation
 whose space the encoder learns apart from either type alone.  A graph
 keeps its relations as (kind, label) rows by id.  Graphs are immutable
-after construction and indexed per head for O(1) neighborhood lookups.
+after construction, their triples sorted by head.
 """
 
 from __future__ import annotations
@@ -169,10 +169,10 @@ class BuildStats:
 
 
 class CollaborativeKG:
-    """Immutable triple store with a per-head neighbor index.
+    """Immutable triple store, triples sorted by head.
 
-    Triples are grouped by head entity in insertion order, so
-    `neighbor_slice` spans exactly the (relation, tail) pairs of a head.
+    Triples are grouped by head entity in insertion order, so each head's
+    (relation, tail) pairs are one contiguous run of `heads`.
     `relations[r]` is the (kind, label) of relation id r.  `keys` holds
     the sorted membership key of every triple (see `key`), which the
     negative sampler searches.
@@ -191,8 +191,6 @@ class CollaborativeKG:
         self.heads = heads[order]
         self.rels = rels[order]
         self.tails = tails[order]
-        counts = np.bincount(self.heads, minlength=self.entity_count) if len(heads) else np.zeros(self.entity_count, dtype=np.int64)
-        self.head_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self.keys = np.sort(self.key(self.heads, self.rels, self.tails))
 
     @property
@@ -213,11 +211,6 @@ class CollaborativeKG:
         from .propagation import PropagationPlan
 
         return PropagationPlan(self)
-
-    def neighbor_slice(self, h: int) -> slice:
-        if not 0 <= h < self.entity_count:
-            raise IndexError(f"head {h} out of range [0, {self.entity_count})")
-        return slice(int(self.head_ptr[h]), int(self.head_ptr[h + 1]))
 
     def serialized(self) -> bytes:
         """Canonical byte form; equal inputs rebuild to equal bytes."""

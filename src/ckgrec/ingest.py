@@ -8,7 +8,7 @@ where `value` is either a numeric rating or a named interaction type
 ("like", "favorite", ...).  Attribute triples come as TSV
 `head<TAB>relation<TAB>tail` with '#' comment lines.  Malformed lines
 are collected with their line numbers rather than aborting the whole
-parse, unless strict mode is requested.
+parse, unless strict mode is requested for an interaction file.
 
 The synthetic generator builds a latent-factor world: users and items
 belong to factor blocks, positives are drawn from a softmax over factor
@@ -49,29 +49,6 @@ class Ratings:
 
     def __len__(self) -> int:
         return len(self.user)
-
-    def rows(self) -> list[tuple]:
-        """(user, item, value, timestamp) per row; timestamp None where absent."""
-        return [
-            (self.user_tokens[u], self.item_tokens[i], self.values[v], None if t == NO_TIME else t)
-            for u, i, v, t in zip(self.user.tolist(), self.item.tolist(), self.value.tolist(), self.timestamp.tolist())
-        ]
-
-    @classmethod
-    def from_rows(cls, rows) -> "Ratings":
-        """Ratings of (user, item, value[, timestamp]) tuples; timestamp None means absent."""
-        users: dict = {}
-        items: dict = {}
-        values: dict = {}
-        columns = ([], [], [], [])
-        for u, i, value, *stamp in rows:
-            columns[0].append(users.setdefault(u, len(users)))
-            columns[1].append(items.setdefault(i, len(items)))
-            # a float and a type name with the same text are different values
-            columns[2].append(values.setdefault((type(value), repr(value)), (len(values), value))[0])
-            columns[3].append(NO_TIME if not stamp or stamp[0] is None else stamp[0])
-        user, item, value, stamps = (np.array(c, dtype=np.int64) for c in columns)
-        return cls(list(users), list(items), [v for _, v in values.values()], user, item, value, stamps)
 
 
 @dataclass(frozen=True)
@@ -161,7 +138,7 @@ def parse_interactions(path, format: str = "tsv", strict: bool = False) -> Parse
     return ParseResult(ratings, issues)
 
 
-def parse_attribute_triples(path, strict: bool = False):
+def parse_attribute_triples(path):
     """Parse TSV `head<TAB>relation<TAB>tail`; '#' lines are comments.
 
     Duplicate triples are returned as-is; graph construction dedups them
@@ -176,10 +153,7 @@ def parse_attribute_triples(path, strict: bool = False):
                 continue
             fields = [f.strip() for f in line.split("\t")]
             if len(fields) != 3 or not all(fields):
-                msg = f"expected 3 non-empty tab-separated fields, got {len(fields)}"
-                if strict:
-                    raise FormatError(f"{path}:{lineno}: {msg}")
-                issues.append(ParseIssue(lineno, msg, line))
+                issues.append(ParseIssue(lineno, f"expected 3 non-empty tab-separated fields, got {len(fields)}", line))
                 continue
             triples.append((fields[0], fields[1], fields[2]))
     return triples, issues
@@ -257,6 +231,9 @@ def verify_manifest(path, n_users: int, n_items: int, n_interactions: int) -> No
         raise FormatError(f"{path}: count mismatch — " + "; ".join(mismatches))
 
 
+AFFINITY_SCALE = 6.0  # inverse temperature of the synthetic affinity softmax
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_users: int
@@ -266,7 +243,6 @@ class SynthConfig:
     attr_entities_per_factor: int = 3
     noise: float = 0.0
     seed: int = 0
-    affinity_scale: float = 6.0
 
     def validate(self) -> "SynthConfig":
         for name in ("n_users", "n_items", "latent_dim", "interactions_per_user", "attr_entities_per_factor"):
@@ -296,7 +272,7 @@ def synth_generate(cfg: SynthConfig):
     """Generate (interactions, user_attrs, item_attrs, truth) from a seed.
 
     Factor affinity is 1 between same-factor user/item pairs and 0
-    otherwise; sampling weights are softmax(scale * affinity) blended
+    otherwise; sampling weights are softmax(AFFINITY_SCALE * affinity) blended
     with `noise` of uniform mass.  At noise 0 the off-block weights are
     renormalized away entirely, so every interaction stays inside the
     user's own factor block.
@@ -312,7 +288,7 @@ def synth_generate(cfg: SynthConfig):
     type_rng = rng.split(2)
     for u in range(cfg.n_users):
         affinity = (item_factor == user_factor[u]).astype(np.float64)
-        weights = np.exp(cfg.affinity_scale * (affinity - 1.0))
+        weights = np.exp(AFFINITY_SCALE * (affinity - 1.0))
         if cfg.noise == 0.0:
             weights = weights * (affinity > 0)  # exact block support
         weights = weights / weights.sum()

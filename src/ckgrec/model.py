@@ -34,10 +34,6 @@ class DualModel:
     stack_i: LayerStack
     align: AlignmentMap
 
-    @property
-    def final_dim(self) -> int:
-        return self.stack_u.stitched_dim + self.stack_i.stitched_dim
-
     def params(self) -> dict[str, np.ndarray]:
         """Every trainable array under a stable flat name."""
         out = {}
@@ -53,17 +49,6 @@ class DualModel:
         mine = self.params()
         for name, v in values.items():
             np.copyto(mine[name], v)
-
-    def copy(self) -> "DualModel":
-        return DualModel(
-            self.kg_u,
-            self.kg_i,
-            self.table_u.copy(),
-            self.table_i.copy(),
-            self.stack_u.copy(),
-            self.stack_i.copy(),
-            self.align,
-        )
 
     def propagate_both(self) -> tuple[PropagationResult, PropagationResult]:
         return (

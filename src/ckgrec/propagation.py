@@ -88,12 +88,6 @@ class LayerStack:
                 out[f"attn.{l}"] = self.attn[l - 1]
         return out
 
-    def copy(self) -> "LayerStack":
-        w1 = [w.copy() for w in self.w1]
-        w2 = w1 if self.shared else [w.copy() for w in self.w2]
-        attn = [None] + [a.copy() for a in self.attn[1:]]
-        return LayerStack(list(self.dims), w1, w2, attn, self.slope, self.shared, self.printed_attention)
-
 
 def resolve_dims(d: int, requested, n_layers: int) -> list[int]:
     """Per-layer widths [d0..dL]: extend by repeating the last width, trim from the tail."""
@@ -275,10 +269,6 @@ class PropagationResult:
     layers: list[np.ndarray]
     stitched: np.ndarray
     cache: list[_LayerCache] = field(repr=False, default_factory=list)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers) - 1
 
 
 def propagate(kg: CollaborativeKG, table: EmbeddingTable, stack: LayerStack) -> PropagationResult:

@@ -39,9 +39,6 @@ class Rng:
     def permutation(self, n) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def shuffle(self, x) -> None:
-        self._gen.shuffle(x)
-
     def choice(self, a, size=None, replace=True, p=None):
         return self._gen.choice(a, size=size, replace=replace, p=p)
 

@@ -108,36 +108,3 @@ class Interactions:
                 name for b, name in enumerate(self.type_names) if bits[b >> 6] >> (b & 63) & 1
             ))
         return sets, group
-
-    def rows(self) -> list[tuple]:
-        """(user, item, types, timestamp) per row; timestamp None where absent."""
-        sets, group = self.type_sets()
-        return [
-            (self.user_tokens[u], self.item_tokens[i], sets[g], None if t == NO_TIME else t)
-            for u, i, g, t in zip(self.user.tolist(), self.item.tolist(), group.tolist(), self.timestamp.tolist())
-        ]
-
-    @classmethod
-    def from_rows(cls, rows) -> "Interactions":
-        """Table of (user, item, types[, timestamp[, line]]) tuples; timestamp None and line 0 mean absent."""
-        users: dict = {}
-        items: dict = {}
-        names: dict = {}
-        user, item, stamps, lines, set_rows, set_codes = [], [], [], [], [], []
-        for r, (u, i, types, *rest) in enumerate(rows):
-            user.append(users.setdefault(u, len(users)))
-            item.append(items.setdefault(i, len(items)))
-            for name in types:
-                set_rows.append(r)
-                set_codes.append(names.setdefault(name, len(names)))
-            stamp = rest[0] if rest else None
-            stamps.append(NO_TIME if stamp is None else stamp)
-            lines.append(rest[1] if len(rest) > 1 else 0)
-        return cls(
-            list(users), list(items), list(names),
-            np.array(user, dtype=np.int64),
-            np.array(item, dtype=np.int64),
-            type_bits(set_rows, set_codes, len(user), len(names)),
-            np.array(stamps, dtype=np.int64),
-            np.array(lines, dtype=np.int64),
-        )

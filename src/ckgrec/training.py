@@ -41,11 +41,10 @@ class Adam:
     frozen runs stay bitwise stable.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
@@ -59,7 +58,7 @@ class Adam:
             self.v[name] = np.zeros_like(param)
             self.t[name] = 0
         self.t[name] += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t[name]
         c2 = 1.0 - b2 ** self.t[name]
         rows = slice(None) if rows is None else rows
@@ -67,7 +66,7 @@ class Adam:
         v = b2 * self.v[name][rows] + (1.0 - b2) * grad * grad
         self.m[name][rows] = m
         self.v[name][rows] = v
-        param[rows] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        param[rows] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
 
 # a second name for RunConfig, which bench/workloads.settings_of still

@@ -48,9 +48,6 @@ class EmbeddingTable:
     def k(self) -> int:
         return self.relation.shape[1]
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.entity.copy(), self.relation.copy(), self.projection.copy())
-
 
 def init_table(n_entities: int, n_relations: int, d: int, k: int, std: float, rng: Rng) -> EmbeddingTable:
     return EmbeddingTable(

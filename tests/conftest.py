@@ -24,6 +24,8 @@ from ckgrec.table import Interactions
 from ckgrec.training import train
 from ckgrec.transr import TripleBatch, init_table
 
+from tablerows import interactions_from_rows
+
 
 def make_kg(n_entities: int, triples, n_relations: int | None = None) -> CollaborativeKG:
     """Bare triple store for propagation/encoding unit tests."""
@@ -36,13 +38,19 @@ def make_kg(n_entities: int, triples, n_relations: int | None = None) -> Collabo
     return CollaborativeKG(n_entities, relations, heads, rels, tails, names, BuildStats())
 
 
+def head_edges(kg: CollaborativeKG, h: int) -> slice:
+    """Positions of head h's triples in the head-sorted graph."""
+    lo, hi = np.searchsorted(kg.heads, [h, h + 1])
+    return slice(int(lo), int(hi))
+
+
 def rec(u, i, *types):
     """One interaction row, (user, item, type set); "view" when no type is given."""
     return (u, i, frozenset(types or ("view",)))
 
 
 def table(rows) -> Interactions:
-    return Interactions.from_rows(rows)
+    return interactions_from_rows(rows)
 
 
 def toy_dual(seed: int = 3, d: int = 4, k: int = 3, n_layers: int = 2, dims=(4, 3, 2), **kwargs):

@@ -189,10 +189,8 @@ def kg_loss_dense_reference(table, batch):
 
 class _EdgewiseSegments:
     def __init__(self, kg):
-        counts = np.diff(kg.head_ptr)
-        nz = counts > 0
-        self.starts = kg.head_ptr[:-1][nz].astype(np.int64)
-        self.repeats = counts[nz]
+        # the graph's triples are sorted by head: one run per distinct head
+        _, self.starts, self.repeats = np.unique(kg.heads, return_index=True, return_counts=True)
 
     def softmax(self, logits):
         with np.errstate(invalid="ignore", over="ignore"):

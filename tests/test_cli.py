@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from ckgrec import checkpoint
+from ckgrec import checkpoint, cli
 from ckgrec.cli import main
 from ckgrec.model import DualModel
 
@@ -347,23 +347,56 @@ class TestRecommend:
         assert "unknown user id" in capsys.readouterr().err
 
 
+def trained_depths(monkeypatch) -> list:
+    """Depths of the models cli.train is handed, in call order."""
+    depths = []
+    real = cli.train
+
+    def recording(model, *args, **kwargs):
+        depths.append(model.stack_u.n_layers)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", recording)
+    return depths
+
+
 class TestSweepLayers:
-    def test_two_depth_sweep(self, dataset, tmp_path, capsys):
-        out = tmp_path / "sweep"
+    def check_sweep(self, dataset, out, capsys, monkeypatch, wanted: list) -> None:
+        """Sweep the given depths; one trained model, printed line and CSV row per depth, in order."""
+        depths = trained_depths(monkeypatch)
         code = run(
-            "sweep-layers", *data_flags(dataset), "--l-values", "1,2",
+            "sweep-layers", *data_flags(dataset), "--l-values", ",".join(map(str, wanted)),
             "--set", "d=8", "--set", "k=8", "--set", "dims=8,8",
             "--set", "epochs=2", "--set", "top_k=5", "--seed", "7", "--out", out,
         )
         assert code == 0
+        assert depths == wanted
         stdout = capsys.readouterr().out
-        assert re.search(r"^L=1: precision@5=", stdout, re.M)
-        assert re.search(r"^L=2: precision@5=", stdout, re.M)
+        for l in wanted:
+            assert re.search(rf"^L={l}: precision@5=", stdout, re.M)
         assert re.search(r"best depth by recall: L=\d \(data-dependent, reported not asserted\)", stdout)
 
         csv_lines = (out / "sweep.csv").read_text().splitlines()
         assert csv_lines[0] == "label,K,precision,recall,seed,wall_ms"
-        assert [l.split(",")[0] for l in csv_lines[1:]] == ["L=1", "L=2"]
+        rows = [line.split(",") for line in csv_lines[1:]]
+        assert [row[0] for row in rows] == [f"L={l}" for l in wanted]
+        for _, k, precision, recall, seed, _ in rows:
+            assert (k, seed) == ("5", "7")
+            assert 0.0 <= float(precision) <= 1.0 and 0.0 <= float(recall) <= 1.0
+
+    def test_two_depth_sweep(self, dataset, tmp_path, capsys, monkeypatch):
+        self.check_sweep(dataset, tmp_path / "sweep", capsys, monkeypatch, [1, 2])
+
+    def test_single_depth_sweep(self, dataset, tmp_path, capsys, monkeypatch):
+        self.check_sweep(dataset, tmp_path / "sweep", capsys, monkeypatch, [2])
+
+    def test_bad_depth_fails_before_any_training(self, dataset, tmp_path, capsys, monkeypatch):
+        depths = trained_depths(monkeypatch)
+        code = run("sweep-layers", *data_flags(dataset), "--l-values", "1,5", "--out", tmp_path / "sweep")
+        assert code == 1
+        assert depths == []
+        assert "layer count must lie in 1..4, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
 
 CHECKPOINT = ["--checkpoint", "{ran}/checkpoint.ckgr"]

@@ -1,4 +1,4 @@
-"""Splitting, ranking, the two metrics, baselines, and the sweep harness."""
+"""Splitting, ranking, the two metrics, and baselines."""
 
 import weakref
 
@@ -18,7 +18,6 @@ from ckgrec.evaluate import (
     random_scores,
     rank_and_score,
     split_dataset,
-    sweep_layers,
     topk_from_scores,
     truth_by_user,
 )
@@ -27,6 +26,7 @@ from ckgrec.rng import Rng
 
 from conftest import rec, table, toy_dual
 from reference import precision_recall_at_k, rank_and_score_reference, topk_reference
+from tablerows import rows_of
 
 
 def user_records(user: str, n: int):
@@ -43,14 +43,14 @@ class TestSplitDataset:
         records = [rec(f"u{j % 7}", f"i{j}") for j in range(50)]
         a = split_dataset(table(records), seed=3)
         b = split_dataset(table(records), seed=3)
-        assert a.train.rows() == b.train.rows() and a.validation.rows() == b.validation.rows()
-        assert a.test.rows() == b.test.rows()
+        assert rows_of(a.train) == rows_of(b.train) and rows_of(a.validation) == rows_of(b.validation)
+        assert rows_of(a.test) == rows_of(b.test)
 
     def test_different_seed_differs(self):
         records = [rec(f"u{j % 7}", f"i{j}") for j in range(50)]
         a = split_dataset(table(records), seed=3)
         b = split_dataset(table(records), seed=4)
-        assert a.train.rows() != b.train.rows() or a.test.rows() != b.test.rows()
+        assert rows_of(a.train) != rows_of(b.train) or rows_of(a.test) != rows_of(b.test)
 
     def test_small_users_go_to_train(self):
         records = user_records("a", 2) + user_records("b", 1)
@@ -62,7 +62,7 @@ class TestSplitDataset:
         for j in range(40):
             records += user_records(f"u{j}", 3)
         split = split_dataset(table(records), (0.1, 0.45, 0.45), seed=11)
-        train_users = {u for u, *_ in split.train.rows()}
+        train_users = {u for u, *_ in rows_of(split.train)}
         assert train_users == {f"u{j}" for j in range(40)}
 
     def test_disjoint_and_union(self):
@@ -70,7 +70,7 @@ class TestSplitDataset:
         split = split_dataset(table(records), seed=5)
         parts = [split.train, split.validation, split.test]
         assert sum(len(p) for p in parts) == len(records)
-        seen = [(u, i) for p in parts for u, i, *_ in p.rows()]
+        seen = [(u, i) for p in parts for u, i, *_ in rows_of(p)]
         assert sorted(seen) == sorted((u, i) for u, i, _ in records)
 
     def test_binomial_concentration(self):
@@ -328,31 +328,3 @@ class TestReportAndSweep:
         row = evaluate_model(model, train_pairs, eval_pairs, k=1, seed=0)
         assert row.label == "model" and row.k == 1
         assert 0.0 <= row.precision <= 1.0 and 0.0 <= row.recall <= 1.0
-
-    def test_sweep_labels_and_report(self):
-        model, _ = toy_dual()
-        train_pairs = np.array([[0, 0], [1, 1]])
-        test_pairs = np.array([[0, 1], [1, 0]])
-        calls = []
-
-        def build_and_train(n_layers: int):
-            calls.append(n_layers)
-            m, _ = toy_dual(n_layers=n_layers, dims=(4, 3, 2, 2)[: n_layers + 1])
-            return m, train_pairs, test_pairs
-
-        report = sweep_layers(build_and_train, l_values=(1, 2, 3), k=1, seed=0)
-        assert calls == [1, 2, 3]
-        assert [row.label for row in report.rows] == ["L=1", "L=2", "L=3"]
-        for row in report.rows:
-            assert 0.0 <= row.precision <= 1.0 and 0.0 <= row.recall <= 1.0
-
-    def test_sweep_single_value(self):
-        train_pairs = np.array([[0, 0], [1, 1]])
-        test_pairs = np.array([[0, 1]])
-
-        def build_and_train(n_layers: int):
-            m, _ = toy_dual(n_layers=n_layers, dims=(4, 3))
-            return m, train_pairs, test_pairs
-
-        report = sweep_layers(build_and_train, l_values=(1,), k=1, seed=0)
-        assert len(report.rows) == 1

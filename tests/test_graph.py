@@ -17,7 +17,8 @@ from ckgrec.graph import (
 )
 from ckgrec.rng import Rng
 
-from conftest import rec, table
+from conftest import head_edges, rec, table
+from tablerows import rows_of
 
 
 class TestBuildBipartite:
@@ -28,12 +29,12 @@ class TestBuildBipartite:
     def test_singleton(self):
         bg = build_bipartite(table([rec("u1", "i1", "view")]))
         assert (bg.n_users, bg.n_items, bg.n_edges) == (1, 1, 1)
-        assert (bg.edges.user[0], bg.edges.item[0], bg.edges.rows()[0][2]) == (0, 0, frozenset({"view"}))
+        assert (bg.edges.user[0], bg.edges.item[0], rows_of(bg.edges)[0][2]) == (0, 0, frozenset({"view"}))
 
     def test_duplicate_pair_merges_types(self):
         bg = build_bipartite(table([rec("u1", "i1", "like"), rec("u1", "i1", "favorite")]))
         assert bg.n_edges == 1
-        assert bg.edges.rows()[0][2] == frozenset({"like", "favorite"})
+        assert rows_of(bg.edges)[0][2] == frozenset({"like", "favorite"})
 
     def test_first_seen_order(self):
         bg = build_bipartite(table([rec("b", "y"), rec("a", "x")]))
@@ -138,9 +139,9 @@ class TestUserSideCkg:
         # u1 -> 1 neighbor, u2 -> 1, i1 -> 1 (its attribute)
         u1, u2 = 0, 1
         i1 = 2  # items follow users in the entity layout
-        assert len(kg.tails[kg.neighbor_slice(u1)]) == 1
-        assert len(kg.tails[kg.neighbor_slice(u2)]) == 1
-        assert len(kg.tails[kg.neighbor_slice(i1)]) == 1
+        assert len(kg.tails[head_edges(kg, u1)]) == 1
+        assert len(kg.tails[head_edges(kg, u2)]) == 1
+        assert len(kg.tails[head_edges(kg, i1)]) == 1
 
     def test_distinct_type_sets_distinct_relations(self):
         bg = build_bipartite(table([rec("u1", "i1", "like"), rec("u2", "i2", "like", "favorite")]))
@@ -170,8 +171,8 @@ class TestItemSideCkg:
         kg = build_item_side_ckg(bg, [("u1", "age", "a30")])
         assert kg.n_triples == 2
         i1, u1 = 0, 1  # items first on the item side
-        assert len(kg.tails[kg.neighbor_slice(i1)]) == 1
-        assert len(kg.tails[kg.neighbor_slice(u1)]) == 1
+        assert len(kg.tails[head_edges(kg, i1)]) == 1
+        assert len(kg.tails[head_edges(kg, u1)]) == 1
 
     def test_interaction_counts_mirror(self):
         records = [rec("u1", "i1", "like"), rec("u2", "i1", "view"), rec("u2", "i2", "view")]
@@ -189,25 +190,18 @@ class TestNeighbors:
     def test_isolated_node_empty(self):
         kg = self.make()
         i1 = 2  # an item: tail-only on the user side
-        s = kg.neighbor_slice(i1)
+        s = head_edges(kg, i1)
         assert s.start == s.stop
 
     def test_three_triples(self):
         kg = self.make()
-        s = kg.neighbor_slice(0)
+        s = head_edges(kg, 0)
         assert len(kg.tails[s]) == 3 and np.all(kg.heads[s] == 0)
 
     def test_stable_across_calls(self):
         # u1's tails i1, i2, i3 (entities 2, 3, 4) in insertion order, on every build
         for kg in (self.make(), self.make()):
-            assert kg.tails[kg.neighbor_slice(0)].tolist() == [2, 3, 4]
-
-    def test_out_of_range(self):
-        kg = self.make()
-        with pytest.raises(IndexError):
-            kg.neighbor_slice(kg.entity_count)
-        with pytest.raises(IndexError):
-            kg.neighbor_slice(-1)
+            assert kg.tails[head_edges(kg, 0)].tolist() == [2, 3, 4]
 
 
 def random_instance(rng: Rng):
@@ -270,7 +264,7 @@ class TestInvariants:
             kg = build_item_side_ckg(build_bipartite(table(records)), user_attrs)
             flat = []
             for h in range(kg.entity_count):
-                s = kg.neighbor_slice(h)
+                s = head_edges(kg, h)
                 flat.extend((h, r, t) for r, t in zip(kg.rels[s].tolist(), kg.tails[s].tolist()))
             expected = sorted(zip(kg.heads.tolist(), kg.rels.tolist(), kg.tails.tolist()))
             assert sorted(flat) == expected

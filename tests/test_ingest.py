@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ckgrec.errors import ConfigError, FormatError
 from ckgrec.ingest import (
-    Ratings,
     SynthConfig,
     filter_min_interactions,
     merge_records,
@@ -25,11 +24,12 @@ from ckgrec.rng import Rng
 from ckgrec.table import NO_TIME
 
 from conftest import table
+from tablerows import ratings_from_rows, rows_of
 
 
 def ratings(*rows):
     """Ratings of (user, item, value, timestamp) rows."""
-    return Ratings.from_rows(rows)
+    return ratings_from_rows(rows)
 
 
 class TestParseInteractions:
@@ -37,19 +37,19 @@ class TestParseInteractions:
         p = tmp_path / "e.tsv"
         p.write_text("")
         result = parse_interactions(p)
-        assert result.records.rows() == [] and result.issues == []
+        assert rows_of(result.records) == [] and result.issues == []
 
     def test_single_tsv_row(self, tmp_path):
         p = tmp_path / "one.tsv"
         p.write_text("u1\ti1\t4.0\n")
         result = parse_interactions(p)
-        assert result.records.rows() == [("u1", "i1", 4.0, None)]
+        assert rows_of(result.records) == [("u1", "i1", 4.0, None)]
 
     def test_csv_with_timestamp(self, tmp_path):
         p = tmp_path / "one.csv"
         p.write_text("u1,i1,like,1609459200\n")
         result = parse_interactions(p, format="csv")
-        assert result.records.rows() == [("u1", "i1", "like", 1609459200)]
+        assert rows_of(result.records) == [("u1", "i1", "like", 1609459200)]
 
     def test_bad_line_among_hundred(self, tmp_path):
         lines = [f"u{n}\ti{n}\t1.0" for n in range(1, 51)]
@@ -84,7 +84,7 @@ class TestParseInteractions:
         p.write_text("u1\ti1\t1.0\tnot_a_time\nu1\ti2\t1.0\t55\n")
         result = parse_interactions(p)
         assert len(result.records) == 1
-        assert result.records.rows()[0][3] == 55
+        assert rows_of(result.records)[0][3] == 55
         assert result.issues[0].line == 1
 
     def test_timestamp_outside_64_bits_reported(self, tmp_path):
@@ -95,7 +95,7 @@ class TestParseInteractions:
             "u1\ti3\t1.0\t-9223372036854775808\n"
         )
         result = parse_interactions(p)
-        assert result.records.rows() == [("u1", "i2", 1.0, -9223372036854775807)]
+        assert rows_of(result.records) == [("u1", "i2", 1.0, -9223372036854775807)]
         assert [i.line for i in result.issues] == [1, 3]
         assert all("64-bit range" in i.message for i in result.issues)
 
@@ -114,7 +114,7 @@ class TestParseInteractions:
             p = tmp_path / f"rt.{fmt}"
             write_records(table(rows), p, fmt)
             back = parse_interactions(p, fmt)
-            assert back.issues == [] and merge_records(to_implicit(back.records)).rows() == rows
+            assert back.issues == [] and rows_of(merge_records(to_implicit(back.records))) == rows
         # one line per type, in name order, "rated" as the rating 1.0
         assert p.read_text().splitlines()[2:5] == ["u3,i3,like,7", "u3,i3,1.0,7", "u3,i3,view,7"]
 
@@ -133,7 +133,7 @@ class TestParseInteractions:
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "vals.tsv"
             write_records(table(rows), p)
-            assert merge_records(to_implicit(parse_interactions(p).records)).rows() == rows
+            assert rows_of(merge_records(to_implicit(parse_interactions(p).records))) == rows
 
 
 class TestAttributeTriples:
@@ -159,11 +159,11 @@ class TestAttributeTriples:
 class TestToImplicit:
     def test_any_rating_positive_by_default(self):
         out = to_implicit(ratings(("u1", "i1", 4.0, None)))
-        assert out.rows() == [("u1", "i1", frozenset({"rated"}), None)]
+        assert rows_of(out) == [("u1", "i1", frozenset({"rated"}), None)]
 
     def test_token_becomes_named_type(self):
         out = to_implicit(ratings(("u1", "i1", "like", None)))
-        assert out.rows()[0][2] == frozenset({"like"})
+        assert rows_of(out)[0][2] == frozenset({"like"})
 
     def test_threshold_histogram(self):
         rows = [(f"u{n}", "i1", float(v), None) for n, v in enumerate([1, 2, 3, 4, 5, 4, 5, 1])]
@@ -186,11 +186,11 @@ class TestMergeRecords:
         ])
         merged = merge_records(records)
         assert len(merged) == 2
-        assert merged.rows()[0][2] == frozenset({"view", "like"})
+        assert rows_of(merged)[0][2] == frozenset({"view", "like"})
 
     def test_identity_when_unique(self):
         records = table([("u1", "i1", frozenset({"view"}))])
-        assert merge_records(records).rows() == records.rows()
+        assert rows_of(merge_records(records)) == rows_of(records)
 
 
 class TestFilterMinInteractions:
@@ -202,12 +202,12 @@ class TestFilterMinInteractions:
 
     def test_zero_is_identity(self):
         records = self.make({"a": 2, "b": 1})
-        assert filter_min_interactions(records, 0).rows() == records.rows()
+        assert rows_of(filter_min_interactions(records, 0)) == rows_of(records)
 
     def test_user_below_threshold_removed(self):
         records = self.make({"a": 4, "b": 5})
         out = filter_min_interactions(records, 5)
-        assert {u for u, *_ in out.rows()} == {"b"}
+        assert {u for u, *_ in rows_of(out)} == {"b"}
 
     def test_histogram_oracle_and_own_predicate(self):
         counts = {"a": 1, "b": 3, "c": 5, "d": 7, "e": 2}
@@ -215,10 +215,10 @@ class TestFilterMinInteractions:
         for n in range(0, 9):
             out = filter_min_interactions(records, n)
             survivors = {u for u, c in counts.items() if c >= n}
-            assert {u for u, *_ in out.rows()} == survivors
+            assert {u for u, *_ in rows_of(out)} == survivors
             from collections import Counter
 
-            by_user = Counter(u for u, *_ in out.rows())
+            by_user = Counter(u for u, *_ in rows_of(out))
             assert all(c >= n for c in by_user.values())
 
     def test_no_cascade(self):
@@ -230,7 +230,7 @@ class TestFilterMinInteractions:
             ("b", "i1", frozenset({"view"})),
         ])
         out = filter_min_interactions(records, 2)
-        assert {u for u, *_ in out.rows()} == {"b"}
+        assert {u for u, *_ in rows_of(out)} == {"b"}
 
 
 class TestManifest:
@@ -257,7 +257,7 @@ class TestSynthGenerate:
         cfg = SynthConfig(40, 30, 4, 5, noise=0.2, seed=9)
         a = synth_generate(cfg)
         b = synth_generate(cfg)
-        assert a[0].rows() == b[0].rows() and a[1] == b[1] and a[2] == b[2]
+        assert rows_of(a[0]) == rows_of(b[0]) and a[1] == b[1] and a[2] == b[2]
         assert np.array_equal(a[3].user_factor, b[3].user_factor)
 
     def test_interaction_count_arithmetic(self):
@@ -269,7 +269,7 @@ class TestSynthGenerate:
         interactions, _, _, truth = synth_generate(cfg)
         item_factor = {f"i{j}": int(truth.item_factor[j]) for j in range(60)}
         user_factor = {f"u{j}": int(truth.user_factor[j]) for j in range(50)}
-        for user, item, *_ in interactions.rows():
+        for user, item, *_ in rows_of(interactions):
             assert item_factor[item] == user_factor[user]
 
     def test_dominant_attribute_always_present(self):
@@ -292,5 +292,5 @@ class TestSynthGenerate:
 
     def test_unique_pairs_per_user(self):
         interactions, _, _, _ = synth_generate(SynthConfig(20, 40, 2, 8, noise=0.3, seed=2))
-        pairs = [(user, item) for user, item, *_ in interactions.rows()]
+        pairs = [(user, item) for user, item, *_ in rows_of(interactions)]
         assert len(pairs) == len(set(pairs))

@@ -1,5 +1,6 @@
 """Dual-graph stitching, ranking loss, and the joint objective."""
 
+import copy
 import math
 
 import numpy as np
@@ -17,15 +18,17 @@ from gradcheck import finite_diff_check, total_loss
 class TestDualModel:
     def test_final_dim_toy(self):
         model, _ = toy_dual()
+        users, items = model.representations(*model.stitched())
         # two stitched (4+3+2)-vectors concatenated
-        assert model.final_dim == 18
+        assert users.shape[1] == items.shape[1] == 18
 
     def test_final_dim_default_widths(self):
         bg = build_bipartite(table([rec("u0", "i0"), rec("u1", "i1")]))
         kg_u, kg_i, align = build_graphs(bg, [], [])
         model = build_model(kg_u, kg_i, align, d=64, k=64, n_layers=2, dims=None, std=0.1, rng=Rng(1))
         assert model.stack_u.stitched_dim == 64 + 32 + 16
-        assert model.final_dim == 224
+        users, items = model.representations(*model.stitched())
+        assert users.shape[1] == items.shape[1] == 224
 
     def test_param_names(self):
         model, _ = toy_dual()
@@ -43,21 +46,13 @@ class TestDualModel:
         for n, p in model.params().items():
             assert np.array_equal(p, saved[n])
 
-    def test_copy_is_independent(self):
-        model, _ = toy_dual()
-        clone = model.copy()
-        clone.table_u.entity[0, 0] += 5.0
-        clone.stack_u.w1[0][0, 0] += 5.0
-        assert model.table_u.entity[0, 0] != clone.table_u.entity[0, 0]
-        assert model.stack_u.w1[0][0, 0] != clone.stack_u.w1[0][0, 0]
-
     def test_representations_concatenate_sides(self):
         model, _ = toy_dual()
         stitched_u, stitched_i = model.stitched()
         (users_u, items_u), (users_i, items_i) = model.align.user_side, model.align.item_side
         users, items = model.representations(stitched_u, stitched_i)
         su = model.stack_u.stitched_dim
-        assert users.shape == (2, model.final_dim) and items.shape == (2, model.final_dim)
+        assert users.shape == (2, 2 * su) and items.shape == (2, 2 * su)
         assert np.array_equal(users[:, :su], stitched_u[users_u])
         assert np.array_equal(users[:, su:], stitched_i[users_i])
         assert np.array_equal(items[:, :su], stitched_u[items_u])
@@ -98,7 +93,7 @@ class TestBprLoss:
         batch = toy_cf_batch()
 
         def loss_fn(p):
-            m = model.copy()
+            m = copy.deepcopy(model)
             m.set_params(p)
             res_u, res_i = m.propagate_both()
             return bpr_loss(m, batch, res_u, res_i)
@@ -111,7 +106,7 @@ class TestBprLoss:
         batch = toy_cf_batch()
         res_u, res_i = model.propagate_both()
         loss0, grads = bpr_loss(model, batch, res_u, res_i)
-        stepped = model.copy()
+        stepped = copy.deepcopy(model)
         stepped.set_params({n: p - 1e-3 * grads[n] for n, p in model.params().items()})
         res_u2, res_i2 = stepped.propagate_both()
         loss1, _ = bpr_loss(stepped, batch, res_u2, res_i2)
@@ -160,7 +155,7 @@ class TestTotalLoss:
         batch_u, batch_i, cf = self.make_batches(model)
 
         def loss_fn(p):
-            m = model.copy()
+            m = copy.deepcopy(model)
             m.set_params(p)
             total, grads, _ = total_loss(m, batch_u, batch_i, cf, lam=1e-3)
             return total, grads

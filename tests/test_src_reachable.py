@@ -1,4 +1,4 @@
-"""Every top-level function and class in src/ckgrec is used by the program.
+"""Every top-level function and class in src/ckgrec, and every method, is used by the program.
 
 Code that only the tests call belongs in tests/, so a definition must be
 referenced from src/ckgrec (re-exports in __init__.py do not count) or
@@ -27,20 +27,52 @@ def _referenced(path: Path) -> set:
     return used
 
 
-def test_every_top_level_definition_is_referenced():
-    modules = sorted(SRC.glob("*.py"))
+def _program_names() -> set:
+    """Every name the program mentions: src/ckgrec except __init__.py, and bench/."""
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     assert len(modules) > 5, f"found only {modules}; the glob is not reading the package"
     used = set()
-    for path in [p for p in modules if p.name != "__init__.py"] + sorted(BENCH.glob("*.py")):
+    for path in modules + sorted(BENCH.glob("*.py")):
         used |= _referenced(path)
+    return used
+
+
+def _definitions():
+    """(module path, parsed module) of every module of src/ckgrec."""
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
+
+
+def test_every_top_level_definition_is_referenced():
+    used = _program_names()
     unreferenced = [
         f"{path.name}:{node.name}"
-        for path in modules
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for path, tree in _definitions()
+        for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name not in used
     ]
     assert not unreferenced, f"defined in src/ but used only by tests, or not at all: {unreferenced}"
+
+
+def test_every_method_is_referenced():
+    """Methods and properties of every class in src/ckgrec; dunders are exempt.
+
+    A name check cannot tell a member from a numpy or builtin one of the
+    same name (`copy`, `rows`), so it catches only members whose names
+    nothing else in the program uses.
+    """
+    used = _program_names()
+    unreferenced = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path, tree in _definitions()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert not unreferenced, f"methods in src/ used only by tests, or not at all: {unreferenced}"
 
 
 def test_no_unused_imports():

@@ -324,9 +324,3 @@ class TestInitTable:
         b = init_table(5, 2, 3, 3, 0.1, Rng(8, (21,)))
         assert np.array_equal(a.entity, b.entity)
         assert np.array_equal(a.projection, b.projection)
-
-    def test_copy_is_deep(self):
-        t = fresh_table()
-        c = t.copy()
-        c.entity[0, 0] += 1.0
-        assert t.entity[0, 0] != c.entity[0, 0]

@@ -24,6 +24,7 @@ from ckgrec.ingest import (
 )
 
 from conftest import table
+from tablerows import rows_of
 
 
 def oracle_digest(side) -> str:
@@ -45,12 +46,12 @@ def assert_same_world(cfg: RunConfig) -> None:
     parsed = parse_interactions(cfg.interactions, cfg.format)
     assert [(i.line, i.message, i.raw) for i in parsed.issues] == want["issues"]
     # repr, so that a NaN rating compares equal to itself
-    assert repr(parsed.records.rows()) == repr([(r.user, r.item, r.value, r.timestamp) for r in want["ratings"]])
+    assert repr(rows_of(parsed.records)) == repr([(r.user, r.item, r.value, r.timestamp) for r in want["ratings"]])
 
     world = cli._build_world(cfg)
-    assert world.records.rows() == record_rows(want["records"])
+    assert rows_of(world.records) == record_rows(want["records"])
     for part, records in zip((world.split.train, world.split.validation, world.split.test), want["split"]):
-        assert part.rows() == record_rows(records)
+        assert rows_of(part) == record_rows(records)
     assert world.bg.user_vocab.tokens() == want["user_tokens"]
     assert world.bg.item_vocab.tokens() == want["item_tokens"]
     for kg, side in ((world.kg_u, want["user_side"]), (world.kg_i, want["item_side"])):
@@ -152,7 +153,7 @@ def test_hand_made_file_reaches_every_branch(hand_made):
     }
     world = cli._build_world(RunConfig(**paths).validate())
     assert world.records.types.shape[1] == 2
-    assert max(len(types) for _, _, types, _ in world.records.rows()) == 70
+    assert max(len(types) for _, _, types, _ in rows_of(world.records)) == 70
 
 
 def test_strict_mode_raises_the_same_error(hand_made):
