@@ -1,4 +1,4 @@
-"""Splitting, ranking, the two metrics, and baselines."""
+"""Splitting, ranking, the two metrics, baselines, and the layer sweep report."""
 
 import weakref
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckgrec import cli
 from ckgrec import model as model_module
 from ckgrec.errors import ConfigError
 from ckgrec.evaluate import (
@@ -328,3 +329,32 @@ class TestReportAndSweep:
         row = evaluate_model(model, train_pairs, eval_pairs, k=1, seed=0)
         assert row.label == "model" and row.k == 1
         assert 0.0 <= row.precision <= 1.0 and 0.0 <= row.recall <= 1.0
+
+    def test_sweep_labels_and_report(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        synth = ["--users", "12", "--items", "10", "--factors", "2", "--per-user", "5", "--seed", "3"]
+        assert cli.main(["synth", "--out", str(data), *synth]) == 0
+        calls = []
+        real_train = cli.train
+
+        def recording(model, *args, **kwargs):
+            calls.append(model.stack_u.n_layers)
+            return real_train(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recording)
+        out = tmp_path / "sweep"
+        code = cli.main([
+            "sweep-layers", "--l-values", "1,2,3", "--out", str(out), "--seed", "0",
+            "--interactions", str(data / "interactions.tsv"),
+            "--user-attrs", str(data / "user_attrs.tsv"),
+            "--item-attrs", str(data / "item_attrs.tsv"),
+            "--set", "d=4", "--set", "k=4", "--set", "dims=4,4,4",
+            "--set", "epochs=1", "--set", "top_k=1",
+        ])
+        assert code == 0
+        assert calls == [1, 2, 3]
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["L=1", "L=2", "L=3"]
+        for _, k, precision, recall, _, _ in rows:
+            assert k == "1"
+            assert 0.0 <= float(precision) <= 1.0 and 0.0 <= float(recall) <= 1.0
