@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionConflictError, FormatError
 from .model import DualModel
-from .propagation import LayerStack
+from .propagation import LayerStack, printed_width_problem
 from .transr import EmbeddingTable
 
 MAGIC = b"CKGR"
@@ -170,6 +170,8 @@ def load(path):
     shared = bool(meta.get("shared_weights", True))
     slope = float(meta.get("slope", 0.2))
     printed = bool(meta.get("printed_attention", False))
+    if printed and (problem := printed_width_problem(dims, k)):
+        raise FormatError(f"{path}: metadata says {problem}")
 
     def build_stack(w1, w2, attn, tag):
         if shared:

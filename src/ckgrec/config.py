@@ -77,13 +77,10 @@ class RunConfig:
         require(abs(sum(self.ratios) - 1.0) <= 1e-9, f"split ratios must sum to 1, got {self.ratios}")
         require(all(int(x) > 0 for x in self.dims), f"layer widths must be positive, got {self.dims}")
         if self.printed_attention:
-            from .propagation import resolve_dims
+            from .propagation import printed_width_problem, resolve_dims
 
-            widths = resolve_dims(self.d, self.dims, self.layers)
-            require(
-                all(w == self.k for w in widths[:-1]),
-                "printed attention form requires every layer input width to equal k",
-            )
+            problem = printed_width_problem(resolve_dims(self.d, self.dims, self.layers), self.k)
+            require(problem is None, problem)
         return self
 
     def to_dict(self) -> dict:

@@ -22,16 +22,20 @@ Both passes run over a `PropagationPlan`, built once per graph on first
 use and kept on it.  The plan groups the edges three ways without
 reordering the graph: per head (the CSR runs), per tail (a stable
 tail-sorted permutation), and per distinct (head, relation) and
-(tail, relation) pair.  A_r x is computed once per distinct pair and
-gathered per edge, so a user heading twenty edges of one relation is
-projected once, not twenty times.  Messages are summed over the head
-runs and tail gradients over the tail runs with `np.add.reduceat`; the
-projection gradients are first summed per pair, after which one small
-matmul per relation and side gives both dA_r and dx.  The backward pass
-keeps only the forward's cached per-edge arrays at full size: its own
-per-edge terms are made for about EDGE_BLOCK edges at a time, blocks
-ending on run boundaries, and summed at once, so each run is still
-summed whole and the result does not depend on the block size.
+(tail, relation) pair.  Both attention factors depend on one edge end's
+pair only, so pt = A_r x_t is computed and cached once per tail pair and
+q = tanh(A_r x_h + e_r) once per head pair: a user heading twenty edges
+of one relation is projected once, not twenty times.  (The printed form
+adds x_t inside tanh, so there q is made and cached per edge.)  The
+logits and the backward's per-edge terms are made for about EDGE_BLOCK
+edges at a time, gathering rows of the per-pair arrays, blocks ending on
+head- or tail-run boundaries; each run is still reduced whole, so no
+result depends on the block size.  Apart from the printed form's q, the
+messages' weighted tail rows are the one (edges, width) array a layer
+makes whole.  Messages are summed over the head runs and tail gradients
+over the tail runs with `np.add.reduceat`; the projection gradients are
+first summed per pair, after which one small matmul per relation and
+side gives both dA_r and dx.
 
 The backward pass mirrors the forward step by step (softmax, tanh, and
 sum adjoints written out by hand) and is validated against central
@@ -102,6 +106,16 @@ def resolve_dims(d: int, requested, n_layers: int) -> list[int]:
     return widths
 
 
+def printed_width_problem(dims, k: int) -> str | None:
+    """Why the printed attention form cannot run on these layer widths, or None when it can."""
+    if any(w != k for w in dims[:-1]):
+        return (
+            "printed attention form adds a raw tail vector inside tanh and "
+            f"requires every layer input width to equal k={k}, got {list(dims)}"
+        )
+    return None
+
+
 def init_stack(
     dims,
     n_relations: int,
@@ -117,11 +131,8 @@ def init_stack(
         raise ConfigError("layer stack needs at least one layer (two widths)")
     if not 0.0 < slope < 1.0:
         raise ConfigError(f"activation slope must lie in (0, 1), got {slope}")
-    if printed_attention and any(w != k for w in dims[:-1]):
-        raise ConfigError(
-            "printed attention form adds a raw tail vector inside tanh and "
-            f"requires every layer input width to equal k={k}, got {dims}"
-        )
+    if printed_attention and (problem := printed_width_problem(dims, k)):
+        raise ConfigError(problem)
     w1, w2, attn = [], [], [None]
     for l in range(1, len(dims)):
         m = gaussian_init((dims[l], dims[l - 1]), std, rng.split(10, l))
@@ -132,7 +143,7 @@ def init_stack(
     return LayerStack(dims, w1, w2, attn, slope, shared, printed_attention)
 
 
-EDGE_BLOCK = 8192  # edges whose per-edge backward terms exist at once
+EDGE_BLOCK = 8192  # edges whose per-edge logit or backward terms exist at once
 
 
 @dataclass
@@ -198,10 +209,11 @@ class _Pairs:
     one contiguous slice of them and no entity repeats inside a slice.
     """
 
-    entity: np.ndarray   # entity of each pair
-    of_edge: np.ndarray  # pair of each edge
-    order: np.ndarray    # edge permutation that sorts edges by pair
-    runs: _Segments      # each pair's edges within `order`
+    entity: np.ndarray    # entity of each pair
+    relation: np.ndarray  # relation of each pair
+    of_edge: np.ndarray   # pair of each edge
+    order: np.ndarray     # edge permutation that sorts edges by pair
+    runs: _Segments       # each pair's edges within `order`
     relations: list[tuple[int, slice]]  # (relation id, its pairs)
 
     @classmethod
@@ -212,14 +224,14 @@ class _Pairs:
         firsts = _Segments.of_sorted(rel_of_pair).starts
         bounds = np.append(firsts, len(keys))
         relations = [(int(rel_of_pair[a]), slice(int(a), int(b))) for a, b in zip(bounds[:-1], bounds[1:])]
-        return cls(keys % n_entities, of_edge, order, _Segments.of_sorted(of_edge[order]), relations)
+        return cls(keys % n_entities, rel_of_pair, of_edge, order, _Segments.of_sorted(of_edge[order]), relations)
 
     def project(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """A_r x_e for every edge, computed once per pair."""
+        """A_r x_e for every pair (e, r); row `of_edge[i]` serves edge i."""
         out = np.empty((len(self.entity), a.shape[1]))
         for rel, pairs in self.relations:
             out[pairs] = x[self.entity[pairs]] @ a[rel].T
-        return out[self.of_edge]
+        return out
 
     def project_backward(self, g_of_edges, x, a, g_a, g_x) -> np.ndarray:
         """Adds the adjoint of `project` into g_a and g_x; returns the edge gradients summed per pair.
@@ -250,12 +262,14 @@ class PropagationPlan:
         self.tail_ids = sorted_tails[self.tails.starts]
         self.head_pairs = _Pairs.of(kg.heads, kg.rels, kg.entity_count)
         self.tail_pairs = _Pairs.of(kg.tails, kg.rels, kg.entity_count)
+        self.edges = np.arange(len(kg.heads))
 
 
 @dataclass
 class _LayerCache:
-    pt: np.ndarray | None
-    q: np.ndarray | None
+    pt: np.ndarray | None      # A_r x_t, one row per tail pair
+    q: np.ndarray | None       # tanh(A_r x_h + e_r), one row per head pair (per edge when printed)
+    q_rows: np.ndarray | None  # row of q for each edge
     w: np.ndarray | None
     msg: np.ndarray
     a1: np.ndarray
@@ -295,34 +309,42 @@ def propagate(kg: CollaborativeKG, table: EmbeddingTable, stack: LayerStack) -> 
                 x_t = x[kg.tails]
                 pt = plan.tail_pairs.project(x, a)
                 q = plan.head_pairs.project(x, a)
-                q += x_t if stack.printed_attention else table.relation[kg.rels]
+                if stack.printed_attention:
+                    # the tail inside tanh makes every edge's argument its own
+                    q = q[plan.head_pairs.of_edge]
+                    q += x_t
+                    q_rows = plan.edges
+                else:
+                    q += table.relation[plan.head_pairs.relation]
+                    q_rows = plan.head_pairs.of_edge
                 np.tanh(q, out=q)
-                w = plan.heads.softmax(np.einsum("ij,ij->i", pt, q))
+                pt_rows = plan.tail_pairs.of_edge
+                logits = np.concatenate(
+                    [np.einsum("ij,ij->i", pt[pt_rows[lo:hi]], q[q_rows[lo:hi]]) for _, lo, hi in plan.heads.blocks]
+                )
+                w = plan.heads.softmax(logits)
                 x_t *= w[:, None]
                 msg[plan.head_ids] = plan.heads.sum(x_t)
             else:
-                pt = q = w = None
+                pt = q = q_rows = w = None
             a1 = (x + msg) @ stack.w1[l - 1].T
             a2 = (x * msg) @ stack.w2[l - 1].T
-            cache.append(_LayerCache(pt, q, w, msg, a1, a2))
+            cache.append(_LayerCache(pt, q, q_rows, w, msg, a1, a2))
             x = leaky_relu(a1, stack.slope) + leaky_relu(a2, stack.slope)
             layers.append(x)
     return PropagationResult(layers, np.concatenate(layers, axis=1), cache)
 
 
-def _tanh_arg_grad(g_logit, c: _LayerCache, e: np.ndarray) -> np.ndarray:
-    """dL/d(argument of tanh) on edges e: (dL/dlogit * pt) * (1 - q^2)."""
-    g = g_logit[e, None] * c.pt[e]
-    slope = c.q[e]
-    np.multiply(slope, slope, out=slope)
-    np.subtract(1.0, slope, out=slope)
-    g *= slope
+def _tanh_arg_grad(g_logit, c: _LayerCache, pt_rows, tanh_slope, e: np.ndarray) -> np.ndarray:
+    """dL/d(argument of tanh) on edges e: (dL/dlogit * pt) * (1 - q^2), with 1 - q^2 per row of q."""
+    g = g_logit[e, None] * c.pt[pt_rows[e]]
+    g *= tanh_slope[c.q_rows[e]]
     return g
 
 
 def _pt_grad(g_logit, c: _LayerCache, e: np.ndarray) -> np.ndarray:
     """dL/d(projected tail) on edges e."""
-    return g_logit[e, None] * c.q[e]
+    return g_logit[e, None] * c.q[c.q_rows[e]]
 
 
 def _tail_grad(kg: CollaborativeKG, c: _LayerCache, g_msg, g_arg, e: np.ndarray) -> np.ndarray:
@@ -388,7 +410,8 @@ def propagate_backward(
                 [np.einsum("ij,ij->i", g_msg[kg.heads[lo:hi]], x[kg.tails[lo:hi]]) for _, lo, hi in plan.heads.blocks]
             )
             g_logit = plan.heads.softmax_backward(c.w, g_w)
-            g_arg = partial(_tanh_arg_grad, g_logit, c)
+            tanh_slope = 1.0 - c.q * c.q
+            g_arg = partial(_tanh_arg_grad, g_logit, c, plan.tail_pairs.of_edge, tanh_slope)
             tail_term = partial(_tail_grad, kg, c, g_msg, g_arg if stack.printed_attention else None)
             g_x[plan.tail_ids] += plan.tails.sum_gathered(plan.tail_order, tail_term)
             a = table.projection if l == 1 else stack.attn[l - 1]

@@ -44,6 +44,14 @@ def head_edges(kg: CollaborativeKG, h: int) -> slice:
     return slice(int(lo), int(hi))
 
 
+def edge_terms(kg: CollaborativeKG, cache) -> tuple[np.ndarray, np.ndarray]:
+    """A layer cache's attention terms as one row per edge: (A_r x_t, tanh(A_r x_h + e_r)).
+
+    The cache holds pt per tail pair and q per row of `cache.q_rows`.
+    """
+    return cache.pt[kg.propagation_plan.tail_pairs.of_edge], cache.q[cache.q_rows]
+
+
 def rec(u, i, *types):
     """One interaction row, (user, item, type set); "view" when no type is given."""
     return (u, i, frozenset(types or ("view",)))

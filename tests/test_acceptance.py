@@ -30,7 +30,7 @@ from ckgrec.propagation import init_stack, propagate
 from ckgrec.rng import Rng
 from ckgrec.transr import EmbeddingTable, init_table, kg_loss, sample_batch
 
-from conftest import fresh_table, head_edges, make_kg, rec, table, toy_cf_batch, toy_dual
+from conftest import edge_terms, fresh_table, head_edges, make_kg, rec, table, toy_cf_batch, toy_dual
 from gradcheck import dense_kg_loss, finite_diff_check, total_loss
 from reference import propagate_reference, softmax_reference
 
@@ -144,6 +144,7 @@ def test_criterion_3_attention_normalization(capsys):
         table = init_table(n, n_rel, d=5, k=4, std=0.7, rng=g.split(1))
         stack = init_stack([5, 3], n_rel, 4, 0.7, g.split(2))
         layer1 = propagate(kg, table, stack).cache[0]
+        pt, q = edge_terms(kg, layer1)
         for h in range(n):
             s = head_edges(kg, h)
             w = layer1.w[s]
@@ -151,7 +152,7 @@ def test_criterion_3_attention_normalization(capsys):
                 continue
             checked += 1
             worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
-            logits = np.einsum("ij,ij->i", layer1.pt[s], layer1.q[s])
+            logits = np.einsum("ij,ij->i", pt[s], q[s])
             shifted = np.array(softmax_reference(logits + 7.25))
             worst_shift = max(worst_shift, float(np.max(np.abs(shifted - w))))
     ok = worst_sum <= 1e-12 and worst_shift <= 1e-12

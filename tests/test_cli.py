@@ -338,6 +338,21 @@ class TestRecommend:
         scores = [float(r[2]) for r in rows]
         assert scores == sorted(scores, reverse=True)
 
+    def test_printed_attention_checkpoint_with_widths_other_than_k_exits_1(self, dataset, tmp_path, capsys):
+        trained = tmp_path / "trained"
+        sets = ["--set", "d=8", "--set", "k=4", "--set", "layers=1", "--set", "dims=8", "--set", "epochs=1"]
+        assert run("train", *data_flags(dataset), *sets, "--out", trained) == 0
+        table_u, stack_u, table_i, stack_i, meta = checkpoint.load(trained / "checkpoint.ckgr")
+        stack_u.printed_attention = stack_i.printed_attention = True  # save writes this into the metadata
+        printed = tmp_path / "printed.ckgr"
+        checkpoint.save(DualModel(None, None, table_u, table_i, stack_u, stack_i, None), printed, meta)
+        capsys.readouterr()
+        code = run("recommend", "--checkpoint", printed, *data_flags(dataset), "--user", "u0")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fault:" not in err
+        assert "k=4, got [8, 8]" in err
+
     def test_unknown_user_exits_1(self, dataset, run_dir, capsys):
         code = run(
             "recommend", "--checkpoint", run_dir / "checkpoint.ckgr",

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ckgrec.propagation import (
 from ckgrec.rng import Rng
 from ckgrec.transr import EmbeddingTable, init_table
 
-from conftest import fresh_table, head_edges, make_kg
+from conftest import edge_terms, fresh_table, head_edges, make_kg
 from gradcheck import finite_diff_check
 from reference import (
     aggregate_reference,
@@ -59,26 +60,26 @@ def one_layer(kg, table, w1=None):
     return res.cache[0], res.layers[1]
 
 
-def logits_of(cache):
-    return np.einsum("ij,ij->i", cache.pt, cache.q)
+def logits_of(kg, cache):
+    return np.einsum("ij,ij->i", *edge_terms(kg, cache))
 
 
 class TestAttentionLogit:
     def test_zero_tail_gives_zero(self):
         kg = make_kg(2, [(0, 0, 1)], n_relations=1)
         t = table_from([[1.0, 2.0], [0.0, 0.0]], [[0.5, 0.5]], [Rng(1).normal(size=(2, 2))])
-        assert logits_of(one_layer(kg, t)[0]).tolist() == [0.0]
+        assert logits_of(kg, one_layer(kg, t)[0]).tolist() == [0.0]
 
     def test_zero_tanh_argument_gives_zero(self):
         kg = make_kg(2, [(0, 0, 1)], n_relations=1)
         t = table_from([[0.0, 0.0], [3.0, -1.0]], [[0.0, 0.0]], [np.eye(2)])
-        assert logits_of(one_layer(kg, t)[0]).tolist() == [0.0]
+        assert logits_of(kg, one_layer(kg, t)[0]).tolist() == [0.0]
 
     def test_saturated_hand_case(self):
         # W=I, e_h=0, e_r=(0,20), e_t=(0,1): logit -> tanh(20) ~ 1
         kg = make_kg(2, [(0, 0, 1)], n_relations=1)
         t = table_from([[0.0, 0.0], [0.0, 1.0]], [[0.0, 20.0]], [np.eye(2)])
-        got = float(logits_of(one_layer(kg, t)[0])[0])
+        got = float(logits_of(kg, one_layer(kg, t)[0])[0])
         assert abs(got - math.tanh(20.0)) < 1e-15
         assert got > 0.999999
 
@@ -431,8 +432,9 @@ class TestEdgewiseOracle:
         want = propagate_edgewise(kg, table, stack)
         assert_close(res.stitched, want.stitched, "stitched")
         for l, (c, w) in enumerate(zip(res.cache, want.cache), start=1):
+            per_edge = dict(zip(("pt", "q"), edge_terms(kg, c))) if c.w is not None else {}
             for name in ("pt", "q", "w", "msg", "a1", "a2"):
-                got, ref = getattr(c, name), getattr(w, name)
+                got, ref = per_edge.get(name, getattr(c, name)), getattr(w, name)
                 assert (got is None) == (ref is None), name
                 if ref is not None:
                     assert_close(got, ref, f"layer {l} {name}")
@@ -512,8 +514,51 @@ class TestEdgeBlocks:
             kg = mixed_graph(2)  # a fresh graph, so its plan is built with this block size
             res = propagate(kg, table, stack)
             assert (len(kg.propagation_plan.tails.blocks) > 1) == (block < len(kg.heads))
+            assert (len(kg.propagation_plan.heads.blocks) > 1) == (block < len(kg.heads))
             g = np.random.default_rng(3).normal(size=res.stitched.shape)
             grads[block] = propagate_backward(kg, table, stack, res, g)
+            grads[block]["stitched"] = res.stitched
+            for l, c in enumerate(res.cache, start=1):
+                grads[block][f"w.{l}"] = c.w
         one, many = grads.values()
         for name in one:
             assert np.array_equal(one[name], many[name]), name
+
+
+def dense_graph(n=200, m=4, n_edges=6000, seed=0):
+    """`n_edges` distinct random triples over n entities and m relations: many edges per pair."""
+    chosen = np.random.default_rng(seed).choice(n * m * n, size=n_edges, replace=False)
+    return make_kg(n, [(int(c // (m * n)), int(c // n % m), int(c % n)) for c in chosen], n_relations=m)
+
+
+class TestLayerCacheSize:
+    """Attention terms are made and kept once per (entity, relation) pair, not once per edge."""
+
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_one_row_per_pair(self, printed):
+        dims = (3, 3, 3) if printed else (5, 4, 3)
+        kg = mixed_graph(1)
+        plan = kg.propagation_plan
+        table = fresh_table(n_entities=12, n_relations=3, d=dims[0], k=3, seed=1, std=0.5)
+        stack = init_stack(list(dims), 3, 3, 0.5, Rng(1, (5,)), printed_attention=printed)
+        for c in propagate(kg, table, stack).cache:
+            assert len(c.pt) == len(plan.tail_pairs.entity) < len(kg.heads)
+            assert len(c.q) == (len(kg.heads) if printed else len(plan.head_pairs.entity))
+            assert len(c.q_rows) == len(kg.heads)
+
+    def test_forward_peak_memory(self, monkeypatch):
+        """A forward pass holds well under three (edges, k) float arrays at once."""
+        monkeypatch.setattr(propagation, "EDGE_BLOCK", 1024)
+        k = 16
+        kg = dense_graph()
+        table = fresh_table(n_entities=200, n_relations=4, d=k, k=k, seed=0)
+        stack = init_stack([k, k, 8], 4, k, 0.3, Rng(0))
+        propagate(kg, table, stack)  # builds the plan and its blocks
+        assert len(kg.propagation_plan.heads.blocks) > 1
+        tracemalloc.start()
+        try:
+            propagate(kg, table, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(kg.heads) * k * 8
