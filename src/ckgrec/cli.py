@@ -15,7 +15,9 @@ Later sources win: defaults, `CKGR_SEED`, the checkpoint's own config
 error for every command, even when another source supplies the seed.
 
 Exit codes: 0 success, 1 for validation problems (bad config, malformed
-or missing inputs, mismatched checkpoints), 2 for runtime faults.
+or missing inputs, mismatched checkpoints), 2 for runtime faults.  A
+`train` run that diverges exits 2 after writing its last finite state
+to `checkpoint.last_good.ckgr` and its finished epochs to `history.csv`.
 Every training/evaluation run writes a `run_manifest.json` with the
 resolved config, the seed, and content hashes of its inputs, enough to
 reproduce the run bit for bit single-threaded.
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .config import RunConfig, load_config
-from .errors import CkgrecError, ConfigError, FormatError, UnresolvedEntityError
+from .errors import CkgrecError, ConfigError, FormatError, TrainingDiverged, UnresolvedEntityError
 from .evaluate import (
     EvalReport,
     evaluate_model,
@@ -283,13 +285,29 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
+def _save_last_good(err: TrainingDiverged, world: World, cfg: RunConfig, out_dir) -> None:
+    """Write a diverged run's last finite state and finished epochs, never as `checkpoint.ckgr`."""
+    model = _fresh_model(world, cfg)
+    model.set_params(err.last_good_state)
+    os.makedirs(out_dir, exist_ok=True)
+    saved, history = os.path.join(out_dir, "checkpoint.last_good.ckgr"), os.path.join(out_dir, "history.csv")
+    ckpt.save(model, saved, {"config": cfg.to_dict(), "seed": cfg.seed, "epoch": len(err.history) - 1})
+    _write_history(err.history, history)
+    _write_run_manifest(out_dir, "train", cfg, world.inputs)
+    print(f"last good state written to {saved}, finished epochs to {history}", file=sys.stderr)
+
+
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out_dir = args.out or cfg.out
     if not out_dir:
         raise ConfigError("no output directory given (pass --out)")
     world = _build_world(cfg)
-    result = _train_once(world, cfg)
+    try:
+        result = _train_once(world, cfg)
+    except TrainingDiverged as err:
+        _save_last_good(err, world, cfg, out_dir)
+        raise
     os.makedirs(out_dir, exist_ok=True)
     ckpt.save(
         result.model,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericFaultError
 from .graph import AlignmentMap, CollaborativeKG
-from .kernels import sigmoid, softplus
+from .kernels import row_sums, sigmoid, softplus
 from .propagation import LayerStack, PropagationResult, init_stack, propagate, propagate_backward, resolve_dims
 from .rng import Rng
 from .transr import EmbeddingTable, init_table
@@ -117,22 +117,21 @@ def bpr_loss(model: DualModel, batch: BprBatch, res_u: PropagationResult, res_i:
     """
     users, items = model.representations(res_u.stitched, res_i.stitched)
     fu = users[batch.users]
-    fi = items[batch.pos_items]
-    fj = items[batch.neg_items]
     # finiteness is checked below; silence the transient inf/nan warnings
     with np.errstate(invalid="ignore", over="ignore"):
-        margin = np.einsum("ij,ij->i", fu, fi - fj)
+        fd = items[batch.pos_items] - items[batch.neg_items]
+        margin = np.einsum("ij,ij->i", fu, fd)
         losses = softplus(-margin)
     if not np.all(np.isfinite(losses)):
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise NumericFaultError(f"non-finite ranking loss at triplet {bad}")
     coeff = sigmoid(margin) - 1.0
 
-    g_users = np.zeros_like(users)
-    g_items = np.zeros_like(items)
-    np.add.at(g_users, batch.users, coeff[:, None] * (fi - fj))
-    np.add.at(g_items, batch.pos_items, coeff[:, None] * fu)
-    np.add.at(g_items, batch.neg_items, -coeff[:, None] * fu)
+    g_users = row_sums(batch.users, coeff[:, None] * fd, len(users))
+    # fu turns into the item terms; each item row adds its positive terms before any negative one
+    fu *= coeff[:, None]
+    g_items = row_sums(np.concatenate([batch.pos_items, batch.neg_items]), np.concatenate([fu, -fu]), len(items))
+    del users, items, fu, fd  # none is needed in the backward passes, where a step's memory peaks
 
     # route final-vector gradients back to each graph's stitched output
     (users_u, items_u), (users_i, items_i) = model.align.user_side, model.align.item_side

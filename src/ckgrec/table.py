@@ -38,8 +38,13 @@ def type_bits(rows: np.ndarray, codes: np.ndarray, n_rows: int, n_names: int) ->
     words = max(1, -(-n_names // 64))
     out = np.zeros(n_rows * words, dtype=np.uint64)
     codes = np.asarray(codes, dtype=np.int64)
-    bits = np.left_shift(np.uint64(1), (codes & 63).astype(np.uint64))
-    np.bitwise_or.at(out, np.asarray(rows, dtype=np.int64) * words + (codes >> 6), bits)
+    cells = np.asarray(rows, dtype=np.int64) * words + (codes >> 6)
+    # each word ORs its bits as one run of the codes sorted by word; the
+    # stable sort is linear on rows already in order, as ingest gives them
+    order = np.argsort(cells, kind="stable")
+    starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
+    bits = np.left_shift(np.uint64(1), (codes[order] & 63).astype(np.uint64))
+    out[cells[order[starts]]] = np.bitwise_or.reduceat(bits, starts)
     return out.reshape(n_rows, words)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericFaultError, SamplingExhaustedError
 from .graph import CollaborativeKG
-from .kernels import gaussian_init, sigmoid, softplus
+from .kernels import gaussian_init, row_sums, sigmoid, softplus
 from .rng import Rng
 
 
@@ -174,7 +174,7 @@ def kg_loss(table: EmbeddingTable, batch: TripleBatch):
     u_neg = (2.0 * coeff)[:, None] * d_neg
 
     # entity terms ordered by relation, then role (h, t, h', t'), then pair,
-    # so the one scatter adds each row's terms in a fixed sequence
+    # so the row sums add each row's terms in a fixed sequence
     slots = slots.reshape(4, n_pairs)
     at, terms = [], []
     for j, (rel, rows) in enumerate(zip(rels, groups)):
@@ -184,6 +184,6 @@ def kg_loss(table: EmbeddingTable, batch: TripleBatch):
         g_up, g_un = up @ table.projection[rel], un @ table.projection[rel]
         at.append(slots[:, rows].ravel())
         terms += [g_up, -g_up, g_un, -g_un]
-    np.add.at(grads["entity"], np.concatenate(at), np.concatenate(terms))
+    grads["entity"] = row_sums(np.concatenate(at), np.concatenate(terms), len(ents))
 
     return float(np.sum(losses)), grads, ents, rels

@@ -5,7 +5,9 @@ the closed forms training never calls.
 gradient.  `project` and `triple_energy` spell out one triple's TransR
 energy, and `total_loss` composes the joint objective the alternating
 trainer never forms, so the tests can check its gradient as a whole.
-Unlike `reference.py`, this module imports ckgrec.
+`bpr_loss_add_at` is the ranking loss with its row sums written as
+np.add.at scatters, the bitwise oracle of `model.bpr_loss`.  Unlike
+`reference.py`, this module imports ckgrec.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ckgrec.errors import CkgrecError, ShapeError
+from ckgrec.kernels import sigmoid, softplus
 from ckgrec.model import BprBatch, DualModel, bpr_loss
+from ckgrec.propagation import propagate_backward
 from ckgrec.transr import EmbeddingTable, TripleBatch, kg_loss
 
 
@@ -143,6 +147,37 @@ def dense_kg_loss(table: EmbeddingTable, batch: TripleBatch):
         grads[name] = np.zeros_like(getattr(table, name))
         grads[name][at] = rows[name]
     return loss, grads
+
+
+def bpr_loss_add_at(model: DualModel, batch: BprBatch, res_u, res_i):
+    """bpr_loss with three np.add.at scatters into zeros: users, then positive items, then negative items.
+
+    The routing to each graph's stitched output and through
+    propagate_backward is the package's own.
+    """
+    users, items = model.representations(res_u.stitched, res_i.stitched)
+    fu, fi, fj = users[batch.users], items[batch.pos_items], items[batch.neg_items]
+    margin = np.einsum("ij,ij->i", fu, fi - fj)
+    coeff = sigmoid(margin) - 1.0
+    g_users = np.zeros_like(users)
+    g_items = np.zeros_like(items)
+    np.add.at(g_users, batch.users, coeff[:, None] * (fi - fj))
+    np.add.at(g_items, batch.pos_items, coeff[:, None] * fu)
+    np.add.at(g_items, batch.neg_items, -coeff[:, None] * fu)
+
+    (users_u, items_u), (users_i, items_i) = model.align.user_side, model.align.item_side
+    su = model.stack_u.stitched_dim
+    gs_u, gs_i = np.zeros_like(res_u.stitched), np.zeros_like(res_i.stitched)
+    gs_u[users_u], gs_u[items_u] = g_users[:, :su], g_items[:, :su]
+    gs_i[users_i], gs_i[items_i] = g_users[:, su:], g_items[:, su:]
+    grads = {}
+    for prefix, kg, table, stack, res, gs in (
+        ("u.", model.kg_u, model.table_u, model.stack_u, res_u, gs_u),
+        ("i.", model.kg_i, model.table_i, model.stack_i, res_i, gs_i),
+    ):
+        for name, g in propagate_backward(kg, table, stack, res, gs).items():
+            grads[prefix + name] = g
+    return float(np.sum(softplus(-margin))), grads
 
 
 def total_loss(model: DualModel, batch_u: TripleBatch, batch_i: TripleBatch, cf_batch: BprBatch, lam: float):

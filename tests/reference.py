@@ -125,6 +125,26 @@ def rank_and_score_reference(score_matrix, train_items, truth, k):
     return float(np.mean(precisions)), float(np.mean(recalls))
 
 
+def row_sums_reference(index, terms, n_rows):
+    """Rows of `terms` summed by target row: np.add.at into zeros."""
+    out = np.zeros((n_rows, np.shape(terms)[1]))
+    np.add.at(out, np.asarray(index, dtype=np.int64), terms)
+    return out
+
+
+def type_bits_reference(rows, codes, n_rows, n_names):
+    """(n_rows, words) uint64 bit sets built with Python integers, one bit at a time."""
+    words = max(1, -(-n_names // 64))
+    sets = [0] * n_rows
+    for r, c in zip(rows, codes):
+        sets[r] |= 1 << int(c)
+    out = np.zeros((n_rows, words), dtype=np.uint64)
+    for r, s in enumerate(sets):
+        for w in range(words):
+            out[r, w] = (s >> (64 * w)) & (2**64 - 1)
+    return out
+
+
 def kg_loss_dense_reference(table, batch):
     """Encoding loss with gradients scattered into table-shaped zero arrays.
 

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from ckgrec import checkpoint, cli
@@ -253,6 +254,33 @@ class TestTrain:
         )
         assert code == 0
         assert json.loads((out / "run_manifest.json").read_text())["seed"] == 5
+
+    def test_diverged_run_keeps_its_last_good_state(self, dataset, tmp_path, capsys):
+        flags = [*data_flags(dataset), *TRAIN_SETS, "--seed", "7"]
+        assert run("train", *flags, "--set", "epochs=0", "--out", tmp_path / "init") == 0
+        capsys.readouterr()
+        out = tmp_path / "diverged"
+        assert run("train", *flags, "--set", "lr=1e154", "--out", out) == 2
+        err = capsys.readouterr().err
+        saved, history = out / "checkpoint.last_good.ckgr", out / "history.csv"
+        assert str(saved) in err and str(history) in err
+        assert "fault: epoch 0: non-finite ranking loss" in err
+        assert not (out / "checkpoint.ckgr").exists()
+        assert history.read_text().splitlines() == ["epoch,kg_u,kg_i,cf,reg,total,val_recall,wall_ms"]
+
+        # the diverged epoch is the first, so the last good state is the initial model
+        assert run("evaluate", "--checkpoint", saved, *data_flags(dataset), "--k", "5") == 0
+
+        def params_and_meta(path):
+            table_u, stack_u, table_i, stack_i, meta = checkpoint.load(path)
+            return DualModel(None, None, table_u, table_i, stack_u, stack_i, None).params(), meta
+
+        params, meta = params_and_meta(saved)
+        want, _ = params_and_meta(tmp_path / "init" / "checkpoint.ckgr")
+        assert meta["epoch"] == -1
+        assert sorted(params) == sorted(want)
+        for name, p in params.items():
+            assert np.all(np.isfinite(p)) and np.array_equal(p, want[name]), name
 
     def test_bad_env_seed_exits_1(self, dataset, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CKGR_SEED", "lots")

@@ -21,9 +21,10 @@ from ckgrec.ingest import (
     write_records,
 )
 from ckgrec.rng import Rng
-from ckgrec.table import NO_TIME
+from ckgrec.table import NO_TIME, type_bits
 
 from conftest import table
+from reference import type_bits_reference
 from tablerows import ratings_from_rows, rows_of
 
 
@@ -191,6 +192,22 @@ class TestMergeRecords:
     def test_identity_when_unique(self):
         records = table([("u1", "i1", frozenset({"view"}))])
         assert rows_of(merge_records(records)) == rows_of(records)
+
+
+class TestTypeBits:
+    def test_matches_bit_by_bit_reference(self):
+        rng = np.random.default_rng(11)
+        for n_rows, n_names, n_bits in ((0, 0, 0), (4, 1, 0), (6, 3, 20), (9, 64, 80), (9, 65, 80), (30, 200, 400)):
+            rows = rng.integers(0, max(n_rows, 1), size=n_bits)  # repeats set a bit twice
+            codes = rng.integers(0, max(n_names, 1), size=n_bits)
+            got = type_bits(rows, codes, n_rows, n_names)
+            want = type_bits_reference(rows, codes, n_rows, n_names)
+            assert got.dtype == np.uint64 and got.shape == want.shape
+            assert np.array_equal(got, want), (n_rows, n_names)
+
+    def test_top_bit_of_a_word(self):
+        bits = type_bits([0, 1, 1], [63, 64, 127], 2, 128)
+        assert bits.tolist() == [[2**63, 0], [0, 2**63 + 1]]
 
 
 class TestFilterMinInteractions:

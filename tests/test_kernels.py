@@ -1,4 +1,4 @@
-"""Numeric primitives: activations, init, the per-head softmax, and the gradient checker."""
+"""Numeric primitives: activations, init, row sums, the per-head softmax, and the gradient checker."""
 
 import math
 
@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from ckgrec.errors import ConfigError, ShapeError
 from ckgrec.kernels import (
+    ROW_SUM_COLUMNS,
     gaussian_init,
     leaky_relu,
     leaky_relu_grad,
+    row_sums,
     sigmoid,
     softplus,
 )
@@ -19,7 +21,7 @@ from ckgrec.propagation import _Segments
 from ckgrec.rng import Rng
 
 from gradcheck import OracleError, finite_diff_check
-from reference import softmax_reference
+from reference import row_sums_reference, softmax_reference
 
 
 class TestGaussianInit:
@@ -81,6 +83,55 @@ class TestActivations:
     def test_softplus_extreme_no_overflow(self):
         out = softplus(np.array([1000.0, -1000.0]))
         assert out[0] == 1000.0 and out[1] == 0.0
+
+
+class TestRowSums:
+    """row_sums must equal np.add.at into zeros bit for bit, signs of zero included."""
+
+    def assert_matches_add_at(self, index, terms, n_rows):
+        got = row_sums(index, terms, n_rows)
+        want = row_sums_reference(index, terms, n_rows)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_repeated_and_missed_rows_and_negative_zero(self):
+        rng = np.random.default_rng(3)
+        index = np.array([4, 0, 4, 4, 2, 0, 4])  # rows 1, 3 and 5 are never hit
+        terms = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-8, 9, size=(7, 5))
+        terms[1] = -0.0  # row 0 gets -0.0 then a number; 0.0 + -0.0 is 0.0
+        terms[4, 2] = -0.0  # row 2 holds one -0.0 term: +0.0, as np.add.at gives
+        self.assert_matches_add_at(index, terms, 6)
+        assert not np.signbit(row_sums(index, terms, 6)[2, 2])
+
+    def test_cancellation_keeps_input_order(self):
+        # (1e16 + 1) - 1e16 is 0 but (1e16 - 1e16) + 1 is 1: the order must be the input's
+        index = np.array([0, 0, 0, 1, 1, 1])
+        terms = np.array([[1e16], [1.0], [-1e16], [1e16], [-1e16], [1.0]])
+        assert row_sums(index, terms, 2)[:, 0].tolist() == [0.0, 1.0]
+        self.assert_matches_add_at(index, terms, 2)
+
+    def test_empty_index(self):
+        self.assert_matches_add_at(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4)
+        assert row_sums(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4).tolist() == [[0.0] * 3] * 4
+
+    def test_width_one(self):
+        self.assert_matches_add_at(np.array([2, 2, 0]), np.array([[0.1], [0.2], [-0.3]]), 3)
+
+    def test_width_not_a_multiple_of_the_column_block(self):
+        rng = np.random.default_rng(5)
+        width = 150
+        assert width % ROW_SUM_COLUMNS
+        index = rng.integers(0, 40, size=500)
+        self.assert_matches_add_at(index, rng.normal(size=(500, width)), 40)
+
+    @given(st.integers(1, 6), st.integers(1, 140), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_add_at(self, n_rows, width, n_terms, seed):
+        rng = np.random.default_rng(seed)
+        terms = rng.normal(size=(n_terms, width))
+        terms[rng.random(terms.shape) < 0.2] = -0.0
+        self.assert_matches_add_at(rng.integers(0, n_rows, size=n_terms), terms, n_rows)
 
 
 def softmax(v, lengths=None):

@@ -12,7 +12,7 @@ from ckgrec.rng import Rng
 from ckgrec.transr import sample_batch
 
 from conftest import rec, table, toy_cf_batch, toy_dual
-from gradcheck import finite_diff_check, total_loss
+from gradcheck import bpr_loss_add_at, finite_diff_check, total_loss
 
 
 class TestDualModel:
@@ -118,6 +118,24 @@ class TestBprLoss:
         _, grads = bpr_loss(model, toy_cf_batch(), res_u, res_i)
         for name, p in model.params().items():
             assert name in grads and grads[name].shape == p.shape
+
+    def test_matches_add_at_oracle_bitwise(self, synth_world):
+        w = synth_world
+        # stitched width 2 * (64 + 32 + 16) = 224 spans four row-sum column blocks
+        model = build_model(w["kg_u"], w["kg_i"], w["align"], d=64, k=64, n_layers=2, dims=(64, 32, 16),
+                            std=0.1, rng=Rng(42, (11,)))
+        rng = np.random.default_rng(7)
+        pairs = w["train_pairs"][rng.integers(len(w["train_pairs"]), size=1024)]  # users repeat
+        # every positive item is also some other triplet's negative
+        batch = BprBatch(pairs[:, 0], pairs[:, 1], np.roll(pairs[:, 1], 1))
+        res_u, res_i = model.propagate_both()
+        loss, grads = bpr_loss(model, batch, res_u, res_i)
+        want_loss, want = bpr_loss_add_at(model, batch, res_u, res_i)
+        assert loss == want_loss
+        assert sorted(grads) == sorted(want) == sorted(model.params())
+        for name, g in grads.items():
+            assert np.array_equal(g, want[name]), name
+            assert np.array_equal(np.signbit(g), np.signbit(want[name])), name
 
 
 class TestTotalLoss:

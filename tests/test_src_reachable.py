@@ -2,7 +2,8 @@
 
 Code that only the tests call belongs in tests/, so a definition must be
 referenced from src/ckgrec (re-exports in __init__.py do not count) or
-from the benchmark in bench/.
+from the benchmark in bench/.  No module scatters with a ufunc's `.at`
+either: row sums have one vectorised path, `kernels.row_sums`.
 """
 
 import ast
@@ -95,3 +96,14 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{name}" for name in imported if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_ufunc_at_calls():
+    """`np.add.at` and every other `<ufunc>.at` scatter stay out of src/ckgrec."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _definitions()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "at"
+    ]
+    assert not calls, f"ufunc.at scatters in src/ (use kernels.row_sums): {calls}"
