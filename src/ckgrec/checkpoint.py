@@ -15,10 +15,13 @@ Layout (all integers little-endian):
     u64          metadata length, then that many UTF-8 bytes of JSON
                  (config echo, seed, epoch, aggregator/attention flags)
 
-W2 is always stored; when the aggregator shares one matrix the stored
-W2 block is a bitwise copy of W1 and the loader re-aliases them, so
-block sizes derive from the header alone.  Saving a just-loaded state
-reproduces the file byte for byte.
+The block order lives in one function, `_blocks`, which both `save` and
+`load` walk.  A block is named as in `DualModel.params()` (`u.entity`,
+`u.w1.1`, `i.attn.2`, ...).  W2 is always stored; when the aggregator
+shares one matrix, `params()` has no W2, the stored W2 block is a
+bitwise copy of W1 and the loader re-aliases them, so block sizes
+derive from the header alone.  Saving a just-loaded state reproduces
+the file byte for byte.
 """
 
 from __future__ import annotations
@@ -39,18 +42,17 @@ MAGIC = b"CKGR"
 VERSION = 0x01
 
 
-def _pack_side(table: EmbeddingTable, stack: LayerStack) -> list[bytes]:
-    parts = [
-        np.ascontiguousarray(table.entity, dtype="<f8").tobytes(),
-        np.ascontiguousarray(table.relation, dtype="<f8").tobytes(),
-        np.ascontiguousarray(table.projection, dtype="<f8").tobytes(),
-    ]
-    for l in range(1, stack.n_layers + 1):
-        parts.append(np.ascontiguousarray(stack.w1[l - 1], dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(stack.w2[l - 1], dtype="<f8").tobytes())
-        if l >= 2:
-            parts.append(np.ascontiguousarray(stack.attn[l - 1], dtype="<f8").tobytes())
-    return parts
+def _blocks(counts, d: int, k: int, dims) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every f64 block in file order; `counts` holds (N, M) per side."""
+    out = []
+    for side, (n, m) in zip(("u", "i"), counts):
+        out += [(f"{side}.entity", (n, d)), (f"{side}.relation", (m, k)), (f"{side}.projection", (m, k, d))]
+        for l in range(1, len(dims)):
+            w = (dims[l], dims[l - 1])
+            out += [(f"{side}.w1.{l}", w), (f"{side}.w2.{l}", w)]
+            if l >= 2:
+                out.append((f"{side}.attn.{l}", (m, k, dims[l - 1])))
+    return out
 
 
 def save(model: DualModel, path, metadata: dict) -> None:
@@ -69,29 +71,20 @@ def save(model: DualModel, path, metadata: dict) -> None:
     meta["slope"] = float(stack.slope)
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    header = struct.pack(
-        f"<4sB{7 + len(dims)}I",
-        MAGIC,
-        VERSION,
-        model.table_u.n_entities,
-        model.table_u.n_relations,
-        model.table_i.n_entities,
-        model.table_i.n_relations,
-        model.table_u.d,
-        model.table_u.k,
-        stack.n_layers,
-        *dims,
-    )
+    counts = [(t.n_entities, t.n_relations) for t in (model.table_u, model.table_i)]
+    d, k = model.table_u.d, model.table_u.k
+    header = struct.pack(f"<4sB{7 + len(dims)}I", MAGIC, VERSION, *counts[0], *counts[1], d, k, stack.n_layers, *dims)
+    params = model.params()
     # written beside the target and renamed over it, so a crash leaves the old file whole
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            for part in _pack_side(model.table_u, model.stack_u):
-                fh.write(part)
-            for part in _pack_side(model.table_i, model.stack_i):
-                fh.write(part)
+            for block, _ in _blocks(counts, d, k, dims):
+                # a shared stack has no W2 of its own: its W1 is stored in that place
+                p = params[block] if block in params else params[block.replace(".w2.", ".w1.")]
+                fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
             fh.flush()
@@ -140,23 +133,7 @@ def load(path):
     dims = list(struct.unpack(f"<{n_layers + 1}I", r.take(4 * (n_layers + 1), "layer widths")))
     if dims[0] != d:
         raise FormatError(f"{path}: first layer width {dims[0]} != entity width {d}")
-
-    def read_side(n, m, tag):
-        table = EmbeddingTable(
-            entity=r.array((n, d), f"{tag} entities"),
-            relation=r.array((m, k), f"{tag} relations"),
-            projection=r.array((m, k, d), f"{tag} projections"),
-        )
-        w1, w2, attn = [], [], [None]
-        for l in range(1, n_layers + 1):
-            w1.append(r.array((dims[l], dims[l - 1]), f"{tag} W1 layer {l}"))
-            w2.append(r.array((dims[l], dims[l - 1]), f"{tag} W2 layer {l}"))
-            if l >= 2:
-                attn.append(r.array((m, k, dims[l - 1]), f"{tag} attention layer {l}"))
-        return table, w1, w2, attn
-
-    table_u, w1_u, w2_u, attn_u = read_side(n_u, m_u, "user-side")
-    table_i, w1_i, w2_i, attn_i = read_side(n_i, m_i, "item-side")
+    blocks = {name: r.array(shape, name) for name, shape in _blocks([(n_u, m_u), (n_i, m_i)], d, k, dims)}
 
     (blob_len,) = struct.unpack("<Q", r.take(8, "metadata length"))
     blob = r.take(blob_len, "metadata")
@@ -173,20 +150,23 @@ def load(path):
     if printed and (problem := printed_width_problem(dims, k)):
         raise FormatError(f"{path}: metadata says {problem}")
 
-    def build_stack(w1, w2, attn, tag):
+    layers = range(1, n_layers + 1)
+    sides = []
+    for side in ("u", "i"):
+        w1 = [blocks[f"{side}.w1.{l}"] for l in layers]
+        w2 = [blocks[f"{side}.w2.{l}"] for l in layers]
         if shared:
-            for l, (a, b) in enumerate(zip(w1, w2), start=1):
-                if not np.array_equal(a, b):
+            for l in layers:
+                if not np.array_equal(w1[l - 1], w2[l - 1]):
                     raise FormatError(
-                        f"{path}: metadata says shared aggregator weights but {tag} "
-                        f"layer {l} stores differing W1/W2 blocks"
+                        f"{path}: metadata says shared aggregator weights but the W1/W2 "
+                        f"blocks {side}.w1.{l} and {side}.w2.{l} differ"
                     )
             w2 = w1
-        return LayerStack(list(dims), w1, w2, attn, slope, shared, printed)
-
-    stack_u = build_stack(w1_u, w2_u, attn_u, "user-side")
-    stack_i = build_stack(w1_i, w2_i, attn_i, "item-side")
-    return table_u, stack_u, table_i, stack_i, meta
+        attn = [None] + [blocks[f"{side}.attn.{l}"] for l in layers[1:]]
+        table = EmbeddingTable(*(blocks[f"{side}.{name}"] for name in ("entity", "relation", "projection")))
+        sides += [table, LayerStack(list(dims), w1, w2, attn, slope, shared, printed)]
+    return (*sides, meta)
 
 
 def attach(path, kg_u, kg_i, align, loaded=None) -> tuple[DualModel, dict]:
@@ -196,13 +176,14 @@ def attach(path, kg_u, kg_i, align, loaded=None) -> tuple[DualModel, dict]:
     the file already; without it the file is read here.
     """
     table_u, stack_u, table_i, stack_i, meta = load(path) if loaded is None else loaded
-    checks = [
-        ("user-side entities", table_u.n_entities, kg_u.entity_count),
-        ("user-side relations", table_u.n_relations, kg_u.relation_count),
-        ("item-side entities", table_i.n_entities, kg_i.entity_count),
-        ("item-side relations", table_i.n_relations, kg_i.relation_count),
-    ]
-    bad = [f"{what}: checkpoint {a} vs graph {b}" for what, a, b in checks if a != b]
+    bad = []
+    for tag, table, kg in (("user-side", table_u, kg_u), ("item-side", table_i, kg_i)):
+        for what, stored, built in (
+            ("entities", table.n_entities, kg.entity_count),
+            ("relations", table.n_relations, kg.relation_count),
+        ):
+            if stored != built:
+                bad.append(f"{tag} {what}: checkpoint {stored} vs graph {built}")
     if bad:
         raise DimensionConflictError(
             "checkpoint does not match the rebuilt graphs — " + "; ".join(bad)

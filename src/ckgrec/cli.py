@@ -216,16 +216,6 @@ def _report(report: EvalReport, out_dir, csv_name: str, command: str, cfg: RunCo
         print(f"report written to {os.path.join(out_dir, csv_name)}")
 
 
-def _write_history(history, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,kg_u,kg_i,cf,reg,total,val_recall,wall_ms\n")
-        for row in history:
-            fh.write(
-                f"{row['epoch']},{row['kg_u']!r},{row['kg_i']!r},{row['cf']!r},"
-                f"{row['reg']!r},{row['total']!r},{row['val_recall']!r},{row['wall_ms']!r}\n"
-            )
-
-
 def cmd_synth(args) -> int:
     env_seed = _env_seed()  # checked even when --seed is given, as for every command
     cfg = SynthConfig(
@@ -285,16 +275,23 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
-def _save_last_good(err: TrainingDiverged, world: World, cfg: RunConfig, out_dir) -> None:
-    """Write a diverged run's last finite state and finished epochs, never as `checkpoint.ckgr`."""
-    model = _fresh_model(world, cfg)
-    model.set_params(err.last_good_state)
+def _write_train_outputs(world: World, cfg: RunConfig, out_dir, name: str, model, epoch: int, history) -> str:
+    """Write a train run's checkpoint `name`, history.csv and run_manifest.json into out_dir.
+
+    Returns the checkpoint's path.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    saved, history = os.path.join(out_dir, "checkpoint.last_good.ckgr"), os.path.join(out_dir, "history.csv")
-    ckpt.save(model, saved, {"config": cfg.to_dict(), "seed": cfg.seed, "epoch": len(err.history) - 1})
-    _write_history(err.history, history)
+    saved = os.path.join(out_dir, name)
+    ckpt.save(model, saved, {"config": cfg.to_dict(), "seed": cfg.seed, "epoch": epoch})
+    with open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("epoch,kg_u,kg_i,cf,reg,total,val_recall,wall_ms\n")
+        for row in history:
+            fh.write(
+                f"{row['epoch']},{row['kg_u']!r},{row['kg_i']!r},{row['cf']!r},"
+                f"{row['reg']!r},{row['total']!r},{row['val_recall']!r},{row['wall_ms']!r}\n"
+            )
     _write_run_manifest(out_dir, "train", cfg, world.inputs)
-    print(f"last good state written to {saved}, finished epochs to {history}", file=sys.stderr)
+    return saved
 
 
 def cmd_train(args) -> int:
@@ -306,16 +303,15 @@ def cmd_train(args) -> int:
     try:
         result = _train_once(world, cfg)
     except TrainingDiverged as err:
-        _save_last_good(err, world, cfg, out_dir)
+        # the last finite state and the finished epochs, never as `checkpoint.ckgr`
+        model = _fresh_model(world, cfg)
+        model.set_params(err.last_good_state)
+        epoch = len(err.history) - 1
+        saved = _write_train_outputs(world, cfg, out_dir, "checkpoint.last_good.ckgr", model, epoch, err.history)
+        history = os.path.join(out_dir, "history.csv")
+        print(f"last good state written to {saved}, finished epochs to {history}", file=sys.stderr)
         raise
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt.save(
-        result.model,
-        os.path.join(out_dir, "checkpoint.ckgr"),
-        {"config": cfg.to_dict(), "seed": cfg.seed, "epoch": result.best_epoch},
-    )
-    _write_history(result.history, os.path.join(out_dir, "history.csv"))
-    _write_run_manifest(out_dir, "train", cfg, world.inputs)
+    _write_train_outputs(world, cfg, out_dir, "checkpoint.ckgr", result.model, result.best_epoch, result.history)
     last = result.history[-1] if result.history else {"total": float("nan")}
     print(
         f"trained {len(result.history)} epochs (best epoch {result.best_epoch}, "
@@ -467,10 +463,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, UnresolvedEntityError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
+    except (ConfigError, FormatError, UnresolvedEntityError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except CkgrecError as err:

@@ -29,8 +29,6 @@ class Split:
     train: Interactions
     validation: Interactions
     test: Interactions
-    seed: int
-    ratios: tuple[float, float, float]
 
 
 def split_dataset(records: Interactions, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> Split:
@@ -77,7 +75,7 @@ def split_dataset(records: Interactions, ratios=(0.8, 0.1, 0.1), seed: int = 0) 
     n_val, n_test = (np.repeat(n_held[:, j], counts) for j in (0, 1))
     part = (from_end <= n_val + n_test).astype(np.int64) + (from_end <= n_test)
     train, val, test = (records.take(shuffled[part == p]) for p in range(3))
-    return Split(train, val, test, seed, ratios)
+    return Split(train, val, test)
 
 
 def pairs_of(records: Interactions, bg: BipartiteGraph) -> np.ndarray:

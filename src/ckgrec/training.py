@@ -10,8 +10,8 @@ A ranking step sends every parameter row through the same Adam update.
 
 All sampling derives from one root Rng split by (epoch, phase, batch),
 making runs bitwise reproducible; validation recall drives early
-stopping, and a non-finite loss aborts with the last finite snapshot
-attached to the error.
+stopping, and a non-finite loss or an overflowing Adam moment aborts
+with the last finite snapshot attached to the error.
 
 The settings are the run's `RunConfig` itself: `train` reads `lr`,
 `reg`, `kg_batch`, `cf_batch`, `epochs`, `patience`, `eval_every` and
@@ -63,7 +63,12 @@ class Adam:
         c2 = 1.0 - b2 ** self.t[name]
         rows = slice(None) if rows is None else rows
         m = b1 * self.m[name][rows] + (1.0 - b1) * grad
-        v = b2 * self.v[name][rows] + (1.0 - b2) * grad * grad
+        try:
+            # an infinite v would zero the update of its rows instead of turning them non-finite
+            with np.errstate(over="raise"):
+                v = b2 * self.v[name][rows] + (1.0 - b2) * grad * grad
+        except FloatingPointError:
+            raise NumericFaultError(f"Adam second moment of {name} overflowed")
         self.m[name][rows] = m
         self.v[name][rows] = v
         param[rows] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)

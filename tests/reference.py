@@ -6,7 +6,9 @@ and deliberately shares no code with the package's vectorized
 implementations.
 """
 
+import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -578,3 +580,39 @@ def world_records(path, user_attrs, item_attrs, format="tsv", threshold=float("-
         "item_side": graph_side_records(user_tokens, item_tokens, edges, user_attrs, False),
         "pairs": tuple(pairs_records(part, user_tokens, item_tokens) for part in (train, val, test)),
     }
+
+
+def checkpoint_v1_reference(user_side, item_side, dims, metadata):
+    """Version-1 checkpoint bytes, written field by field from raw arrays.
+
+    Each side is (entity, relation, projection, w1, w2, attn): the (N, d),
+    (M, k) and (M, k, d) table arrays, then per-layer lists where w1[l-1]
+    and w2[l-1] belong to layer l, w2 is None for shared aggregator
+    weights, and attn[l-1] is read for l >= 2 only.  `metadata` is the
+    complete JSON object, flags included.
+    """
+    n_layers = len(dims) - 1
+    (n_u, d), (m_u, k) = user_side[0].shape, user_side[1].shape
+    n_i, m_i = item_side[0].shape[0], item_side[1].shape[0]
+    out = bytearray(b"CKGR")
+    out += bytes([1])
+    for value in (n_u, m_u, n_i, m_i, d, k, n_layers, *dims):
+        out += struct.pack("<I", value)
+
+    def put(array):
+        for value in np.asarray(array, dtype=float).flatten():
+            out.extend(struct.pack("<d", value))
+
+    for entity, relation, projection, w1, w2, attn in (user_side, item_side):
+        put(entity)
+        put(relation)
+        put(projection)
+        for l in range(1, n_layers + 1):
+            put(w1[l - 1])
+            put(w1[l - 1] if w2 is None else w2[l - 1])  # shared weights store W1 again
+            if l >= 2:
+                put(attn[l - 1])
+    blob = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    out += struct.pack("<Q", len(blob))
+    out += blob
+    return bytes(out)

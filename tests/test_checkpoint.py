@@ -10,6 +10,7 @@ from ckgrec.checkpoint import MAGIC, attach, load, save
 from ckgrec.errors import DimensionConflictError, FormatError
 
 from conftest import toy_dual
+from reference import checkpoint_v1_reference
 
 
 def saved_toy(tmp_path, name="m.ckgr", **kwargs):
@@ -88,6 +89,42 @@ class TestRoundTrip:
         want_u, want_i = model.propagate_both()
         assert np.array_equal(res_u.stitched, want_u.stitched)
         assert np.array_equal(res_i.stitched, want_i.stitched)
+
+
+class TestFormatOracle:
+    """`save` writes the documented version-1 layout, block for block.
+
+    A round trip cannot see a block order that `save` and `load` agree
+    on; a writer that shares no code with them can.
+    """
+
+    CASES = {
+        "shared-L2": {},
+        "unshared-L2": {"shared_weights": False},
+        "shared-L1": {"n_layers": 1, "dims": (4, 3)},
+        "unshared-L1": {"n_layers": 1, "dims": (4, 3), "shared_weights": False},
+        "shared-L3": {"n_layers": 3, "dims": (4, 3, 3, 2)},
+        "unshared-L3": {"n_layers": 3, "dims": (4, 3, 3, 2), "shared_weights": False},
+        "printed": {"d": 3, "k": 3, "dims": (3, 3, 2), "printed_attention": True},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_save_matches_the_reference_writer(self, tmp_path, case):
+        model, path = saved_toy(tmp_path, **self.CASES[case])
+        stack = model.stack_u
+        sides = [
+            (t.entity, t.relation, t.projection, s.w1, None if s.shared else s.w2, s.attn)
+            for t, s in ((model.table_u, model.stack_u), (model.table_i, model.stack_i))
+        ]
+        metadata = {
+            "seed": 3,
+            "epoch": 7,
+            "dims": list(stack.dims),
+            "shared_weights": stack.shared,
+            "printed_attention": stack.printed_attention,
+            "slope": stack.slope,
+        }
+        assert path.read_bytes() == checkpoint_v1_reference(*sides, stack.dims, metadata)
 
 
 class TestRejection:

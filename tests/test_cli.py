@@ -282,6 +282,20 @@ class TestTrain:
         for name, p in params.items():
             assert np.all(np.isfinite(p)) and np.array_equal(p, want[name]), name
 
+    def test_overflowing_adam_moment_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the loss stays finite here: an overflow of Adam's second moment is what stops the run
+        monkeypatch.delenv("CKGR_SEED", raising=False)
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run("synth", "--out", data, "--users", "30", "--items", "20", "--seed", "1") == 0
+        assert run("train", *data_flags(data), "--set", "lr=1e20", "--set", "epochs=4", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"fault: epoch \d+: Adam second moment of \S+ overflowed", err)
+        assert (out / "checkpoint.last_good.ckgr").exists()
+        assert not (out / "checkpoint.ckgr").exists()
+        header, *rows = (out / "history.csv").read_text().splitlines()
+        assert header == "epoch,kg_u,kg_i,cf,reg,total,val_recall,wall_ms"
+        assert [row.split(",")[0] for row in rows] == ["0"]
+
     def test_bad_env_seed_exits_1(self, dataset, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CKGR_SEED", "lots")
         code = run(
