@@ -13,7 +13,9 @@ Layout (all integers little-endian):
                      that layer's attention projections (M_u x k x d_{l-1})
     f64 blocks   item-side graph parameters, same order with N_i/M_i
     u64          metadata length, then that many UTF-8 bytes of JSON
-                 (config echo, seed, epoch, aggregator/attention flags)
+                 (config echo, seed, epoch, aggregator/attention flags,
+                 and the sha256 digests of the two graphs the model was
+                 trained on)
 
 The block order lives in one function, `_blocks`, which both `save` and
 `load` walk.  A block is named as in `DualModel.params()` (`u.entity`,
@@ -22,6 +24,10 @@ shares one matrix, `params()` has no W2, the stored W2 block is a
 bitwise copy of W1 and the loader re-aliases them, so block sizes
 derive from the header alone.  Saving a just-loaded state reproduces
 the file byte for byte.
+
+`attach` binds a checkpoint only to the graphs it was trained on: their
+entity and relation counts and, when the file stores them, their
+digests must match.  A file without digests attaches on counts alone.
 """
 
 from __future__ import annotations
@@ -55,12 +61,33 @@ def _blocks(counts, d: int, k: int, dims) -> list[tuple[str, tuple[int, ...]]]:
     return out
 
 
-def save(model: DualModel, path, metadata: dict) -> None:
-    """Write the model's parameters plus a JSON metadata blob.
+@contextlib.contextmanager
+def open_replacing(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside `path`; when the block ends cleanly, sync it and rename it over `path`.
 
-    The bytes go to a temporary file in the target's directory, are
-    synced to disk and then renamed over the target, so the target is
-    always either the previous checkpoint or the complete new one.
+    The target is always either its previous content or the complete new
+    one: a failure inside the block, or in the sync or rename, removes
+    the temporary file and leaves the target untouched.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def save(model: DualModel, path, metadata: dict) -> None:
+    """Write the model's parameters plus a JSON metadata blob, crash-safely (`open_replacing`).
+
+    The metadata gains the layer widths, the aggregator and attention
+    flags and the digests of the model's two graphs.
     """
     stack = model.stack_u
     dims = stack.dims
@@ -69,31 +96,21 @@ def save(model: DualModel, path, metadata: dict) -> None:
     meta["shared_weights"] = bool(stack.shared)
     meta["printed_attention"] = bool(stack.printed_attention)
     meta["slope"] = float(stack.slope)
+    meta["graph_digests"] = {"u": model.kg_u.digest(), "i": model.kg_i.digest()}
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     counts = [(t.n_entities, t.n_relations) for t in (model.table_u, model.table_i)]
     d, k = model.table_u.d, model.table_u.k
     header = struct.pack(f"<4sB{7 + len(dims)}I", MAGIC, VERSION, *counts[0], *counts[1], d, k, stack.n_layers, *dims)
     params = model.params()
-    # written beside the target and renamed over it, so a crash leaves the old file whole
-    directory, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            for block, _ in _blocks(counts, d, k, dims):
-                # a shared stack has no W2 of its own: its W1 is stored in that place
-                p = params[block] if block in params else params[block.replace(".w2.", ".w1.")]
-                fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with open_replacing(path) as fh:
+        fh.write(header)
+        for block, _ in _blocks(counts, d, k, dims):
+            # a shared stack has no W2 of its own: its W1 is stored in that place
+            p = params[block] if block in params else params[block.replace(".w2.", ".w1.")]
+            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
 
 
 class _Reader:
@@ -149,6 +166,9 @@ def load(path):
     printed = bool(meta.get("printed_attention", False))
     if printed and (problem := printed_width_problem(dims, k)):
         raise FormatError(f"{path}: metadata says {problem}")
+    digests = meta.get("graph_digests", {"u": "", "i": ""})
+    if not (isinstance(digests, dict) and all(isinstance(digests.get(side), str) for side in ("u", "i"))):
+        raise FormatError(f"{path}: metadata graph_digests must map u and i to digest strings, got {digests!r}")
 
     layers = range(1, n_layers + 1)
     sides = []
@@ -173,7 +193,9 @@ def attach(path, kg_u, kg_i, align, loaded=None) -> tuple[DualModel, dict]:
     """Bind a checkpoint to freshly built graphs.
 
     `loaded` is what `load(path)` returned, for a caller that has read
-    the file already; without it the file is read here.
+    the file already; without it the file is read here.  Graphs whose
+    counts, or whose digests when the file stores them, differ from the
+    trained ones are a DimensionConflictError.
     """
     table_u, stack_u, table_i, stack_i, meta = load(path) if loaded is None else loaded
     bad = []
@@ -184,6 +206,11 @@ def attach(path, kg_u, kg_i, align, loaded=None) -> tuple[DualModel, dict]:
         ):
             if stored != built:
                 bad.append(f"{tag} {what}: checkpoint {stored} vs graph {built}")
+    if not bad and "graph_digests" in meta:
+        for side, tag, kg in (("u", "user-side", kg_u), ("i", "item-side", kg_i)):
+            stored, built = meta["graph_digests"][side], kg.digest()
+            if stored != built:
+                bad.append(f"{tag} graph digest: checkpoint {stored[:16]} vs graph {built[:16]}")
     if bad:
         raise DimensionConflictError(
             "checkpoint does not match the rebuilt graphs — " + "; ".join(bad)

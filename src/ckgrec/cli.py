@@ -173,7 +173,7 @@ def _sha256(path) -> str:
 
 def _write_run_manifest(out_dir, command: str, cfg: RunConfig, inputs: dict) -> None:
     payload = {"command": command, "config": cfg.to_dict(), "seed": cfg.seed, "inputs": inputs}
-    with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
+    with ckpt.open_replacing(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -283,7 +283,7 @@ def _write_train_outputs(world: World, cfg: RunConfig, out_dir, name: str, model
     os.makedirs(out_dir, exist_ok=True)
     saved = os.path.join(out_dir, name)
     ckpt.save(model, saved, {"config": cfg.to_dict(), "seed": cfg.seed, "epoch": epoch})
-    with open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8", newline="\n") as fh:
+    with ckpt.open_replacing(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epoch,kg_u,kg_i,cf,reg,total,val_recall,wall_ms\n")
         for row in history:
             fh.write(
@@ -327,6 +327,9 @@ def _load_checkpoint_world(args):
     cfg = _resolve_config(args, loaded[-1].get("config"))
     world = _build_world(cfg)
     model, _ = ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
+    if "graph_digests" not in loaded[-1]:
+        print(f"warning: {args.checkpoint} stores no graph digests; only the graphs' counts were checked",
+              file=sys.stderr)
     return cfg, world, model
 
 

@@ -86,10 +86,8 @@ def _require_types(records: Interactions) -> None:
     empty = np.flatnonzero(~records.types.any(axis=1))
     if len(empty):
         pos = int(empty[0])
-        line = int(records.line[pos])
-        where = f"line {line}" if line else f"record {pos + 1}"
         user, item = records.user_tokens[records.user[pos]], records.item_tokens[records.item[pos]]
-        raise FormatError(f"empty interaction-type set ({where}, user={user!r}, item={item!r})")
+        raise FormatError(f"empty interaction-type set (record {pos + 1}, user={user!r}, item={item!r})")
 
 
 def _vocab(tokens, codes, order: str) -> Vocab:

@@ -19,23 +19,23 @@ vectors e_r are shared at every depth.  The per-layer outputs
 x^(0)..x^(L) are concatenated into one stitched representation.
 
 Both passes run over a `PropagationPlan`, built once per graph on first
-use and kept on it.  The plan groups the edges three ways without
-reordering the graph: per head (the CSR runs), per tail (a stable
-tail-sorted permutation), and per distinct (head, relation) and
-(tail, relation) pair.  Both attention factors depend on one edge end's
-pair only, so pt = A_r x_t is computed and cached once per tail pair and
-q = tanh(A_r x_h + e_r) once per head pair: a user heading twenty edges
-of one relation is projected once, not twenty times.  (The printed form
-adds x_t inside tanh, so there q is made and cached per edge.)  The
-logits and the backward's per-edge terms are made for about EDGE_BLOCK
-edges at a time, gathering rows of the per-pair arrays, blocks ending on
-head- or tail-run boundaries; each run is still reduced whole, so no
-result depends on the block size.  Apart from the printed form's q, the
-messages' weighted tail rows are the one (edges, width) array a layer
-makes whole.  Messages are summed over the head runs and tail gradients
-over the tail runs with `np.add.reduceat`; the projection gradients are
-first summed per pair, after which one small matmul per relation and
-side gives both dA_r and dx.
+use and kept on it.  The plan groups the edges four ways without
+reordering the graph, each grouping one `_Runs` (a stable permutation of
+the edges plus its runs of equal keys): per head, per tail, and per
+distinct (head, relation) and (tail, relation) pair.  Both attention
+factors depend on one edge end's pair only, so pt = A_r x_t is computed
+and cached once per tail pair and q = tanh(A_r x_h + e_r) once per head
+pair: a user heading twenty edges of one relation is projected once, not
+twenty times.  (The printed form adds x_t inside tanh, so there q is
+made and cached per edge; it is the only (edges, width) array a layer
+makes.)  Every per-edge computation takes one blocked walk,
+`_Runs.sum` or `_Runs.per_edge`: the terms of about EDGE_BLOCK edges are
+made at a time, gathering rows of the per-entity and per-pair arrays,
+and each run is reduced whole by `np.add.reduceat`, so no result depends
+on the block size.  That walk makes the logits, the messages (summed
+over the head runs), the tail gradients (over the tail runs) and the
+projection gradients (over the pair runs), after which one small matmul
+per relation and side gives both dA_r and dx.
 
 The backward pass mirrors the forward step by step (softmax, tanh, and
 sum adjoints written out by hand) and is validated against central
@@ -45,7 +45,7 @@ differences and against the per-edge kernel in tests/reference.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -143,25 +143,29 @@ def init_stack(
     return LayerStack(dims, w1, w2, attn, slope, shared, printed_attention)
 
 
-EDGE_BLOCK = 8192  # edges whose per-edge logit or backward terms exist at once
+EDGE_BLOCK = 8192  # edges whose per-edge terms (weighted tails, logits, gradients) exist at once
 
 
 @dataclass
-class _Segments:
-    """Contiguous runs of equal keys in a key-sorted edge list."""
+class _Runs:
+    """Edges grouped by key: `order` lists them run by run, keys ascending.
 
-    starts: np.ndarray   # first position of each run
+    `sum` and `per_edge` walk `order` one block of whole runs at a time.
+    """
+
+    order: np.ndarray    # stable permutation of the edges that sorts their keys
+    starts: np.ndarray   # first position of each run within `order`
     repeats: np.ndarray  # run lengths, aligned with starts
+    ids: np.ndarray      # key of each run
 
     @classmethod
-    def of_sorted(cls, keys: np.ndarray) -> "_Segments":
+    def of(cls, keys: np.ndarray) -> "_Runs":
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
         first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
         starts = np.flatnonzero(first)
-        return cls(starts=starts, repeats=np.diff(np.append(starts, len(keys))))
-
-    def sum(self, values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(values, self.starts)
+        return cls(order, starts, np.diff(np.append(starts, len(keys))), sorted_keys[starts])
 
     @cached_property
     def blocks(self) -> list[tuple[slice, int, int]]:
@@ -177,15 +181,15 @@ class _Segments:
             b = nxt
         return out
 
-    def sum_gathered(self, order: np.ndarray, rows_of) -> np.ndarray:
-        """`sum(rows_of(order))`, with rows_of called on one block of `order` at a time.
-
-        Each run is summed whole by one reduceat, so the result does not
-        depend on the blocking.
-        """
+    def sum(self, rows_of) -> np.ndarray:
+        """Per run, the sum of `rows_of(e)` over its edges e; one reduceat per block of `order`."""
         return np.concatenate(
-            [np.add.reduceat(rows_of(order[lo:hi]), self.starts[runs] - lo) for runs, lo, hi in self.blocks]
+            [np.add.reduceat(rows_of(self.order[lo:hi]), self.starts[runs] - lo) for runs, lo, hi in self.blocks]
         )
+
+    def per_edge(self, values_of) -> np.ndarray:
+        """`values_of(order)` in run order, with values_of called on one block of `order` at a time."""
+        return np.concatenate([values_of(self.order[lo:hi]) for _, lo, hi in self.blocks])
 
     def softmax(self, logits: np.ndarray) -> np.ndarray:
         # non-finite logits yield nan weights; the loss layer validates
@@ -212,19 +216,16 @@ class _Pairs:
     entity: np.ndarray    # entity of each pair
     relation: np.ndarray  # relation of each pair
     of_edge: np.ndarray   # pair of each edge
-    order: np.ndarray     # edge permutation that sorts edges by pair
-    runs: _Segments       # each pair's edges within `order`
+    runs: _Runs           # each pair's edges; run i is pair i
     relations: list[tuple[int, slice]]  # (relation id, its pairs)
 
     @classmethod
     def of(cls, ends: np.ndarray, rels: np.ndarray, n_entities: int) -> "_Pairs":
         keys, of_edge = np.unique(rels * n_entities + ends, return_inverse=True)
-        order = np.argsort(of_edge, kind="stable")
         rel_of_pair = keys // n_entities
-        firsts = _Segments.of_sorted(rel_of_pair).starts
-        bounds = np.append(firsts, len(keys))
-        relations = [(int(rel_of_pair[a]), slice(int(a), int(b))) for a, b in zip(bounds[:-1], bounds[1:])]
-        return cls(keys % n_entities, rel_of_pair, of_edge, order, _Segments.of_sorted(of_edge[order]), relations)
+        by_rel = _Runs.of(rel_of_pair)
+        relations = [(int(r), slice(int(a), int(a + n))) for r, a, n in zip(by_rel.ids, by_rel.starts, by_rel.repeats)]
+        return cls(keys % n_entities, rel_of_pair, of_edge, _Runs.of(of_edge), relations)
 
     def project(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """A_r x_e for every pair (e, r); row `of_edge[i]` serves edge i."""
@@ -238,7 +239,7 @@ class _Pairs:
 
         g_of_edges(e) gives the gradient rows of the edges e.
         """
-        g = self.runs.sum_gathered(self.order, g_of_edges)
+        g = self.runs.sum(g_of_edges)
         for rel, pairs in self.relations:
             ents = self.entity[pairs]
             g_a[rel] += g[pairs].T @ x[ents]
@@ -250,19 +251,16 @@ class PropagationPlan:
     """Edge groupings `propagate` and `propagate_backward` reuse on one graph.
 
     Built once per graph (`CollaborativeKG.propagation_plan`); the graph's
-    own edge order is left as it is.
+    own edge order is left as it is.  The graph's edges are sorted by head,
+    so the heads' `order` is the edge order itself, and per-edge arrays made
+    over the heads (logits, weights) are indexed by edge.
     """
 
     def __init__(self, kg: CollaborativeKG):
-        self.heads = _Segments.of_sorted(kg.heads)
-        self.head_ids = kg.heads[self.heads.starts]
-        self.tail_order = np.argsort(kg.tails, kind="stable")
-        sorted_tails = kg.tails[self.tail_order]
-        self.tails = _Segments.of_sorted(sorted_tails)
-        self.tail_ids = sorted_tails[self.tails.starts]
+        self.heads = _Runs.of(kg.heads)
+        self.tails = _Runs.of(kg.tails)
         self.head_pairs = _Pairs.of(kg.heads, kg.rels, kg.entity_count)
         self.tail_pairs = _Pairs.of(kg.tails, kg.rels, kg.entity_count)
-        self.edges = np.arange(len(kg.heads))
 
 
 @dataclass
@@ -304,27 +302,27 @@ def propagate(kg: CollaborativeKG, table: EmbeddingTable, stack: LayerStack) -> 
             din = stack.dims[l - 1]
             msg = np.zeros((n, din))
             if n_edges:
-                # per-edge arrays are updated in place: more temporaries
-                # raised the peak resident memory of training
-                x_t = x[kg.tails]
                 pt = plan.tail_pairs.project(x, a)
                 q = plan.head_pairs.project(x, a)
                 if stack.printed_attention:
                     # the tail inside tanh makes every edge's argument its own
                     q = q[plan.head_pairs.of_edge]
-                    q += x_t
-                    q_rows = plan.edges
+                    q += x[kg.tails]
+                    q_rows = plan.heads.order  # the edge order itself
                 else:
                     q += table.relation[plan.head_pairs.relation]
                     q_rows = plan.head_pairs.of_edge
                 np.tanh(q, out=q)
                 pt_rows = plan.tail_pairs.of_edge
-                logits = np.concatenate(
-                    [np.einsum("ij,ij->i", pt[pt_rows[lo:hi]], q[q_rows[lo:hi]]) for _, lo, hi in plan.heads.blocks]
-                )
+                logits = plan.heads.per_edge(lambda e: np.einsum("ij,ij->i", pt[pt_rows[e]], q[q_rows[e]]))
                 w = plan.heads.softmax(logits)
-                x_t *= w[:, None]
-                msg[plan.head_ids] = plan.heads.sum(x_t)
+
+                def weighted_tails(e):
+                    t = x[kg.tails[e]]
+                    t *= w[e, None]  # in place: one block-sized temporary, not two
+                    return t
+
+                msg[plan.heads.ids] = plan.heads.sum(weighted_tails)
             else:
                 pt = q = q_rows = w = None
             a1 = (x + msg) @ stack.w1[l - 1].T
@@ -333,27 +331,6 @@ def propagate(kg: CollaborativeKG, table: EmbeddingTable, stack: LayerStack) -> 
             x = leaky_relu(a1, stack.slope) + leaky_relu(a2, stack.slope)
             layers.append(x)
     return PropagationResult(layers, np.concatenate(layers, axis=1), cache)
-
-
-def _tanh_arg_grad(g_logit, c: _LayerCache, pt_rows, tanh_slope, e: np.ndarray) -> np.ndarray:
-    """dL/d(argument of tanh) on edges e: (dL/dlogit * pt) * (1 - q^2), with 1 - q^2 per row of q."""
-    g = g_logit[e, None] * c.pt[pt_rows[e]]
-    g *= tanh_slope[c.q_rows[e]]
-    return g
-
-
-def _pt_grad(g_logit, c: _LayerCache, e: np.ndarray) -> np.ndarray:
-    """dL/d(projected tail) on edges e."""
-    return g_logit[e, None] * c.q[c.q_rows[e]]
-
-
-def _tail_grad(kg: CollaborativeKG, c: _LayerCache, g_msg, g_arg, e: np.ndarray) -> np.ndarray:
-    """dL/dx_t on edges e through the message, plus through tanh when g_arg is given."""
-    t = g_msg[kg.heads[e]]
-    t *= c.w[e, None]
-    if g_arg is not None:
-        t += g_arg(e)
-    return t
 
 
 def propagate_backward(
@@ -404,20 +381,30 @@ def propagate_backward(
         g_msg = g_sum + g_prod * x
 
         if c.w is not None:
-            # per-edge terms are made one block of edges at a time and summed
-            # at once, so no whole-graph (edges, width) array is allocated here
-            g_w = np.concatenate(
-                [np.einsum("ij,ij->i", g_msg[kg.heads[lo:hi]], x[kg.tails[lo:hi]]) for _, lo, hi in plan.heads.blocks]
-            )
+            g_w = plan.heads.per_edge(lambda e: np.einsum("ij,ij->i", g_msg[kg.heads[e]], x[kg.tails[e]]))
             g_logit = plan.heads.softmax_backward(c.w, g_w)
             tanh_slope = 1.0 - c.q * c.q
-            g_arg = partial(_tanh_arg_grad, g_logit, c, plan.tail_pairs.of_edge, tanh_slope)
-            tail_term = partial(_tail_grad, kg, c, g_msg, g_arg if stack.printed_attention else None)
-            g_x[plan.tail_ids] += plan.tails.sum_gathered(plan.tail_order, tail_term)
+            pt_rows = plan.tail_pairs.of_edge
+
+            def g_arg(e):
+                """dL/d(argument of tanh) on edges e: (dL/dlogit * pt) * (1 - q^2), with 1 - q^2 per row of q."""
+                t = g_logit[e, None] * c.pt[pt_rows[e]]
+                t *= tanh_slope[c.q_rows[e]]
+                return t
+
+            def g_tail(e):
+                """dL/dx_t on edges e through the message, plus through tanh in the printed form."""
+                t = g_msg[kg.heads[e]]
+                t *= c.w[e, None]
+                if stack.printed_attention:
+                    t += g_arg(e)
+                return t
+
+            g_x[plan.tails.ids] += plan.tails.sum(g_tail)
             a = table.projection if l == 1 else stack.attn[l - 1]
             g_a = grads["projection"] if l == 1 else grads[f"attn.{l}"]
             g_head = plan.head_pairs.project_backward(g_arg, x, a, g_a, g_x)
-            plan.tail_pairs.project_backward(partial(_pt_grad, g_logit, c), x, a, g_a, g_x)
+            plan.tail_pairs.project_backward(lambda e: g_logit[e, None] * c.q[c.q_rows[e]], x, a, g_a, g_x)
             if not stack.printed_attention:
                 for rel, pairs in plan.head_pairs.relations:
                     grads["relation"][rel] += g_head[pairs].sum(axis=0)

@@ -53,9 +53,8 @@ class Interactions:
     """User-item interactions, one row each, as parallel columns.
 
     `user[r]` and `item[r]` index `user_tokens` and `item_tokens`,
-    `types[r]` is the row's bit set over `type_names`, `timestamp[r]` is
-    NO_TIME where the row has none and `line[r]` is its source line, 0
-    where unknown.
+    `types[r]` is the row's bit set over `type_names` and `timestamp[r]`
+    is NO_TIME where the row has none.
     """
 
     user_tokens: list
@@ -65,13 +64,10 @@ class Interactions:
     item: np.ndarray
     types: np.ndarray
     timestamp: np.ndarray = None
-    line: np.ndarray = None
 
     def __post_init__(self):
         if self.timestamp is None:
             self.timestamp = np.full(len(self.user), NO_TIME, dtype=np.int64)
-        if self.line is None:
-            self.line = np.zeros(len(self.user), dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.user)
@@ -84,7 +80,6 @@ class Interactions:
             item=self.item[rows],
             types=self.types[rows],
             timestamp=self.timestamp[rows],
-            line=self.line[rows],
         )
 
     def merged(self) -> "Interactions":

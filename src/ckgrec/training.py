@@ -37,14 +37,16 @@ class Adam:
 
     A step advances the moments of the given rows only (the lazy
     variant; all rows when `rows` is None), and bias correction uses the
-    per-parameter step count.  A zero learning rate is a strict no-op so
-    frozen runs stay bitwise stable.
+    per-parameter step count.  A non-zero `decay` adds decay * param to
+    the gradient of the stepped rows first (L2 weight decay).  A zero
+    learning rate is a strict no-op so frozen runs stay bitwise stable.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, decay: float = 0.0):
         self.lr = lr
+        self.decay = decay
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
@@ -62,6 +64,8 @@ class Adam:
         c1 = 1.0 - b1 ** self.t[name]
         c2 = 1.0 - b2 ** self.t[name]
         rows = slice(None) if rows is None else rows
+        if self.decay:
+            grad = grad + self.decay * param[rows]
         m = b1 * self.m[name][rows] + (1.0 - b1) * grad
         try:
             # an infinite v would zero the update of its rows instead of turning them non-finite
@@ -107,13 +111,8 @@ def _kg_epoch(model, side: str, opt: Adam, cfg: RunConfig, rng: Rng) -> float:
         batch = sample_batch(kg, idx, rng.split(1, b), cfg.corrupt_heads)
         loss, grads, ents, rels = kg_loss(table, batch)
         total += loss
-        lam2 = 2.0 * cfg.reg
         for name, rows in (("entity", ents), ("relation", rels), ("projection", rels)):
-            param, g = getattr(table, name), grads[name]
-            if lam2:
-                # per-step weight decay on the rows this batch touches
-                g += lam2 * param[rows]
-            opt.step(f"{side}.{name}", param, g, rows)
+            opt.step(f"{side}.{name}", getattr(table, name), grads[name], rows)
     return total
 
 
@@ -132,12 +131,8 @@ def _cf_epoch(model, pairs: np.ndarray, pos_keys: np.ndarray, opt: Adam, cfg: Ru
         # the next batch's forward pass allocates its own
         loss, grads = bpr_loss(model, batch, *model.propagate_both())
         total += loss
-        lam2 = 2.0 * cfg.reg
         for name, p in params.items():
-            g = grads[name]
-            if lam2:
-                g = g + lam2 * p
-            opt.step(name, p, g)
+            opt.step(name, p, grads[name])
     return total
 
 
@@ -162,7 +157,7 @@ def train(
     held = np.bincount(pos_keys // n_items)
     pairs = pairs[held[pairs[:, 0]] < n_items]
 
-    opt = Adam(cfg.lr)
+    opt = Adam(cfg.lr, 2.0 * cfg.reg)  # the gradient of reg * |p|^2
     history: list[dict] = []
     best = _snapshot(model)
     best_recall = float("-inf")

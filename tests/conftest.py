@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from ckgrec import checkpoint
 from ckgrec.config import RunConfig
 from ckgrec.evaluate import make_val_recall, pairs_of, split_dataset
 from ckgrec.graph import (
@@ -24,6 +25,7 @@ from ckgrec.table import Interactions
 from ckgrec.training import train
 from ckgrec.transr import TripleBatch, init_table
 
+from reference import checkpoint_v1_reference
 from tablerows import interactions_from_rows
 
 
@@ -93,6 +95,17 @@ def toy_kg_batch(kg: CollaborativeKG, rng: Rng, size: int = 4) -> TripleBatch:
 
     idx = rng.integers(kg.n_triples, size=size)
     return sample_batch(kg, idx, rng.split(1))
+
+
+def rewrite_metadata(src, dst, change) -> None:
+    """Copy checkpoint `src` to `dst` with `change(metadata)` applied, through the reference writer."""
+    table_u, stack_u, table_i, stack_i, meta = checkpoint.load(src)
+    change(meta)
+    sides = [
+        (t.entity, t.relation, t.projection, s.w1, None if s.shared else s.w2, s.attn)
+        for t, s in ((table_u, stack_u), (table_i, stack_i))
+    ]
+    dst.write_bytes(checkpoint_v1_reference(*sides, stack_u.dims, meta))
 
 
 def fresh_table(n_entities=5, n_relations=2, d=4, k=3, seed=9, std=0.3):

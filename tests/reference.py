@@ -370,7 +370,6 @@ class InteractionRecord:
     item: str
     types: frozenset
     timestamp: object = None
-    line: object = None
 
 
 def parse_interactions_records(path, format="tsv", strict=False):
@@ -435,7 +434,7 @@ def merge_records(records):
             out.append(rec)
         else:
             prev = out[at]
-            out[at] = InteractionRecord(prev.user, prev.item, prev.types | rec.types, prev.timestamp, prev.line)
+            out[at] = InteractionRecord(prev.user, prev.item, prev.types | rec.types, prev.timestamp)
     return out
 
 
@@ -482,8 +481,8 @@ def bipartite_records(records, order="first-seen", vocab_records=None):
     for recs in (source, records):
         for pos, rec in enumerate(recs):
             if not rec.types:
-                where = f"line {rec.line}" if rec.line is not None else f"record {pos + 1}"
-                raise RecordError(f"empty interaction-type set ({where}, user={rec.user!r}, item={rec.item!r})")
+                where = f"record {pos + 1}, user={rec.user!r}, item={rec.item!r}"
+                raise RecordError(f"empty interaction-type set ({where})")
     users, items = {}, {}
     if order == "sorted":
         for u in sorted({r.user for r in source}):

@@ -27,27 +27,24 @@ def rows_of(table) -> list[tuple]:
 
 
 def interactions_from_rows(rows) -> Interactions:
-    """Table of (user, item, types[, timestamp[, line]]) tuples; timestamp None and line 0 mean absent."""
+    """Table of (user, item, types[, timestamp]) tuples; timestamp None means absent."""
     users: dict = {}
     items: dict = {}
     names: dict = {}
-    user, item, stamps, lines, set_rows, set_codes = [], [], [], [], [], []
-    for r, (u, i, types, *rest) in enumerate(rows):
+    user, item, stamps, set_rows, set_codes = [], [], [], [], []
+    for r, (u, i, types, *stamp) in enumerate(rows):
         user.append(users.setdefault(u, len(users)))
         item.append(items.setdefault(i, len(items)))
         for name in types:
             set_rows.append(r)
             set_codes.append(names.setdefault(name, len(names)))
-        stamp = rest[0] if rest else None
-        stamps.append(NO_TIME if stamp is None else stamp)
-        lines.append(rest[1] if len(rest) > 1 else 0)
+        stamps.append(NO_TIME if not stamp or stamp[0] is None else stamp[0])
     return Interactions(
         list(users), list(items), list(names),
         np.array(user, dtype=np.int64),
         np.array(item, dtype=np.int64),
         type_bits(set_rows, set_codes, len(user), len(names)),
         np.array(stamps, dtype=np.int64),
-        np.array(lines, dtype=np.int64),
     )
 
 

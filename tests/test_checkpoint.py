@@ -9,7 +9,7 @@ import pytest
 from ckgrec.checkpoint import MAGIC, attach, load, save
 from ckgrec.errors import DimensionConflictError, FormatError
 
-from conftest import toy_dual
+from conftest import rewrite_metadata, toy_dual
 from reference import checkpoint_v1_reference
 
 
@@ -123,6 +123,7 @@ class TestFormatOracle:
             "shared_weights": stack.shared,
             "printed_attention": stack.printed_attention,
             "slope": stack.slope,
+            "graph_digests": {"u": model.kg_u.digest(), "i": model.kg_i.digest()},
         }
         assert path.read_bytes() == checkpoint_v1_reference(*sides, stack.dims, metadata)
 
@@ -172,6 +173,13 @@ class TestRejection:
         raw[-3:] = b"}}}"  # break the JSON tail
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="metadata"):
+            load(path)
+
+    @pytest.mark.parametrize("digests", [{"u": "ab"}, ["ab", "cd"], {"u": "ab", "i": 7}])
+    def test_malformed_graph_digests_rejected(self, tmp_path, digests):
+        _, path = saved_toy(tmp_path)
+        rewrite_metadata(path, path, lambda meta: meta.update(graph_digests=digests))
+        with pytest.raises(FormatError, match="graph_digests"):
             load(path)
 
     def test_shared_claim_with_diverged_blocks(self, tmp_path):

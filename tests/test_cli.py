@@ -1,7 +1,9 @@
 """Command-line pipeline, driven in-process through main(argv)."""
 
 import json
+import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from ckgrec import checkpoint, cli
 from ckgrec.cli import main
 from ckgrec.model import DualModel
+
+from conftest import rewrite_metadata
 
 # small but non-degenerate: 3 latent factors, every user reaches all items
 SYNTH_ARGS = [
@@ -282,6 +286,24 @@ class TestTrain:
         for name, p in params.items():
             assert np.all(np.isfinite(p)) and np.array_equal(p, want[name]), name
 
+    def test_failed_history_replace_keeps_the_previous_history(self, dataset, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        flags = [*data_flags(dataset), *TRAIN_SETS, "--seed", "7", "--out", out]
+        assert run("train", *flags, "--set", "epochs=1") == 0
+        before = (out / "history.csv").read_bytes()
+        real = os.replace
+
+        def crash_on_history(src, dst):
+            if os.path.basename(dst) == "history.csv":
+                raise OSError("simulated crash while writing history.csv")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_history)
+        assert run("train", *flags, "--set", "epochs=2") == 2
+        assert "simulated crash" in capsys.readouterr().err
+        assert (out / "history.csv").read_bytes() == before
+        assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
     def test_overflowing_adam_moment_exits_2(self, tmp_path, monkeypatch, capsys):
         # the loss stays finite here: an overflow of Adam's second moment is what stops the run
         monkeypatch.delenv("CKGR_SEED", raising=False)
@@ -310,9 +332,7 @@ class TestEvaluate:
     def test_reports_model_and_baselines(self, dataset, run_dir, tmp_path, capsys):
         # a checkpoint whose config metadata still names the removed `workers` key
         legacy = tmp_path / "legacy.ckgr"
-        table_u, stack_u, table_i, stack_i, meta = checkpoint.load(run_dir / "checkpoint.ckgr")
-        meta["config"]["workers"] = 1
-        checkpoint.save(DualModel(None, None, table_u, table_i, stack_u, stack_i, None), legacy, meta)
+        rewrite_metadata(run_dir / "checkpoint.ckgr", legacy, lambda meta: meta["config"].update(workers=1))
         assert checkpoint.load(legacy)[4]["config"]["workers"] == 1
         for n, ckpt in enumerate((run_dir / "checkpoint.ckgr", legacy)):
             out = tmp_path / f"eval{n}"
@@ -357,6 +377,39 @@ class TestEvaluate:
         assert manifest["seed"] == manifest["config"]["seed"] == 4  # metadata beats CKGR_SEED
         assert manifest["config"]["min_interactions"] == 1  # --set beats metadata
 
+    @pytest.mark.parametrize("flags, side", [
+        (["--set", "id_order=sorted"], "user-side"),  # the same data, its vocabularies permuted
+        (["--seed", "6"], "user-side"),  # the same data split anew: trained pairs land in the test set
+    ], ids=["reordered-vocabulary", "reseeded-split"])
+    def test_another_world_exits_1(self, dataset, run_dir, capsys, flags, side):
+        code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(dataset), *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{side} graph digest: checkpoint " in err
+        assert "entities" not in err and "relations" not in err  # the counts match
+
+    def test_attribute_edit_keeping_the_counts_exits_1(self, dataset, run_dir, tmp_path, capsys):
+        edited = tmp_path / "data"
+        shutil.copytree(dataset, edited)
+        lines = (edited / "item_attrs.tsv").read_text().splitlines(keepends=True)
+        (h0, r0, t0), (h1, r1, t1) = (line.rstrip("\n").split("\t") for line in lines[:2])
+        assert h0 != h1 and r0 == r1 and t0 != t1
+        # the two items trade values: every entity and relation stays, one edge pair moves
+        lines[:2] = [f"{h0}\t{r0}\t{t1}\n", f"{h1}\t{r1}\t{t0}\n"]
+        (edited / "item_attrs.tsv").write_text("".join(lines))
+        code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(edited))
+        assert code == 1
+        err = capsys.readouterr().err
+        # item attributes are edges of the user-side graph, which reaches users through items
+        assert "user-side graph digest: checkpoint " in err and "entities" not in err
+
+    def test_checkpoint_without_digests_evaluates_with_a_warning(self, dataset, run_dir, tmp_path, capsys):
+        bare = tmp_path / "bare.ckgr"
+        rewrite_metadata(run_dir / "checkpoint.ckgr", bare, lambda meta: meta.pop("graph_digests"))
+        assert run("evaluate", "--checkpoint", bare, *data_flags(dataset)) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "stores no graph digests" in err
+
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path, capsys):
         code = run(
             "evaluate", "--checkpoint", tmp_path / "no.ckgr",
@@ -384,10 +437,8 @@ class TestRecommend:
         trained = tmp_path / "trained"
         sets = ["--set", "d=8", "--set", "k=4", "--set", "layers=1", "--set", "dims=8", "--set", "epochs=1"]
         assert run("train", *data_flags(dataset), *sets, "--out", trained) == 0
-        table_u, stack_u, table_i, stack_i, meta = checkpoint.load(trained / "checkpoint.ckgr")
-        stack_u.printed_attention = stack_i.printed_attention = True  # save writes this into the metadata
         printed = tmp_path / "printed.ckgr"
-        checkpoint.save(DualModel(None, None, table_u, table_i, stack_u, stack_i, None), printed, meta)
+        rewrite_metadata(trained / "checkpoint.ckgr", printed, lambda meta: meta.update(printed_attention=True))
         capsys.readouterr()
         code = run("recommend", "--checkpoint", printed, *data_flags(dataset), "--user", "u0")
         assert code == 1

@@ -50,10 +50,10 @@ class TestBuildBipartite:
         with pytest.raises(FormatError):
             build_bipartite(table([]), order="alphabetical")
 
-    def test_empty_type_set_names_line(self):
-        bad = ("u1", "i1", frozenset(), None, 17)  # (user, item, types, timestamp, line)
-        with pytest.raises(FormatError, match="line 17"):
-            build_bipartite(table([bad]))
+    def test_empty_type_set_names_the_record(self):
+        good, bad = rec("u1", "i1"), ("u2", "i2", frozenset(), 17)  # (user, item, types, timestamp)
+        with pytest.raises(FormatError, match=r"record 2, user='u2'"):
+            build_bipartite(table([good, bad]))
 
     def test_vocab_records_widen_vocabulary(self):
         all_recs = [rec("u1", "i1"), rec("u2", "i2")]

@@ -17,7 +17,7 @@ from ckgrec.kernels import (
     sigmoid,
     softplus,
 )
-from ckgrec.propagation import _Segments
+from ckgrec.propagation import _Runs
 from ckgrec.rng import Rng
 
 from gradcheck import OracleError, finite_diff_check
@@ -137,9 +137,12 @@ class TestRowSums:
 def softmax(v, lengths=None):
     """The per-head softmax `propagate` applies, over consecutive segments of v."""
     v = np.asarray(v, dtype=np.float64)
-    lengths = np.array([len(v)] if lengths is None else lengths)
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    return _Segments(starts, lengths).softmax(v)
+    lengths = [len(v)] if lengths is None else lengths
+    # segment j gets key -j, so the runs list the segments last first and `order` is a real permutation
+    runs = _Runs.of(np.repeat(-np.arange(len(lengths)), lengths))
+    out = np.empty_like(v)
+    out[runs.order] = runs.softmax(v[runs.order])
+    return out
 
 
 class TestSoftmax:

@@ -12,7 +12,7 @@ from ckgrec.errors import ConfigError, ShapeError
 from ckgrec.kernels import leaky_relu
 from ckgrec.propagation import (
     LayerStack,
-    _Segments,
+    _Runs,
     init_stack,
     propagate,
     propagate_backward,
@@ -486,22 +486,30 @@ class TestEdgewiseOracle:
 
 
 class TestEdgeBlocks:
-    """The backward pass makes its per-edge terms EDGE_BLOCK edges at a time."""
+    """Both passes make their per-edge terms EDGE_BLOCK edges at a time."""
 
     def test_blocks_tile_the_runs(self, monkeypatch):
         monkeypatch.setattr(propagation, "EDGE_BLOCK", 4)
-        seg = _Segments.of_sorted(np.array([0, 0, 0, 0, 0, 0, 1, 2, 2, 3, 4, 4, 4, 5]))
-        blocks = seg.blocks
+        sorted_keys = np.array([0, 0, 0, 0, 0, 0, 1, 2, 2, 3, 4, 4, 4, 5])
+        keys = sorted_keys[np.random.default_rng(2).permutation(14)]
+        runs = _Runs.of(keys)
+        assert sorted(runs.order.tolist()) == list(range(14))
+        assert not np.array_equal(runs.order, np.arange(14))  # a real permutation
+        assert np.array_equal(keys[runs.order], sorted_keys)
+        assert runs.ids.tolist() == [0, 1, 2, 3, 4, 5]
+        for start, n in zip(runs.starts, runs.repeats):
+            assert np.all(np.diff(runs.order[start: start + n]) > 0)  # stable within a run
+        blocks = runs.blocks
         assert [b[0].start for b in blocks] == [0] + [b[0].stop for b in blocks[:-1]]
-        assert blocks[-1][0].stop == len(seg.starts)
-        for runs, lo, hi in blocks:
-            assert lo == seg.starts[runs.start]
-            assert hi == seg.starts[runs.stop - 1] + seg.repeats[runs.stop - 1]
-            assert hi - lo <= 4 or runs.stop - runs.start == 1
+        assert blocks[-1][0].stop == len(runs.starts)
+        for block, lo, hi in blocks:
+            assert lo == runs.starts[block.start]
+            assert hi == runs.starts[block.stop - 1] + runs.repeats[block.stop - 1]
+            assert hi - lo <= 4 or block.stop - block.start == 1
         assert blocks[0] == (slice(0, 1), 0, 6)  # a run longer than a block stands alone
         values = np.random.default_rng(0).normal(size=(14, 3))
-        order = np.random.default_rng(1).permutation(14)
-        assert np.array_equal(seg.sum_gathered(order, lambda e: values[e]), seg.sum(values[order]))
+        assert np.array_equal(runs.sum(lambda e: values[e]), np.add.reduceat(values[runs.order], runs.starts))
+        assert np.array_equal(runs.per_edge(lambda e: values[e, 0]), values[runs.order, 0])
 
     @pytest.mark.parametrize("printed", [False, True])
     def test_small_blocks_give_the_same_gradients(self, monkeypatch, printed):
@@ -520,6 +528,7 @@ class TestEdgeBlocks:
             grads[block]["stitched"] = res.stitched
             for l, c in enumerate(res.cache, start=1):
                 grads[block][f"w.{l}"] = c.w
+                grads[block][f"msg.{l}"] = c.msg
         one, many = grads.values()
         for name in one:
             assert np.array_equal(one[name], many[name]), name
@@ -548,17 +557,27 @@ class TestLayerCacheSize:
 
     def test_forward_peak_memory(self, monkeypatch):
         """A forward pass holds well under three (edges, k) float arrays at once."""
-        monkeypatch.setattr(propagation, "EDGE_BLOCK", 1024)
-        k = 16
-        kg = dense_graph()
-        table = fresh_table(n_entities=200, n_relations=4, d=k, k=k, seed=0)
-        stack = init_stack([k, k, 8], 4, k, 0.3, Rng(0))
-        propagate(kg, table, stack)  # builds the plan and its blocks
-        assert len(kg.propagation_plan.heads.blocks) > 1
-        tracemalloc.start()
-        try:
-            propagate(kg, table, stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * len(kg.heads) * k * 8
+        peak, n_edges, k = forward_peak(monkeypatch)
+        assert peak < 3 * n_edges * k * 8
+
+    def test_pair_form_forward_makes_no_edge_by_width_array(self, monkeypatch):
+        """The weighted tails are made a block at a time: the peak stays under two (edges, k) arrays."""
+        peak, n_edges, k = forward_peak(monkeypatch)
+        assert peak < 2 * n_edges * k * 8
+
+
+def forward_peak(monkeypatch, k=16):
+    """(traced peak bytes of a pair-form forward on `dense_graph()` with 1024-edge blocks, edges, k)."""
+    monkeypatch.setattr(propagation, "EDGE_BLOCK", 1024)
+    kg = dense_graph()
+    table = fresh_table(n_entities=200, n_relations=4, d=k, k=k, seed=0)
+    stack = init_stack([k, k, 8], 4, k, 0.3, Rng(0))
+    propagate(kg, table, stack)  # builds the plan and its blocks
+    assert len(kg.propagation_plan.heads.blocks) > 1
+    tracemalloc.start()
+    try:
+        propagate(kg, table, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, len(kg.heads), k

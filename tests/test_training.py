@@ -65,6 +65,19 @@ class TestAdam:
             opt_l.step("p", p_lazy, g, rows=np.arange(5))
             assert np.array_equal(p_dense, p_lazy)
 
+    @pytest.mark.parametrize("rows", [None, np.array([4, 0, 2])], ids=["dense", "lazy"])
+    def test_decay_adds_to_the_gradient_of_the_stepped_rows(self, rows):
+        rng = Rng(4)
+        p_decayed = rng.normal(size=(5, 2))
+        p_by_hand = p_decayed.copy()
+        opt_d, opt_h = Adam(lr=0.02, decay=0.3), Adam(lr=0.02)
+        at = slice(None) if rows is None else rows
+        for step in range(4):
+            g = np.cos(p_decayed[at] + step)
+            opt_d.step("p", p_decayed, g, rows)
+            opt_h.step("p", p_by_hand, g + 0.3 * p_by_hand[at], rows)
+            assert np.array_equal(p_decayed, p_by_hand)
+
 
 def toy_pairs():
     return np.array([[0, 0], [1, 1]], dtype=np.int64)

@@ -177,7 +177,7 @@ def test_all_malformed_raises_the_same_error(tmp_path):
 
 @pytest.mark.parametrize("rows, vocab_rows", [
     ([("u1", "i1", frozenset({"view"})), ("u2", "i2", frozenset())], None),
-    ([("u1", "i1", frozenset({"view"})), ("u2", "i2", frozenset(), None, 9)], None),
+    ([("u1", "i1", frozenset({"view"})), ("u2", "i2", frozenset(), 9)], None),
     ([("u1", "i1", frozenset({"view"}))], [("u1", "i1", frozenset({"view"})), ("u3", "i1", frozenset())]),
 ])
 def test_empty_type_set_raises_the_same_error(rows, vocab_rows):
