@@ -1,33 +1,46 @@
 """Binary checkpoint format for trained models.
 
-Layout (all integers little-endian):
+Layout of version 2 (all integers little-endian):
 
     bytes 0..3   magic "CKGR"
-    byte  4      version 0x01
+    byte  4      version 0x02
     u32 x 7      N_u, M_u, N_i, M_i, d, k, L
     u32 x (L+1)  per-layer widths d_0..d_L
+    u32 x 3      U users, I items, T training pairs
     f64 blocks   user-side graph parameters:
                      entity (N_u x d), relation (M_u x k),
                      projection (M_u x k x d),
                      then per layer l = 1..L: W1, W2, and for l >= 2
                      that layer's attention projections (M_u x k x d_{l-1})
     f64 blocks   item-side graph parameters, same order with N_i/M_i
+    f64 blocks   serving.users (U x 2S) and serving.items (I x 2S), the
+                 final user and item matrices, S = d_0 + ... + d_L
+    i64 blocks   serving.train_ptr (U+1) and serving.train_items (T):
+                 each user's training items as CSR rows
     u64          metadata length, then that many UTF-8 bytes of JSON
                  (config echo, seed, epoch, aggregator/attention flags,
-                 and the sha256 digests of the two graphs the model was
-                 trained on)
+                 the sha256 digests of the two graphs the model was
+                 trained on, the user and item tokens by id, and
+                 `input_digests`: the sha256 of each input file the
+                 config names)
 
-The block order lives in one function, `_blocks`, which both `save` and
-`load` walk.  A block is named as in `DualModel.params()` (`u.entity`,
-`u.w1.1`, `i.attn.2`, ...).  W2 is always stored; when the aggregator
-shares one matrix, `params()` has no W2, the stored W2 block is a
-bitwise copy of W1 and the loader re-aliases them, so block sizes
-derive from the header alone.  Saving a just-loaded state reproduces
-the file byte for byte.
+Version 1 has neither the three serving counts nor the serving blocks;
+it still loads, with `serving` None.  The block order lives in one
+function, `_blocks`, which both `save` and `load` walk.  A parameter
+block is named as in `DualModel.params()` (`u.entity`, `u.w1.1`,
+`i.attn.2`, ...).  W2 is always stored; when the aggregator shares one
+matrix, `params()` has no W2, the stored W2 block is a bitwise copy of
+W1 and the loader re-aliases them, so block sizes derive from the
+header alone.  Saving a just-loaded state reproduces the file byte for
+byte.
 
-`attach` binds a checkpoint only to the graphs it was trained on: their
-entity and relation counts and, when the file stores them, their
-digests must match.  A file without digests attaches on counts alone.
+The serving blocks are what `ckgrec recommend` ranks from without
+rebuilding the graphs: a score is the inner product of a user's and an
+item's final representations, which depend only on the parameters and
+the graphs.  `attach` binds a checkpoint only to the graphs it was
+trained on: their entity and relation counts and, when the file stores
+them, their digests must match.  A file without digests attaches on
+counts alone.
 """
 
 from __future__ import annotations
@@ -36,20 +49,53 @@ import contextlib
 import json
 import os
 import struct
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionConflictError, FormatError
+from .ingest import input_digests
 from .model import DualModel
 from .propagation import LayerStack, printed_width_problem
 from .transr import EmbeddingTable
 
 MAGIC = b"CKGR"
-VERSION = 0x01
+VERSION = 0x02
 
 
-def _blocks(counts, d: int, k: int, dims) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every f64 block in file order; `counts` holds (N, M) per side."""
+@dataclass
+class Serving:
+    """What `recommend` ranks from.
+
+    The final user and item matrices, each user's training items as CSR
+    rows (`train_items[train_ptr[u]:train_ptr[u + 1]]`) and the user and
+    item tokens by id.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+    train_ptr: np.ndarray
+    train_items: np.ndarray
+    user_tokens: list
+    item_tokens: list
+
+
+def serving_of(model: DualModel) -> Serving:
+    """The serving arrays of `model`: two forward passes, and the interaction edges of the user-side graph."""
+    users, items = model.representations(*model.stitched())
+    ptr, train_items = model.align.items_by_user(model.kg_u)
+    user_rows, item_rows = model.align.user_side
+    tokens = [token for _, token in model.kg_u.entity_names]
+    return Serving(users, items, ptr, train_items, tokens[user_rows], tokens[item_rows])
+
+
+def _blocks(counts, d: int, k: int, dims, serving=None) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, dtype) of every block in file order.
+
+    `counts` holds (N, M) per side; `serving` is (users, items, training
+    pairs) for a version-2 file and None for version 1.
+    """
     out = []
     for side, (n, m) in zip(("u", "i"), counts):
         out += [(f"{side}.entity", (n, d)), (f"{side}.relation", (m, k)), (f"{side}.projection", (m, k, d))]
@@ -58,6 +104,16 @@ def _blocks(counts, d: int, k: int, dims) -> list[tuple[str, tuple[int, ...]]]:
             out += [(f"{side}.w1.{l}", w), (f"{side}.w2.{l}", w)]
             if l >= 2:
                 out.append((f"{side}.attn.{l}", (m, k, dims[l - 1])))
+    out = [(name, shape, "<f8") for name, shape in out]
+    if serving is not None:
+        n_users, n_items, n_train = serving
+        width = 2 * sum(dims)
+        out += [
+            ("serving.users", (n_users, width), "<f8"),
+            ("serving.items", (n_items, width), "<f8"),
+            ("serving.train_ptr", (n_users + 1,), "<i8"),
+            ("serving.train_items", (n_train,), "<i8"),
+        ]
     return out
 
 
@@ -84,31 +140,45 @@ def open_replacing(path, mode: str = "wb", **kwargs):
 
 
 def save(model: DualModel, path, metadata: dict) -> None:
-    """Write the model's parameters plus a JSON metadata blob, crash-safely (`open_replacing`).
+    """Write the model's parameters, its serving arrays and a JSON metadata blob, crash-safely (`open_replacing`).
 
     The metadata gains the layer widths, the aggregator and attention
-    flags and the digests of the model's two graphs.
+    flags, the digests of the model's two graphs, the user and item
+    tokens and, unless `metadata` gives them, the input digests of the
+    files its `config` names.
     """
     stack = model.stack_u
     dims = stack.dims
+    serving = serving_of(model)
     meta = dict(metadata)
     meta["dims"] = list(dims)
     meta["shared_weights"] = bool(stack.shared)
     meta["printed_attention"] = bool(stack.printed_attention)
     meta["slope"] = float(stack.slope)
     meta["graph_digests"] = {"u": model.kg_u.digest(), "i": model.kg_i.digest()}
+    meta["tokens"] = {"users": serving.user_tokens, "items": serving.item_tokens}
+    if "input_digests" not in meta:
+        meta["input_digests"] = input_digests(meta.get("config") or {})
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     counts = [(t.n_entities, t.n_relations) for t in (model.table_u, model.table_i)]
     d, k = model.table_u.d, model.table_u.k
-    header = struct.pack(f"<4sB{7 + len(dims)}I", MAGIC, VERSION, *counts[0], *counts[1], d, k, stack.n_layers, *dims)
-    params = model.params()
+    sizes = (len(serving.users), len(serving.items), len(serving.train_items))
+    header = struct.pack(f"<4sB{10 + len(dims)}I", MAGIC, VERSION, *counts[0], *counts[1], d, k, stack.n_layers,
+                         *dims, *sizes)
+    arrays = {
+        **model.params(),
+        "serving.users": serving.users,
+        "serving.items": serving.items,
+        "serving.train_ptr": serving.train_ptr,
+        "serving.train_items": serving.train_items,
+    }
     with open_replacing(path) as fh:
         fh.write(header)
-        for block, _ in _blocks(counts, d, k, dims):
+        for block, _, dtype in _blocks(counts, d, k, dims, sizes):
             # a shared stack has no W2 of its own: its W1 is stored in that place
-            p = params[block] if block in params else params[block.replace(".w2.", ".w1.")]
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+            p = arrays[block] if block in arrays else arrays[block.replace(".w2.", ".w1.")]
+            fh.write(np.ascontiguousarray(p, dtype=dtype).tobytes())
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
 
@@ -129,20 +199,29 @@ class _Reader:
         self.at += n
         return chunk
 
-    def array(self, shape, what: str) -> np.ndarray:
+    def array(self, shape, dtype: str, what: str) -> np.ndarray:
         n = int(np.prod(shape)) * 8
-        return np.frombuffer(self.take(n, what), dtype="<f8").reshape(shape).copy()
+        return np.frombuffer(self.take(n, what), dtype=dtype).reshape(shape).copy()
 
 
-def load(path):
-    """Read a checkpoint back into (table_u, stack_u, table_i, stack_i, metadata)."""
+class Loaded(NamedTuple):
+    table_u: EmbeddingTable
+    stack_u: LayerStack
+    table_i: EmbeddingTable
+    stack_i: LayerStack
+    meta: dict
+    serving: Serving | None  # None for a version-1 file
+
+
+def load(path) -> Loaded:
+    """Read a version-1 or version-2 checkpoint back, with every check on its layout and metadata."""
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data, path)
     if r.take(4, "magic") != MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0 (not a checkpoint file)")
     version = r.take(1, "version")[0]
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
     n_u, m_u, n_i, m_i, d, k, n_layers = struct.unpack("<7I", r.take(28, "header counts"))
     if n_layers < 1 or n_layers > 64:
@@ -150,7 +229,14 @@ def load(path):
     dims = list(struct.unpack(f"<{n_layers + 1}I", r.take(4 * (n_layers + 1), "layer widths")))
     if dims[0] != d:
         raise FormatError(f"{path}: first layer width {dims[0]} != entity width {d}")
-    blocks = {name: r.array(shape, name) for name, shape in _blocks([(n_u, m_u), (n_i, m_i)], d, k, dims)}
+    sizes = None
+    if version == VERSION:
+        sizes = struct.unpack("<3I", r.take(12, "serving counts"))
+        if sizes[0] + sizes[1] > min(n_u, n_i):
+            raise FormatError(f"{path}: {sizes[0]} users and {sizes[1]} items do not fit graphs of "
+                              f"{n_u} and {n_i} entities")
+    layout = _blocks([(n_u, m_u), (n_i, m_i)], d, k, dims, sizes)
+    blocks = {name: r.array(shape, dtype, name) for name, shape, dtype in layout}
 
     (blob_len,) = struct.unpack("<Q", r.take(8, "metadata length"))
     blob = r.take(blob_len, "metadata")
@@ -169,6 +255,7 @@ def load(path):
     digests = meta.get("graph_digests", {"u": "", "i": ""})
     if not (isinstance(digests, dict) and all(isinstance(digests.get(side), str) for side in ("u", "i"))):
         raise FormatError(f"{path}: metadata graph_digests must map u and i to digest strings, got {digests!r}")
+    serving = None if sizes is None else _serving(path, blocks, meta, sizes)
 
     layers = range(1, n_layers + 1)
     sides = []
@@ -186,7 +273,25 @@ def load(path):
         attn = [None] + [blocks[f"{side}.attn.{l}"] for l in layers[1:]]
         table = EmbeddingTable(*(blocks[f"{side}.{name}"] for name in ("entity", "relation", "projection")))
         sides += [table, LayerStack(list(dims), w1, w2, attn, slope, shared, printed)]
-    return (*sides, meta)
+    return Loaded(*sides, meta, serving)
+
+
+def _serving(path, blocks: dict, meta: dict, sizes) -> Serving:
+    """The serving blocks and tokens of a version-2 file, checked against each other."""
+    n_users, n_items, n_train = sizes
+    ptr, items = blocks["serving.train_ptr"], blocks["serving.train_items"]
+    if ptr[0] != 0 or ptr[-1] != n_train or np.any(np.diff(ptr) < 0):
+        raise FormatError(f"{path}: serving.train_ptr is not a row pointer over {n_train} training pairs")
+    if len(items) and (items.min() < 0 or items.max() >= n_items):
+        raise FormatError(f"{path}: serving.train_items holds ids outside 0..{n_items - 1}")
+    tokens = meta.get("tokens")
+    wanted = {"users": n_users, "items": n_items}
+    if not (isinstance(tokens, dict) and all(
+        isinstance(tokens.get(side), list) and len(tokens[side]) == n
+        and all(isinstance(t, str) for t in tokens[side]) for side, n in wanted.items()
+    )):
+        raise FormatError(f"{path}: metadata tokens must list {n_users} user and {n_items} item strings")
+    return Serving(blocks["serving.users"], blocks["serving.items"], ptr, items, tokens["users"], tokens["items"])
 
 
 def attach(path, kg_u, kg_i, align, loaded=None) -> tuple[DualModel, dict]:
@@ -197,7 +302,7 @@ def attach(path, kg_u, kg_i, align, loaded=None) -> tuple[DualModel, dict]:
     counts, or whose digests when the file stores them, differ from the
     trained ones are a DimensionConflictError.
     """
-    table_u, stack_u, table_i, stack_i, meta = load(path) if loaded is None else loaded
+    table_u, stack_u, table_i, stack_i, meta, _ = load(path) if loaded is None else loaded
     bad = []
     for tag, table, kg in (("user-side", table_u, kg_u), ("item-side", table_i, kg_i)):
         for what, stored, built in (

@@ -14,19 +14,29 @@ Later sources win: defaults, `CKGR_SEED`, the checkpoint's own config
 `--seed`.  A set, non-empty `CKGR_SEED` that is not an integer is an
 error for every command, even when another source supplies the seed.
 
+`recommend` ranks from the final user and item matrices a version-2
+checkpoint stores, without parsing the data or building a graph, when
+the resolved config equals the checkpoint's own and every input file it
+names still has its stored sha256.  Otherwise, and for a version-1
+checkpoint (with a warning), it rebuilds the world and attaches to it as
+`evaluate` does, so another world exits 1 and never serves stale rows.
+
 Exit codes: 0 success, 1 for validation problems (bad config, malformed
 or missing inputs, mismatched checkpoints), 2 for runtime faults.  A
-`train` run that diverges exits 2 after writing its last finite state
-to `checkpoint.last_good.ckgr` and its finished epochs to `history.csv`.
-Every training/evaluation run writes a `run_manifest.json` with the
-resolved config, the seed, and content hashes of its inputs, enough to
-reproduce the run bit for bit single-threaded.
+`train` run writes `history.csv` and `run_manifest.json` first and its
+checkpoint last, after removing an earlier run's checkpoints, so a
+checkpoint beside them is always theirs.  A run that diverges exits 2
+after writing its last finite state to `checkpoint.last_good.ckgr` and
+its finished epochs to `history.csv`.  Every training/evaluation run
+writes a `run_manifest.json` with the resolved config, the seed, and the
+sha256 of each input file by config key, enough to reproduce the run
+bit for bit single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import contextlib
 import json
 import os
 import sys
@@ -53,8 +63,10 @@ from .evaluate import (
 )
 from .graph import build_bipartite, build_graphs
 from .ingest import (
+    INPUT_FILES,
     SynthConfig,
     filter_min_interactions,
+    input_digests,
     merge_records,
     parse_attribute_triples,
     parse_interactions,
@@ -82,7 +94,7 @@ def _env_seed() -> int:
 def _resolve_config(args, meta_config=None) -> RunConfig:
     """defaults <- CKGR_SEED <- checkpoint metadata <- config file <- --set <- data-path flags <- --seed."""
     overrides = list(args.set or [])
-    for name in ("interactions", "user_attrs", "item_attrs", "manifest"):
+    for name in INPUT_FILES:
         if getattr(args, name):
             overrides.append(f"{name}={getattr(args, name)}")
     if args.seed is not None:
@@ -120,14 +132,13 @@ def _read_interactions(cfg: RunConfig, path, strict: bool = False):
     return parsed, records
 
 
-def _read_attributes(path, inputs: dict) -> list:
-    """Attribute triples of `path` (none when unset); records its hash in `inputs`."""
+def _read_attributes(path) -> list:
+    """Attribute triples of `path` (none when unset)."""
     if not path:
         return []
     triples, issues = parse_attribute_triples(path)
     if issues:
         print(f"warning: {len(issues)} malformed attribute lines skipped in {path}", file=sys.stderr)
-    inputs[path] = _sha256(path)
     return triples
 
 
@@ -137,9 +148,8 @@ def _build_world(cfg: RunConfig) -> World:
     if parsed.issues:
         print(f"warning: {len(parsed.issues)} malformed interaction lines skipped", file=sys.stderr)
 
-    inputs = {path: _sha256(path)}
-    user_attrs = _read_attributes(cfg.user_attrs, inputs)
-    item_attrs = _read_attributes(cfg.item_attrs, inputs)
+    user_attrs = _read_attributes(cfg.user_attrs)
+    item_attrs = _read_attributes(cfg.item_attrs)
 
     split = split_dataset(records, cfg.ratios, cfg.seed)
     # vocabularies span the full dataset so held-out entities keep their ids,
@@ -159,16 +169,8 @@ def _build_world(cfg: RunConfig) -> World:
         train_pairs=pairs_of(split.train, bg),
         val_pairs=pairs_of(split.validation, bg),
         test_pairs=pairs_of(split.test, bg),
-        inputs=inputs,
+        inputs=input_digests(cfg.to_dict()),
     )
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _write_run_manifest(out_dir, command: str, cfg: RunConfig, inputs: dict) -> None:
@@ -276,13 +278,17 @@ def cmd_build_graph(args) -> int:
 
 
 def _write_train_outputs(world: World, cfg: RunConfig, out_dir, name: str, model, epoch: int, history) -> str:
-    """Write a train run's checkpoint `name`, history.csv and run_manifest.json into out_dir.
+    """Write a train run's history.csv, run_manifest.json and then its checkpoint `name` into out_dir.
 
-    Returns the checkpoint's path.
+    An earlier run's checkpoints are removed first and the checkpoint is
+    written last, so a checkpoint in out_dir always belongs to the run
+    its history.csv and run_manifest.json describe.  Returns the
+    checkpoint's path.
     """
     os.makedirs(out_dir, exist_ok=True)
-    saved = os.path.join(out_dir, name)
-    ckpt.save(model, saved, {"config": cfg.to_dict(), "seed": cfg.seed, "epoch": epoch})
+    for stale in ("checkpoint.ckgr", "checkpoint.last_good.ckgr"):
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(out_dir, stale))
     with ckpt.open_replacing(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epoch,kg_u,kg_i,cf,reg,total,val_recall,wall_ms\n")
         for row in history:
@@ -291,6 +297,9 @@ def _write_train_outputs(world: World, cfg: RunConfig, out_dir, name: str, model
                 f"{row['reg']!r},{row['total']!r},{row['val_recall']!r},{row['wall_ms']!r}\n"
             )
     _write_run_manifest(out_dir, "train", cfg, world.inputs)
+    saved = os.path.join(out_dir, name)
+    # the digests of the files this run parsed, not of what they hold by now
+    ckpt.save(model, saved, {"config": cfg.to_dict(), "seed": cfg.seed, "epoch": epoch, "input_digests": world.inputs})
     return saved
 
 
@@ -321,20 +330,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_world(args):
-    """Rebuild graphs per the checkpoint's own config (overridable), then bind."""
+def _load_checkpoint(args) -> tuple[ckpt.Loaded, RunConfig]:
+    """Read the checkpoint and resolve the config over its own (see `_resolve_config`)."""
     loaded = ckpt.load(args.checkpoint)
-    cfg = _resolve_config(args, loaded[-1].get("config"))
+    return loaded, _resolve_config(args, loaded.meta.get("config"))
+
+
+def _attach_world(args, loaded: ckpt.Loaded, cfg: RunConfig, notes=()):
+    """Rebuild the world `cfg` names and bind the loaded checkpoint to its graphs.
+
+    `notes` on the file and a missing-digest note go out as one warning line.
+    """
     world = _build_world(cfg)
     model, _ = ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
-    if "graph_digests" not in loaded[-1]:
-        print(f"warning: {args.checkpoint} stores no graph digests; only the graphs' counts were checked",
-              file=sys.stderr)
-    return cfg, world, model
+    notes = list(notes)
+    if "graph_digests" not in loaded.meta:
+        notes.append("stores no graph digests, so only the graphs' counts were checked")
+    if notes:
+        print(f"warning: {args.checkpoint} " + "; it ".join(notes), file=sys.stderr)
+    return world, model
 
 
 def cmd_evaluate(args) -> int:
-    cfg, world, model = _load_checkpoint_world(args)
+    loaded, cfg = _load_checkpoint(args)
+    world, model = _attach_world(args, loaded, cfg)
     k = cfg.top_k if args.k is None else args.k
     train_truth = truth_by_user(world.train_pairs)
     test_truth = truth_by_user(world.test_pairs)
@@ -352,17 +371,31 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _stored_world_matches(loaded: ckpt.Loaded, cfg: RunConfig) -> bool:
+    """Whether `cfg` is the config the checkpoint was saved with and every input file it names is unchanged."""
+    stored = loaded.meta
+    config = cfg.to_dict()
+    return config == stored.get("config") and input_digests(config) == stored.get("input_digests")
+
+
 def cmd_recommend(args) -> int:
-    cfg, world, model = _load_checkpoint_world(args)
+    loaded, cfg = _load_checkpoint(args)
+    _require_path(cfg, "interactions")
+    serving = loaded.serving
+    if serving is None or not _stored_world_matches(loaded, cfg):
+        # anything else may be another world: rebuild it, and attach refuses other graphs
+        notes = [] if serving is not None else [
+            "is a version-1 checkpoint without serving arrays, so they were rebuilt from the data files"]
+        serving = ckpt.serving_of(_attach_world(args, loaded, cfg, notes)[1])
     k = cfg.top_k if args.k is None else args.k
-    if args.user not in world.bg.user_vocab:
+    if args.user not in serving.user_tokens:
         raise ConfigError(f"unknown user id {args.user!r}")
-    u = world.bg.user_vocab.id_of(args.user)
-    scores = model_scores(model)[u]
-    exclude = world.train_pairs[world.train_pairs[:, 0] == u, 1]
-    top = topk_from_scores(scores, k, exclude)
+    u = serving.user_tokens.index(args.user)
+    # row u of the full product, bitwise equal to evaluate.model_scores; a one-row product may round differently
+    scores = (serving.users @ serving.items.T)[u]
+    top = topk_from_scores(scores, k, serving.train_items[serving.train_ptr[u]: serving.train_ptr[u + 1]])
     for rank, item in enumerate(top.tolist(), start=1):
-        print(f"{rank}\t{world.bg.item_vocab.token(item)}\t{float(scores[item])!r}")
+        print(f"{rank}\t{serving.item_tokens[item]}\t{float(scores[item])!r}")
     return 0
 
 

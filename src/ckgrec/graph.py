@@ -158,6 +158,17 @@ class AlignmentMap:
         """(user rows, item rows) of the item-side graph."""
         return slice(self.n_items, self.n_items + self.n_users), slice(0, self.n_items)
 
+    def items_by_user(self, kg_u: "CollaborativeKG") -> tuple[np.ndarray, np.ndarray]:
+        """Each user's interacted items in the user-side graph `kg_u`, as CSR rows.
+
+        User u's item ids are `items[ptr[u]:ptr[u + 1]]`.  Only interaction
+        triples have a user as head there, and triples are sorted by head.
+        """
+        user_rows, item_rows = self.user_side
+        interaction = kg_u.heads < user_rows.stop
+        ptr = np.searchsorted(kg_u.heads[interaction], np.arange(user_rows.stop + 1))
+        return ptr, kg_u.tails[interaction] - item_rows.start
+
 
 @dataclass
 class BuildStats:

@@ -19,6 +19,7 @@ given the seed.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,6 +230,22 @@ def verify_manifest(path, n_users: int, n_items: int, n_interactions: int) -> No
         raise FormatError(f"{path}: unknown manifest keys: {', '.join(unknown)}")
     if mismatches:
         raise FormatError(f"{path}: count mismatch — " + "; ".join(mismatches))
+
+
+INPUT_FILES = ("interactions", "user_attrs", "item_attrs", "manifest")  # config keys that name input files
+
+
+def input_digests(config: dict) -> dict[str, str]:
+    """sha256 of every input file `config` names, keyed by its config key."""
+    out = {}
+    for name in INPUT_FILES:
+        if config.get(name):
+            digest = hashlib.sha256()
+            with open(config[name], "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(chunk)
+            out[name] = digest.hexdigest()
+    return out
 
 
 AFFINITY_SCALE = 6.0  # inverse temperature of the synthetic affinity softmax

@@ -331,7 +331,7 @@ def test_criterion_9_checkpoint_round_trip(capsys, tmp_path):
         first_path = tmp_path / f"a{i}.ckgr"
         save(model, first_path, {"seed": i, "epoch": i})
         first = first_path.read_bytes()
-        table_u, stack_u, table_i, stack_i, meta = load(first_path)
+        table_u, stack_u, table_i, stack_i, meta, _ = load(first_path)
         clone = dataclasses.replace(
             model, table_u=table_u, stack_u=stack_u, table_i=table_i, stack_i=stack_i
         )

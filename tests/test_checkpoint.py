@@ -1,7 +1,11 @@
 """Binary checkpoint round-trips and malformed-file rejection."""
 
 import dataclasses
+import hashlib
+import json
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,8 +13,8 @@ import pytest
 from ckgrec.checkpoint import MAGIC, attach, load, save
 from ckgrec.errors import DimensionConflictError, FormatError
 
-from conftest import rewrite_metadata, toy_dual
-from reference import checkpoint_v1_reference
+from conftest import checkpoint_sides, downgrade_to_v1, rewrite_metadata, toy_dual
+from reference import checkpoint_v2_reference
 
 
 def saved_toy(tmp_path, name="m.ckgr", **kwargs):
@@ -46,7 +50,7 @@ class TestCrashSafety:
 class TestRoundTrip:
     def test_parameters_bitwise_equal(self, tmp_path):
         model, path = saved_toy(tmp_path)
-        table_u, stack_u, table_i, stack_i, meta = load(path)
+        table_u, stack_u, table_i, stack_i, meta, _ = load(path)
         assert np.array_equal(table_u.entity, model.table_u.entity)
         assert np.array_equal(table_u.relation, model.table_u.relation)
         assert np.array_equal(table_u.projection, model.table_u.projection)
@@ -61,7 +65,7 @@ class TestRoundTrip:
     def test_save_load_save_byte_identical(self, tmp_path):
         model, path = saved_toy(tmp_path)
         first = path.read_bytes()
-        table_u, stack_u, table_i, stack_i, meta = load(path)
+        table_u, stack_u, table_i, stack_i, meta, _ = load(path)
         clone = dataclasses.replace(
             model, table_u=table_u, stack_u=stack_u, table_i=table_i, stack_i=stack_i
         )
@@ -71,12 +75,12 @@ class TestRoundTrip:
 
     def test_shared_flag_re_aliases_w2(self, tmp_path):
         _, path = saved_toy(tmp_path)
-        _, stack_u, _, _, _ = load(path)
+        _, stack_u, _, _, _, _ = load(path)
         assert stack_u.shared and stack_u.w2[0] is stack_u.w1[0]
 
     def test_unshared_weights_survive(self, tmp_path):
         model, path = saved_toy(tmp_path, shared_weights=False)
-        _, stack_u, _, _, meta = load(path)
+        _, stack_u, _, _, meta, _ = load(path)
         assert meta["shared_weights"] is False
         assert not stack_u.shared
         assert np.array_equal(stack_u.w2[0], model.stack_u.w2[0])
@@ -92,7 +96,7 @@ class TestRoundTrip:
 
 
 class TestFormatOracle:
-    """`save` writes the documented version-1 layout, block for block.
+    """`save` writes the documented version-2 layout, block for block.
 
     A round trip cannot see a block order that `save` and `load` agree
     on; a writer that shares no code with them can.
@@ -110,12 +114,18 @@ class TestFormatOracle:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_save_matches_the_reference_writer(self, tmp_path, case):
-        model, path = saved_toy(tmp_path, **self.CASES[case])
+        model, bg = toy_dual(**self.CASES[case])
+        path = tmp_path / "m.ckgr"
+        save(model, path, {"seed": 3, "epoch": 7})
         stack = model.stack_u
         sides = [
             (t.entity, t.relation, t.projection, s.w1, None if s.shared else s.w2, s.attn)
             for t, s in ((model.table_u, model.stack_u), (model.table_i, model.stack_i))
         ]
+        users, items = model.representations(*model.stitched())
+        # each user's training items are its bipartite edges, users in id order
+        train_items = [i for u in range(bg.n_users) for i in bg.edges.item[bg.edges.user == u].tolist()]
+        train_ptr = np.cumsum([0] + [int(np.sum(bg.edges.user == u)) for u in range(bg.n_users)])
         metadata = {
             "seed": 3,
             "epoch": 7,
@@ -124,8 +134,30 @@ class TestFormatOracle:
             "printed_attention": stack.printed_attention,
             "slope": stack.slope,
             "graph_digests": {"u": model.kg_u.digest(), "i": model.kg_i.digest()},
+            "tokens": {"users": bg.user_vocab.tokens(), "items": bg.item_vocab.tokens()},
+            "input_digests": {},  # the metadata names no config, so no input files
         }
-        assert path.read_bytes() == checkpoint_v1_reference(*sides, stack.dims, metadata)
+        want = checkpoint_v2_reference(*sides, stack.dims, metadata, (users, items, train_ptr, train_items))
+        assert path.read_bytes() == want
+
+    def test_save_hashes_the_input_files_its_config_names(self, tmp_path):
+        model, _ = toy_dual()
+        inputs = {name: tmp_path / f"{name}.txt" for name in ("interactions", "manifest")}
+        for name, file in inputs.items():
+            file.write_text(f"{name}\n")
+        path = tmp_path / "m.ckgr"
+        save(model, path, {"config": {name: str(file) for name, file in inputs.items()}})
+        stored = load(path).meta["input_digests"]
+        assert stored == {name: hashlib.sha256(file.read_bytes()).hexdigest() for name, file in inputs.items()}
+
+    def test_version_1_still_loads_without_serving(self, tmp_path):
+        model, path = saved_toy(tmp_path)
+        old = tmp_path / "v1.ckgr"
+        downgrade_to_v1(path, old)
+        assert old.read_bytes()[4] == 1
+        table_u, _, _, _, meta, serving = load(old)
+        assert serving is None and "tokens" not in meta
+        assert np.array_equal(table_u.entity, model.table_u.entity)
 
 
 class TestRejection:
@@ -161,6 +193,54 @@ class TestRejection:
         with pytest.raises(FormatError, match="offset"):
             load(path)
 
+    @pytest.mark.parametrize("block", ["serving.users", "serving.items", "serving.train_ptr", "serving.train_items"])
+    def test_truncated_serving_block_is_named(self, tmp_path, block):
+        _, path = saved_toy(tmp_path)
+        raw = path.read_bytes()
+        serving, meta = load(path).serving, load(path).meta
+        blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        order = ["serving.users", "serving.items", "serving.train_ptr", "serving.train_items"]
+        arrays = dict(zip(order, (serving.users, serving.items, serving.train_ptr, serving.train_items)))
+        end = len(raw) - 8 - len(blob) - sum(arrays[name].nbytes for name in order[order.index(block) + 1:])
+        path.write_bytes(raw[: end - 4])  # the block's last value is cut in half
+        with pytest.raises(FormatError, match=rf"for {re.escape(block)} at offset"):
+            load(path)
+
+    def test_serving_counts_beyond_the_graphs_rejected(self, tmp_path):
+        _, path = saved_toy(tmp_path)
+        raw = bytearray(path.read_bytes())
+        at = 4 + 1 + 7 * 4 + 3 * 4  # the user count follows the three layer widths
+        raw[at: at + 4] = struct.pack("<I", 4)  # 4 users and 2 items in graphs of 5 entities
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="4 users and 2 items do not fit"):
+            load(path)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda meta: meta.pop("tokens"), "tokens"),
+        (lambda meta: meta["tokens"]["items"].pop(), "tokens"),
+        (lambda meta: meta["tokens"].update(users=[1, 2]), "tokens"),
+    ], ids=["no-tokens", "an-item-token-short", "non-string-tokens"])
+    def test_malformed_tokens_rejected(self, tmp_path, change, message):
+        _, path = saved_toy(tmp_path)
+        rewrite_metadata(path, path, change)
+        with pytest.raises(FormatError, match=message):
+            load(path)
+
+    @pytest.mark.parametrize("field, values", [
+        ("train_ptr", [0, 2, 1]),  # falls back
+        ("train_ptr", [0, 1, 3]),  # ends past the training pairs
+        ("train_items", [0, 2]),  # an item id past the two items
+    ])
+    def test_inconsistent_training_rows_rejected(self, tmp_path, field, values):
+        _, path = saved_toy(tmp_path)
+        table_u, stack_u, table_i, stack_i, meta, serving = load(path)
+        setattr(serving, field, np.array(values, dtype=np.int64))
+        arrays = (serving.users, serving.items, serving.train_ptr, serving.train_items)
+        path.write_bytes(checkpoint_v2_reference(*checkpoint_sides(table_u, stack_u, table_i, stack_i),
+                                                 stack_u.dims, meta, arrays))
+        with pytest.raises(FormatError, match=f"serving.{field}"):
+            load(path)
+
     def test_trailing_garbage_rejected(self, tmp_path):
         _, path = saved_toy(tmp_path)
         path.write_bytes(path.read_bytes() + b"extra")
@@ -186,7 +266,7 @@ class TestRejection:
         model, path = saved_toy(tmp_path)
         raw = bytearray(path.read_bytes())
         # W1 layer 1 of the user side starts right after the three table blocks
-        header = 4 + 1 + 7 * 4 + 3 * 4
+        header = 4 + 1 + 7 * 4 + 3 * 4 + 3 * 4  # magic, version, counts, three layer widths, three serving counts
         tables = (5 * 4 + 2 * 3 + 2 * 3 * 4) * 8
         w1_at = header + tables
         raw[w1_at: w1_at + 8] = np.array([999.0]).tobytes()

@@ -1,5 +1,6 @@
 """Command-line pipeline, driven in-process through main(argv)."""
 
+import hashlib
 import json
 import os
 import re
@@ -10,9 +11,11 @@ import pytest
 
 from ckgrec import checkpoint, cli
 from ckgrec.cli import main
+from ckgrec.config import load_config
+from ckgrec.evaluate import model_scores
 from ckgrec.model import DualModel
 
-from conftest import rewrite_metadata
+from conftest import downgrade_to_v1, rewrite_metadata
 
 # small but non-degenerate: 3 latent factors, every user reaches all items
 SYNTH_ARGS = [
@@ -46,6 +49,16 @@ def data_flags(dataset):
         "--user-attrs", str(dataset / "user_attrs.tsv"),
         "--item-attrs", str(dataset / "item_attrs.tsv"),
     ]
+
+
+def swap_item_attributes(data_dir) -> None:
+    """Let the first two items of item_attrs.tsv trade values: every entity and relation stays, one edge pair moves."""
+    path = data_dir / "item_attrs.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    (h0, r0, t0), (h1, r1, t1) = (line.rstrip("\n").split("\t") for line in lines[:2])
+    assert h0 != h1 and r0 == r1 and t0 != t1
+    lines[:2] = [f"{h0}\t{r0}\t{t1}\n", f"{h1}\t{r1}\t{t0}\n"]
+    path.write_text("".join(lines))
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +289,7 @@ class TestTrain:
         assert run("evaluate", "--checkpoint", saved, *data_flags(dataset), "--k", "5") == 0
 
         def params_and_meta(path):
-            table_u, stack_u, table_i, stack_i, meta = checkpoint.load(path)
+            table_u, stack_u, table_i, stack_i, meta, _ = checkpoint.load(path)
             return DualModel(None, None, table_u, table_i, stack_u, stack_i, None).params(), meta
 
         params, meta = params_and_meta(saved)
@@ -303,6 +316,42 @@ class TestTrain:
         assert "simulated crash" in capsys.readouterr().err
         assert (out / "history.csv").read_bytes() == before
         assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+    def test_failed_manifest_replace_leaves_no_checkpoint_to_evaluate(self, dataset, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        flags = [*data_flags(dataset), *TRAIN_SETS, "--seed", "7", "--out", out]
+        assert run("train", *flags, "--set", "epochs=1") == 0
+        real = os.replace
+
+        def crash_on_manifest(src, dst):
+            if os.path.basename(dst) == "run_manifest.json":
+                raise OSError("simulated crash while writing run_manifest.json")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_manifest)
+        assert run("train", *flags, "--set", "epochs=2") == 2
+        monkeypatch.setattr(os, "replace", real)
+        capsys.readouterr()
+        # the 1-epoch manifest beside a 2-epoch history: no checkpoint may claim either run
+        assert run("evaluate", "--checkpoint", out / "checkpoint.ckgr", *data_flags(dataset)) == 1
+        assert "No such file" in capsys.readouterr().err
+
+    def test_diverged_run_removes_an_earlier_checkpoint(self, dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        flags = [*data_flags(dataset), *TRAIN_SETS, "--seed", "7", "--out", out]
+        assert run("train", *flags, "--set", "epochs=1") == 0
+        assert run("train", *flags, "--set", "lr=1e154") == 2
+        assert sorted(name for name in os.listdir(out) if name.endswith(".ckgr")) == ["checkpoint.last_good.ckgr"]
+
+    def test_manifest_hashes_every_input_file(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        flags = [*data_flags(dataset), "--manifest", dataset / "manifest.txt", *TRAIN_SETS, "--set", "epochs=0"]
+        assert run("train", *flags, "--out", out) == 0
+        files = {"interactions": "interactions.tsv", "user_attrs": "user_attrs.tsv", "item_attrs": "item_attrs.tsv",
+                 "manifest": "manifest.txt"}
+        want = {name: hashlib.sha256((dataset / file).read_bytes()).hexdigest() for name, file in files.items()}
+        assert json.loads((out / "run_manifest.json").read_text())["inputs"] == want
+        assert checkpoint.load(out / "checkpoint.ckgr").meta["input_digests"] == want
 
     def test_overflowing_adam_moment_exits_2(self, tmp_path, monkeypatch, capsys):
         # the loss stays finite here: an overflow of Adam's second moment is what stops the run
@@ -391,12 +440,7 @@ class TestEvaluate:
     def test_attribute_edit_keeping_the_counts_exits_1(self, dataset, run_dir, tmp_path, capsys):
         edited = tmp_path / "data"
         shutil.copytree(dataset, edited)
-        lines = (edited / "item_attrs.tsv").read_text().splitlines(keepends=True)
-        (h0, r0, t0), (h1, r1, t1) = (line.rstrip("\n").split("\t") for line in lines[:2])
-        assert h0 != h1 and r0 == r1 and t0 != t1
-        # the two items trade values: every entity and relation stays, one edge pair moves
-        lines[:2] = [f"{h0}\t{r0}\t{t1}\n", f"{h1}\t{r1}\t{t0}\n"]
-        (edited / "item_attrs.tsv").write_text("".join(lines))
+        swap_item_attributes(edited)
         code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(edited))
         assert code == 1
         err = capsys.readouterr().err
@@ -445,6 +489,99 @@ class TestRecommend:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fault:" not in err
         assert "k=4, got [8, 8]" in err
+
+    USERS = ("u0", "u7", "u13")
+
+    def recommend_lines(self, ckpt, dataset, capsys, user, k) -> tuple[str, str]:
+        assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", user, "--k", k) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err
+
+    def test_served_lines_equal_the_rebuilt_ones(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
+        # a version-1 file carries no serving arrays: it recommends from the rebuilt world, as before them
+        old = tmp_path / "v1.ckgr"
+        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
+        rebuilt = {}
+        for user in self.USERS:
+            for k in (5, 20):  # 20 is more than the 15 items, so fewer lines than k
+                rebuilt[user, k], err = self.recommend_lines(old, dataset, capsys, user, k)
+                assert err.count("warning:") == 1 and "version-1 checkpoint" in err
+
+        def no_world(cfg):
+            raise AssertionError("a version-2 checkpoint rebuilt the world")
+
+        monkeypatch.setattr(cli, "_build_world", no_world)
+        for (user, k), want in rebuilt.items():
+            assert self.recommend_lines(run_dir / "checkpoint.ckgr", dataset, capsys, user, k) == (want, "")
+        assert len(rebuilt["u0", 20].splitlines()) < 15
+
+    def test_version_1_file_without_digests_warns_once(self, dataset, run_dir, tmp_path, capsys):
+        # a version-1 file written before graph digests existed lacks both
+        old, bare = tmp_path / "v1.ckgr", tmp_path / "bare.ckgr"
+        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
+        rewrite_metadata(old, bare, lambda meta: meta.pop("graph_digests"))
+        want, _ = self.recommend_lines(old, dataset, capsys, "u0", 5)
+        out, err = self.recommend_lines(bare, dataset, capsys, "u0", 5)
+        assert out == want
+        assert err.count("warning:") == 1 and err.count("\n") == 1
+        assert "version-1 checkpoint" in err and "no graph digests" in err
+
+    def test_served_scores_are_rows_of_the_model_scores(self, dataset, run_dir, capsys):
+        world = cli._build_world(load_config(base=checkpoint.load(run_dir / "checkpoint.ckgr").meta["config"]))
+        model, _ = checkpoint.attach(run_dir / "checkpoint.ckgr", world.kg_u, world.kg_i, world.align)
+        scores = model_scores(model)
+        for user in self.USERS:
+            out, _ = self.recommend_lines(run_dir / "checkpoint.ckgr", dataset, capsys, user, 5)
+            u = world.bg.user_vocab.id_of(user)
+            for line in out.splitlines():
+                _, item, score = line.split("\t")
+                assert float(score) == scores[u, world.bg.item_vocab.id_of(item)]
+
+    @pytest.mark.parametrize("flags", [["--set", "id_order=sorted"], ["--seed", "6"]],
+                             ids=["reordered-vocabulary", "reseeded-split"])
+    def test_another_world_exits_1(self, dataset, run_dir, capsys, flags):
+        code = run("recommend", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(dataset), *flags,
+                   "--user", "u0")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "user-side graph digest: checkpoint " in captured.err
+
+    def test_input_edited_between_calls_exits_1(self, dataset, run_dir, tmp_path, capsys):
+        # the same process, the same paths: only the file's content tells the two calls apart
+        edited = tmp_path / "data"
+        shutil.copytree(dataset, edited)
+        ckpt = tmp_path / "checkpoint.ckgr"
+        rewrite_metadata(run_dir / "checkpoint.ckgr", ckpt, lambda meta: meta["config"].update(
+            {name: str(edited / f"{name}.tsv") for name in ("interactions", "user_attrs", "item_attrs")}))
+        argv = ["recommend", "--checkpoint", ckpt, "--user", "u0"]
+        assert run(*argv) == 0
+        first = capsys.readouterr().out
+        assert first and run(*argv, *data_flags(dataset)) == 0
+        assert capsys.readouterr().out == first
+        swap_item_attributes(edited)
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "user-side graph digest: checkpoint " in captured.err
+
+    def test_attribute_edit_keeping_the_counts_exits_1(self, dataset, run_dir, tmp_path, capsys):
+        edited = tmp_path / "data"
+        shutil.copytree(dataset, edited)
+        swap_item_attributes(edited)
+        code = run("recommend", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(edited), "--user", "u0")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "user-side graph digest: checkpoint " in captured.err
+
+    def test_changed_setting_with_the_same_world_rebuilds(self, dataset, run_dir, capsys, monkeypatch):
+        ckpt = run_dir / "checkpoint.ckgr"
+        want, _ = self.recommend_lines(ckpt, dataset, capsys, "u0", 5)
+        builds = []
+        real = cli._build_world
+        monkeypatch.setattr(cli, "_build_world", lambda cfg: builds.append(cfg) or real(cfg))
+        assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", "u0", "--k", "5",
+                   "--set", "lr=0.5") == 0
+        assert capsys.readouterr().out == want and len(builds) == 1
 
     def test_unknown_user_exits_1(self, dataset, run_dir, capsys):
         code = run(

@@ -296,3 +296,16 @@ class TestAlignment:
         assert kg_i.entity_count == 3  # i1, u1, a30
         assert kg_u.entity_names[2][0] == "attr"
         assert kg_i.entity_names[2][0] == "attr"
+
+    def test_items_by_user_lists_the_interaction_edges_only(self):
+        records = [rec("u1", "i1"), rec("u2", "i2"), rec("u1", "i3"), rec("u1", "i1", "like")]
+        bg = build_bipartite(table(records), vocab_records=table(records + [rec("u3", "i1")]))
+        kg_u, _, align = build_graphs(bg, [], [("i1", "genre", "g1"), ("i2", "genre", "g1")])
+        ptr, items = align.items_by_user(kg_u)
+        rows = [sorted(items[ptr[u]:ptr[u + 1]].tolist()) for u in range(align.n_users)]
+        expected = [[] for _ in range(align.n_users)]
+        for u, i in zip(bg.edges.user.tolist(), bg.edges.item.tolist()):
+            expected[u].append(i)
+        assert rows == [sorted(r) for r in expected]
+        assert rows[bg.user_vocab.id_of("u3")] == []  # a user with no edge has an empty row
+        assert len(items) == bg.n_edges  # attribute triples have item heads and are left out
