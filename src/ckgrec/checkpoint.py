@@ -34,13 +34,16 @@ W1 and the loader re-aliases them, so block sizes derive from the
 header alone.  Saving a just-loaded state reproduces the file byte for
 byte.
 
-The serving blocks are what `ckgrec recommend` ranks from without
-rebuilding the graphs: a score is the inner product of a user's and an
-item's final representations, which depend only on the parameters and
-the graphs.  `attach` binds a checkpoint only to the graphs it was
-trained on: their entity and relation counts and, when the file stores
-them, their digests must match.  A file without digests attaches on
-counts alone.
+The serving blocks are what `ckgrec recommend` and `ckgrec evaluate`
+rank from without rebuilding the graphs: a score is the inner product
+of a user's and an item's final representations, which depend only on
+the parameters and the graphs, and the CSR rows are the training items
+both exclude, which `evaluate`'s popularity baseline also counts.
+`attach` binds a checkpoint only to the graphs it was trained on: their
+entity and relation counts and, when the file stores them, their
+digests must match.  A file without digests attaches on counts alone.
+Given no graphs, `attach` binds a file to the world it stores instead:
+the config it was saved with and the sha256 of each input file.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ VERSION = 0x02
 
 @dataclass
 class Serving:
-    """What `recommend` ranks from.
+    """What `recommend` and `evaluate` rank from.
 
     The final user and item matrices, each user's training items as CSR
     rows (`train_items[train_ptr[u]:train_ptr[u + 1]]`) and the user and
@@ -79,6 +82,11 @@ class Serving:
     train_items: np.ndarray
     user_tokens: list
     item_tokens: list
+
+    def train_pairs(self) -> np.ndarray:
+        """The CSR rows as (user, item) id pairs, user by user."""
+        users = np.repeat(np.arange(len(self.users)), np.diff(self.train_ptr))
+        return np.stack([users, self.train_items], axis=1)
 
 
 def serving_of(model: DualModel) -> Serving:
@@ -294,15 +302,33 @@ def _serving(path, blocks: dict, meta: dict, sizes) -> Serving:
     return Serving(blocks["serving.users"], blocks["serving.items"], ptr, items, tokens["users"], tokens["items"])
 
 
-def attach(path, kg_u, kg_i, align, loaded=None) -> tuple[DualModel, dict]:
-    """Bind a checkpoint to freshly built graphs.
+def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None):
+    """Bind a checkpoint to the world it is used in: (bound, meta).
 
     `loaded` is what `load(path)` returned, for a caller that has read
-    the file already; without it the file is read here.  Graphs whose
-    counts, or whose digests when the file stores them, differ from the
-    trained ones are a DimensionConflictError.
+    the file already; without it the file is read here.
+
+    Given graphs, `bound` is the model over them.  Graphs whose counts,
+    or whose digests when the file stores them, differ from the trained
+    ones are a DimensionConflictError.
+
+    Given no graphs, the file binds to the world it stores, and `bound`
+    is its `Serving`: it must hold serving arrays and graph digests, as
+    every version-2 `save` writes, `config` (a config dict) must equal
+    the one it was saved with, and every input file `config` names must
+    still have its stored sha256.  Otherwise `bound` is None, and the
+    caller rebuilds the graphs and attaches to them.
     """
-    table_u, stack_u, table_i, stack_i, meta, _ = load(path) if loaded is None else loaded
+    table_u, stack_u, table_i, stack_i, meta, serving = load(path) if loaded is None else loaded
+    if kg_u is None:
+        binds = (
+            serving is not None
+            and "graph_digests" in meta
+            and config is not None
+            and config == meta.get("config")
+            and input_digests(config) == meta.get("input_digests")
+        )
+        return (serving if binds else None), meta
     bad = []
     for tag, table, kg in (("user-side", table_u, kg_u), ("item-side", table_i, kg_i)):
         for what, stored, built in (

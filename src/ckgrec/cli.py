@@ -14,12 +14,16 @@ Later sources win: defaults, `CKGR_SEED`, the checkpoint's own config
 `--seed`.  A set, non-empty `CKGR_SEED` that is not an integer is an
 error for every command, even when another source supplies the seed.
 
-`recommend` ranks from the final user and item matrices a version-2
-checkpoint stores, without parsing the data or building a graph, when
-the resolved config equals the checkpoint's own and every input file it
-names still has its stored sha256.  Otherwise, and for a version-1
-checkpoint (with a warning), it rebuilds the world and attaches to it as
-`evaluate` does, so another world exits 1 and never serves stale rows.
+`evaluate` and `recommend` rank from the final user and item matrices
+and the training items a version-2 checkpoint stores, without building a
+graph, when the resolved config equals the checkpoint's own and every
+input file it names still has its stored sha256 (`_serving` makes that
+choice for both).  `recommend` then parses no data at all; `evaluate`
+re-derives only the split, for its test pairs, and maps them to ids
+through the stored tokens; it hashes the inputs again after that read,
+and an edit in between sends it down the rebuild path.  Otherwise, and
+for a version-1 checkpoint (with a warning), they rebuild the world and
+attach to it, so another world exits 1 and never serves stale rows.
 
 Exit codes: 0 success, 1 for validation problems (bad config, malformed
 or missing inputs, mismatched checkpoints), 2 for runtime faults.  A
@@ -50,7 +54,6 @@ from .config import RunConfig, load_config
 from .errors import CkgrecError, ConfigError, FormatError, TrainingDiverged, UnresolvedEntityError
 from .evaluate import (
     EvalReport,
-    evaluate_model,
     make_val_recall,
     model_scores,
     pairs_of,
@@ -60,8 +63,9 @@ from .evaluate import (
     split_dataset,
     topk_from_scores,
     truth_by_user,
+    vocab_pairs,
 )
-from .graph import build_bipartite, build_graphs
+from .graph import Vocab, build_bipartite, build_graphs
 from .ingest import (
     INPUT_FILES,
     SynthConfig,
@@ -142,22 +146,29 @@ def _read_attributes(path) -> list:
     return triples
 
 
-def _build_world(cfg: RunConfig) -> World:
-    path = _require_path(cfg, "interactions")
-    parsed, records = _read_interactions(cfg, path)
+def _read_split(cfg: RunConfig):
+    """Parse, binarize, merge and filter the interactions `cfg` names, then split them: (records, split).
+
+    Warns on malformed interaction lines and checks the counts against
+    the manifest `cfg` names.  `_build_world` and a served `evaluate`
+    both get their split here.
+    """
+    parsed, records = _read_interactions(cfg, _require_path(cfg, "interactions"))
     if parsed.issues:
         print(f"warning: {len(parsed.issues)} malformed interaction lines skipped", file=sys.stderr)
+    if cfg.manifest:
+        # records are merged already: one per (user, item) pair
+        verify_manifest(cfg.manifest, len(np.unique(records.user)), len(np.unique(records.item)), len(records))
+    return records, split_dataset(records, cfg.ratios, cfg.seed)
 
+
+def _build_world(cfg: RunConfig) -> World:
+    records, split = _read_split(cfg)
     user_attrs = _read_attributes(cfg.user_attrs)
     item_attrs = _read_attributes(cfg.item_attrs)
-
-    split = split_dataset(records, cfg.ratios, cfg.seed)
     # vocabularies span the full dataset so held-out entities keep their ids,
     # but only training interactions become graph edges
     bg = build_bipartite(split.train, order=cfg.id_order, vocab_records=records)
-    if cfg.manifest:
-        # records are merged already: one per (user, item) pair
-        verify_manifest(cfg.manifest, bg.n_users, bg.n_items, len(records))
     kg_u, kg_i, align = build_graphs(bg, user_attrs, item_attrs)
     return World(
         records=records,
@@ -336,57 +347,69 @@ def _load_checkpoint(args) -> tuple[ckpt.Loaded, RunConfig]:
     return loaded, _resolve_config(args, loaded.meta.get("config"))
 
 
-def _attach_world(args, loaded: ckpt.Loaded, cfg: RunConfig, notes=()):
-    """Rebuild the world `cfg` names and bind the loaded checkpoint to its graphs.
+def _serving(args, loaded: ckpt.Loaded, cfg: RunConfig) -> tuple[ckpt.Serving, World | None]:
+    """What `recommend` and `evaluate` rank from, and the world rebuilt for it (None when the file serves).
 
-    `notes` on the file and a missing-digest note go out as one warning line.
+    The file serves when `ckpt.attach` binds it to the world it stores
+    (serving arrays and graph digests present, the same config, every
+    input file unchanged).  Anything else may be another world: it is
+    rebuilt, and attach refuses other graphs.  Notes on the file go out
+    as one warning line.
     """
+    serving, _ = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())
+    if serving is not None:
+        return serving, None
+    return _rebuilt(args, loaded, cfg)
+
+
+def _rebuilt(args, loaded: ckpt.Loaded, cfg: RunConfig) -> tuple[ckpt.Serving, World]:
+    """Rebuild the world `cfg` names, attach the checkpoint to its graphs and turn the model into serving arrays."""
     world = _build_world(cfg)
     model, _ = ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
-    notes = list(notes)
+    notes = []
+    if loaded.serving is None:
+        notes.append("is a version-1 checkpoint without serving arrays, so they were rebuilt from the data files")
     if "graph_digests" not in loaded.meta:
         notes.append("stores no graph digests, so only the graphs' counts were checked")
     if notes:
         print(f"warning: {args.checkpoint} " + "; it ".join(notes), file=sys.stderr)
-    return world, model
+    return ckpt.serving_of(model), world
 
 
 def cmd_evaluate(args) -> int:
     loaded, cfg = _load_checkpoint(args)
-    world, model = _attach_world(args, loaded, cfg)
+    serving, world = _serving(args, loaded, cfg)
+    if world is None:  # the split is all a served evaluate needs of the world
+        split = _read_split(cfg)[1]
+        # hashed after the parse, as `_build_world` does: a file edited since attach hashed it may be another world
+        inputs = input_digests(cfg.to_dict())
+        if inputs != loaded.meta["input_digests"]:
+            serving, world = _rebuilt(args, loaded, cfg)
+    if world is not None:
+        split, inputs = world.split, world.inputs
     k = cfg.top_k if args.k is None else args.k
-    train_truth = truth_by_user(world.train_pairs)
-    test_truth = truth_by_user(world.test_pairs)
-    n_users, n_items = world.align.n_users, world.align.n_items
+    train_pairs = serving.train_pairs()
+    test_pairs = vocab_pairs(split.test, Vocab(serving.user_tokens), Vocab(serving.item_tokens))
+    train_truth = truth_by_user(train_pairs)
+    test_truth = truth_by_user(test_pairs)
+    n_users, n_items = len(serving.users), len(serving.items)
     report = EvalReport()
     for label, scores_of in (
-        ("model", lambda: model_scores(model)),
-        ("popularity", lambda: popularity_scores(world.train_pairs, n_users, n_items)),
+        ("model", lambda: serving.users @ serving.items.T),  # bitwise equal to model_scores of the attached model
+        ("popularity", lambda: popularity_scores(train_pairs, n_users, n_items)),
         ("random", lambda: random_scores(cfg.seed, n_users, n_items)),
     ):
         started = time.perf_counter()
         p, r = rank_and_score(scores_of(), train_truth, test_truth, k)
         report.add(label, k, p, r, cfg.seed, (time.perf_counter() - started) * 1e3)
-    _report(report, args.out, "eval.csv", "evaluate", cfg, world.inputs)
+    _report(report, args.out, "eval.csv", "evaluate", cfg, inputs)
     return 0
-
-
-def _stored_world_matches(loaded: ckpt.Loaded, cfg: RunConfig) -> bool:
-    """Whether `cfg` is the config the checkpoint was saved with and every input file it names is unchanged."""
-    stored = loaded.meta
-    config = cfg.to_dict()
-    return config == stored.get("config") and input_digests(config) == stored.get("input_digests")
 
 
 def cmd_recommend(args) -> int:
     loaded, cfg = _load_checkpoint(args)
     _require_path(cfg, "interactions")
-    serving = loaded.serving
-    if serving is None or not _stored_world_matches(loaded, cfg):
-        # anything else may be another world: rebuild it, and attach refuses other graphs
-        notes = [] if serving is not None else [
-            "is a version-1 checkpoint without serving arrays, so they were rebuilt from the data files"]
-        serving = ckpt.serving_of(_attach_world(args, loaded, cfg, notes)[1])
+    serving, _ = _serving(args, loaded, cfg)
     k = cfg.top_k if args.k is None else args.k
     if args.user not in serving.user_tokens:
         raise ConfigError(f"unknown user id {args.user!r}")
@@ -408,13 +431,13 @@ def cmd_sweep_layers(args) -> int:
     # every depth is checked before the first one trains
     depth_cfgs = [replace(cfg, layers=n).validate() for n in l_values]
     world = _build_world(cfg)
+    train_truth, test_truth = truth_by_user(world.train_pairs), truth_by_user(world.test_pairs)
     report = EvalReport()
     for depth_cfg in depth_cfgs:
         started = time.perf_counter()
         model = _train_once(world, depth_cfg).model
-        row = evaluate_model(model, world.train_pairs, world.test_pairs, cfg.top_k, cfg.seed)
-        wall_ms = (time.perf_counter() - started) * 1e3
-        report.add(f"L={depth_cfg.layers}", cfg.top_k, row.precision, row.recall, cfg.seed, wall_ms)
+        p, r = rank_and_score(model_scores(model), train_truth, test_truth, cfg.top_k)
+        report.add(f"L={depth_cfg.layers}", cfg.top_k, p, r, cfg.seed, (time.perf_counter() - started) * 1e3)
     best = max(report.rows, key=lambda r: r.recall)
     notes = [f"best depth by recall: {best.label} (data-dependent, reported not asserted)"]
     _report(report, args.out, "sweep.csv", "sweep-layers", cfg, world.inputs, notes)

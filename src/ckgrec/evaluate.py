@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import open_replacing
 from .errors import ConfigError
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, Vocab
 from .rng import Rng
 from .table import Interactions, first_seen_groups
 
@@ -80,8 +81,13 @@ def split_dataset(records: Interactions, ratios=(0.8, 0.1, 0.1), seed: int = 0) 
 
 def pairs_of(records: Interactions, bg: BipartiteGraph) -> np.ndarray:
     """(user, item) index pairs of records under the bipartite vocabularies."""
-    users = bg.user_vocab.ids_of(records.user_tokens)[records.user]
-    items = bg.item_vocab.ids_of(records.item_tokens)[records.item]
+    return vocab_pairs(records, bg.user_vocab, bg.item_vocab)
+
+
+def vocab_pairs(records: Interactions, user_vocab: Vocab, item_vocab: Vocab) -> np.ndarray:
+    """(user, item) index pairs of records under the given vocabularies; records outside them are dropped."""
+    users = user_vocab.ids_of(records.user_tokens)[records.user]
+    items = item_vocab.ids_of(records.item_tokens)[records.item]
     keep = (users >= 0) & (items >= 0)
     return np.stack([users[keep], items[keep]], axis=1)
 
@@ -201,7 +207,8 @@ class EvalReport:
         self.rows.append(EvalRow(label, k, precision, recall, seed, wall_ms))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        """Write the rows to `path` crash-safely (`checkpoint.open_replacing`)."""
+        with open_replacing(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("label,K,precision,recall,seed,wall_ms\n")
             for r in self.rows:
                 fh.write(f"{r.label},{r.k},{r.precision},{r.recall},{r.seed},{r.wall_ms}\n")

@@ -94,6 +94,23 @@ class TestRoundTrip:
         assert np.array_equal(res_u.stitched, want_u.stitched)
         assert np.array_equal(res_i.stitched, want_i.stitched)
 
+    def test_attach_without_graphs_binds_to_the_stored_world(self, tmp_path):
+        model, _ = toy_dual()
+        data = tmp_path / "interactions.txt"
+        data.write_text("u1 i1\n")
+        config = {"interactions": str(data), "d": 4}
+        path = tmp_path / "m.ckgr"
+        save(model, path, {"config": config})
+        serving, meta = attach(path, config=config)
+        assert serving is not None and np.array_equal(serving.users, load(path).serving.users)
+        assert meta["config"] == config
+        assert attach(path, config={**config, "d": 8})[0] is None  # another config
+        old = tmp_path / "v1.ckgr"
+        downgrade_to_v1(path, old)
+        assert attach(old, config=config)[0] is None  # no serving arrays
+        data.write_text("u1 i2\n")
+        assert attach(path, loaded=load(path), config=config)[0] is None  # an edited input
+
 
 class TestFormatOracle:
     """`save` writes the documented version-2 layout, block for block.

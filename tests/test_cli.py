@@ -12,7 +12,8 @@ import pytest
 from ckgrec import checkpoint, cli
 from ckgrec.cli import main
 from ckgrec.config import load_config
-from ckgrec.evaluate import model_scores
+from ckgrec.evaluate import model_scores, popularity_scores, random_scores, rank_and_score, truth_by_user
+from ckgrec.ingest import input_digests
 from ckgrec.model import DualModel
 
 from conftest import downgrade_to_v1, rewrite_metadata
@@ -461,6 +462,172 @@ class TestEvaluate:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def evaluate_output(self, ckpt, capsys, *flags) -> tuple[str, str]:
+        assert run("evaluate", "--checkpoint", ckpt, *flags) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err
+
+    @staticmethod
+    def no_world(monkeypatch) -> None:
+        def no_world(cfg):
+            raise AssertionError("a version-2 checkpoint rebuilt the world")
+
+        monkeypatch.setattr(cli, "_build_world", no_world)
+
+    def test_served_lines_equal_the_rebuilt_ones(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
+        # a version-1 file carries no serving arrays: it evaluates on the rebuilt world, as before them
+        old = tmp_path / "v1.ckgr"
+        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
+        rebuilt = {}
+        for k in ([], ["--k", "20"]):  # the config's top_k, and more than the 15 items
+            rebuilt[tuple(k)], err = self.evaluate_output(old, capsys, *data_flags(dataset), *k)
+            assert err.count("warning:") == 1 and "version-1 checkpoint" in err
+        self.no_world(monkeypatch)
+        for k, want in rebuilt.items():
+            assert self.evaluate_output(run_dir / "checkpoint.ckgr", capsys, *data_flags(dataset), *k) == (want, "")
+
+    def test_served_lines_are_the_attached_model_ranked(self, dataset, run_dir, capsys):
+        ckpt = run_dir / "checkpoint.ckgr"
+        cfg = load_config(base=checkpoint.load(ckpt).meta["config"])
+        world = cli._build_world(cfg)
+        model, _ = checkpoint.attach(ckpt, world.kg_u, world.kg_i, world.align)
+        train, test = truth_by_user(world.train_pairs), truth_by_user(world.test_pairs)
+        n_users, n_items = world.align.n_users, world.align.n_items
+        want = [
+            f"{label}: precision@5={p:.4f} recall@5={r:.4f}"
+            for label, scores in (
+                ("model", model_scores(model)),
+                ("popularity", popularity_scores(world.train_pairs, n_users, n_items)),
+                ("random", random_scores(cfg.seed, n_users, n_items)),
+            )
+            for p, r in [rank_and_score(scores, train, test, 5)]
+        ]
+        out, _ = self.evaluate_output(ckpt, capsys, *data_flags(dataset))
+        assert out.splitlines() == want
+
+    def test_served_report_files_equal_the_rebuilt_ones(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
+        old = tmp_path / "v1.ckgr"
+        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
+        self.evaluate_output(old, capsys, *data_flags(dataset), "--out", tmp_path / "rebuilt")
+        self.no_world(monkeypatch)
+        self.evaluate_output(run_dir / "checkpoint.ckgr", capsys, *data_flags(dataset), "--out", tmp_path / "served")
+
+        def metric_columns(out):  # every column but the last, wall_ms
+            return [line.rsplit(",", 1)[0] for line in (out / "eval.csv").read_text().splitlines()]
+
+        def manifest(out):
+            return json.loads((out / "run_manifest.json").read_text())
+
+        served, rebuilt = tmp_path / "served", tmp_path / "rebuilt"
+        assert len(metric_columns(served)) == 4 and metric_columns(served) == metric_columns(rebuilt)
+        assert manifest(served)["inputs"] == manifest(rebuilt)["inputs"]
+        assert manifest(served) == manifest(rebuilt)
+
+    def test_version_1_file_warns_as_recommend_does(self, dataset, run_dir, tmp_path, capsys):
+        old = tmp_path / "v1.ckgr"
+        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
+        _, err = self.evaluate_output(old, capsys, *data_flags(dataset))
+        assert run("recommend", "--checkpoint", old, *data_flags(dataset), "--user", "u0") == 0
+        assert err.count("\n") == 1 and capsys.readouterr().err == err
+
+    def test_wrong_count_manifest_exits_1(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
+        # the stored config names the manifest and its digest, so the file serves and the counts are checked
+        bad = tmp_path / "manifest.txt"
+        bad.write_text("users=20\nitems=16\ninteractions=100\n")
+        ckpt = tmp_path / "checkpoint.ckgr"
+
+        def name_the_manifest(meta):
+            meta["config"]["manifest"] = str(bad)
+            meta["input_digests"]["manifest"] = hashlib.sha256(bad.read_bytes()).hexdigest()
+
+        rewrite_metadata(run_dir / "checkpoint.ckgr", ckpt, name_the_manifest)
+        self.no_world(monkeypatch)
+        assert run("evaluate", "--checkpoint", ckpt, *data_flags(dataset)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "items: manifest says 16, parsed 15" in captured.err
+
+    def test_served_file_warns_on_malformed_interaction_lines(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
+        edited = tmp_path / "data"
+        shutil.copytree(dataset, edited)
+        with open(edited / "interactions.tsv", "a") as fh:
+            fh.write("not a record\n")
+        ckpt = tmp_path / "checkpoint.ckgr"
+
+        def name_the_edited_files(meta):
+            meta["config"].update({name: str(edited / f"{name}.tsv") for name in ("interactions", "user_attrs",
+                                                                                 "item_attrs")})
+            meta["input_digests"] = input_digests(meta["config"])
+
+        rewrite_metadata(run_dir / "checkpoint.ckgr", ckpt, name_the_edited_files)
+        want, _ = self.evaluate_output(run_dir / "checkpoint.ckgr", capsys, *data_flags(dataset))
+        self.no_world(monkeypatch)
+        out, err = self.evaluate_output(ckpt, capsys, *data_flags(edited))
+        assert out == want and err == "warning: 1 malformed interaction lines skipped\n"
+
+    def test_input_edited_between_calls_exits_1(self, dataset, run_dir, tmp_path, capsys):
+        # the same process, the same paths: only the file's content tells the two calls apart
+        edited = tmp_path / "data"
+        shutil.copytree(dataset, edited)
+        ckpt = tmp_path / "checkpoint.ckgr"
+        rewrite_metadata(run_dir / "checkpoint.ckgr", ckpt, lambda meta: meta["config"].update(
+            {name: str(edited / f"{name}.tsv") for name in ("interactions", "user_attrs", "item_attrs")}))
+        first, _ = self.evaluate_output(ckpt, capsys)
+        assert first and self.evaluate_output(ckpt, capsys, *data_flags(dataset))[0] == first
+        swap_item_attributes(edited)
+        assert run("evaluate", "--checkpoint", ckpt) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "user-side graph digest: checkpoint " in captured.err
+
+    def test_interactions_edited_after_the_digest_check_rebuild(self, dataset, run_dir, tmp_path, capsys,
+                                                                monkeypatch):
+        # attach hashed the files before the split re-reads them: the split must come from the hashed bytes
+        edited = tmp_path / "data"
+        shutil.copytree(dataset, edited)
+        ckpt = tmp_path / "checkpoint.ckgr"
+        rewrite_metadata(run_dir / "checkpoint.ckgr", ckpt, lambda meta: meta["config"].update(
+            {name: str(edited / f"{name}.tsv") for name in ("interactions", "user_attrs", "item_attrs")}))
+        path = edited / "interactions.tsv"
+        real_parse, real_build = cli.parse_interactions, cli._build_world
+        builds = []
+
+        def edit_then_parse(*args, **kwargs):
+            if not builds:  # the served split's parse: drop one interaction first
+                path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_interactions", edit_then_parse)
+        monkeypatch.setattr(cli, "_build_world", lambda cfg: builds.append(cfg) or real_build(cfg))
+        assert run("evaluate", "--checkpoint", ckpt) == 1
+        captured = capsys.readouterr()
+        assert len(builds) == 1 and captured.out == "" and "graph digest" in captured.err
+
+    def test_changed_setting_with_the_same_world_rebuilds(self, dataset, run_dir, capsys, monkeypatch):
+        ckpt = run_dir / "checkpoint.ckgr"
+        want, _ = self.evaluate_output(ckpt, capsys, *data_flags(dataset))
+        builds = []
+        real = cli._build_world
+        monkeypatch.setattr(cli, "_build_world", lambda cfg: builds.append(cfg) or real(cfg))
+        assert self.evaluate_output(ckpt, capsys, *data_flags(dataset), "--set", "lr=0.5") == (want, "")
+        assert len(builds) == 1
+
+    def test_failed_report_replace_keeps_the_previous_report(self, dataset, run_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "eval"
+        flags = ["--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(dataset), "--out", out]
+        assert run("evaluate", *flags, "--k", "5") == 0
+        before = (out / "eval.csv").read_bytes()
+        real = os.replace
+
+        def crash_on_report(src, dst):
+            if os.path.basename(dst) == "eval.csv":
+                raise OSError("simulated crash while writing eval.csv")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_report)
+        assert run("evaluate", *flags, "--k", "7") == 2
+        assert "simulated crash" in capsys.readouterr().err
+        assert (out / "eval.csv").read_bytes() == before
+        assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
 
 class TestRecommend:
