@@ -24,26 +24,28 @@ Layout of version 2 (all integers little-endian):
                  `input_digests`: the sha256 of each input file the
                  config names)
 
-Version 1 has neither the three serving counts nor the serving blocks;
-it still loads, with `serving` None.  The block order lives in one
-function, `_blocks`, which both `save` and `load` walk.  A parameter
-block is named as in `DualModel.params()` (`u.entity`, `u.w1.1`,
-`i.attn.2`, ...).  W2 is always stored; when the aggregator shares one
-matrix, `params()` has no W2, the stored W2 block is a bitwise copy of
-W1 and the loader re-aliases them, so block sizes derive from the
-header alone.  Saving a just-loaded state reproduces the file byte for
-byte.
+Version 2 is the only version `load` reads.  A file of another version,
+or one whose metadata lacks a key `save` writes (a version-2 file
+written before graph digests were stored has no `graph_digests`), is a
+FormatError: it cannot prove the graphs it was trained on, and the
+model has to be trained again.  The block order lives in one function,
+`_blocks`, which both `save` and `load` walk.  A parameter block is
+named as in `DualModel.params()` (`u.entity`, `u.w1.1`, `i.attn.2`,
+...).  W2 is always stored; when the aggregator shares one matrix,
+`params()` has no W2, the stored W2 block is a bitwise copy of W1 and
+the loader re-aliases them, so block sizes derive from the header
+alone.  Saving a just-loaded state reproduces the file byte for byte.
 
 The serving blocks are what `ckgrec recommend` and `ckgrec evaluate`
-rank from without rebuilding the graphs: a score is the inner product
-of a user's and an item's final representations, which depend only on
-the parameters and the graphs, and the CSR rows are the training items
-both exclude, which `evaluate`'s popularity baseline also counts.
-`attach` binds a checkpoint only to the graphs it was trained on: their
-entity and relation counts and, when the file stores them, their
-digests must match.  A file without digests attaches on counts alone.
-Given no graphs, `attach` binds a file to the world it stores instead:
-the config it was saved with and the sha256 of each input file.
+rank from: a score is the inner product of a user's and an item's final
+representations, which depend only on the parameters and the graphs,
+and the CSR rows are the training items both exclude, which
+`evaluate`'s popularity baseline also counts.  `attach` binds a
+checkpoint only to the graphs it was trained on: their entity and
+relation counts and their digests must match, and graphs that match
+give back the stored serving arrays bit for bit.  Given no graphs,
+`attach` binds a file to the world it stores instead: the config it was
+saved with and the sha256 of each input file.
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ def serving_of(model: DualModel) -> Serving:
     return Serving(users, items, ptr, train_items, tokens[user_rows], tokens[item_rows])
 
 
-def _blocks(counts, d: int, k: int, dims, serving=None) -> list[tuple[str, tuple[int, ...], str]]:
+def _blocks(counts, d: int, k: int, dims, serving) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, dtype) of every block in file order.
 
     `counts` holds (N, M) per side; `serving` is (users, items, training
-    pairs) for a version-2 file and None for version 1.
+    pairs).
     """
     out = []
     for side, (n, m) in zip(("u", "i"), counts):
@@ -112,17 +114,14 @@ def _blocks(counts, d: int, k: int, dims, serving=None) -> list[tuple[str, tuple
             out += [(f"{side}.w1.{l}", w), (f"{side}.w2.{l}", w)]
             if l >= 2:
                 out.append((f"{side}.attn.{l}", (m, k, dims[l - 1])))
-    out = [(name, shape, "<f8") for name, shape in out]
-    if serving is not None:
-        n_users, n_items, n_train = serving
-        width = 2 * sum(dims)
-        out += [
-            ("serving.users", (n_users, width), "<f8"),
-            ("serving.items", (n_items, width), "<f8"),
-            ("serving.train_ptr", (n_users + 1,), "<i8"),
-            ("serving.train_items", (n_train,), "<i8"),
-        ]
-    return out
+    n_users, n_items, n_train = serving
+    width = 2 * sum(dims)
+    return [(name, shape, "<f8") for name, shape in out] + [
+        ("serving.users", (n_users, width), "<f8"),
+        ("serving.items", (n_items, width), "<f8"),
+        ("serving.train_ptr", (n_users + 1,), "<i8"),
+        ("serving.train_items", (n_train,), "<i8"),
+    ]
 
 
 @contextlib.contextmanager
@@ -218,31 +217,34 @@ class Loaded(NamedTuple):
     table_i: EmbeddingTable
     stack_i: LayerStack
     meta: dict
-    serving: Serving | None  # None for a version-1 file
+    serving: Serving
+
+
+# every key `save` adds to the metadata; a file without one of them predates this format
+METADATA_KEYS = ("dims", "shared_weights", "printed_attention", "slope", "graph_digests", "tokens", "input_digests")
 
 
 def load(path) -> Loaded:
-    """Read a version-1 or version-2 checkpoint back, with every check on its layout and metadata."""
+    """Read a version-2 checkpoint back, with every check on its layout and metadata."""
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data, path)
     if r.take(4, "magic") != MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0 (not a checkpoint file)")
     version = r.take(1, "version")[0]
-    if version not in (1, VERSION):
-        raise FormatError(f"{path}: unsupported version {version} at byte 4")
+    if version != VERSION:
+        raise FormatError(f"{path}: unsupported version {version} at byte 4; only version {VERSION} is read, "
+                          "so train the model again")
     n_u, m_u, n_i, m_i, d, k, n_layers = struct.unpack("<7I", r.take(28, "header counts"))
     if n_layers < 1 or n_layers > 64:
         raise FormatError(f"{path}: implausible layer count {n_layers} at byte 29")
     dims = list(struct.unpack(f"<{n_layers + 1}I", r.take(4 * (n_layers + 1), "layer widths")))
     if dims[0] != d:
         raise FormatError(f"{path}: first layer width {dims[0]} != entity width {d}")
-    sizes = None
-    if version == VERSION:
-        sizes = struct.unpack("<3I", r.take(12, "serving counts"))
-        if sizes[0] + sizes[1] > min(n_u, n_i):
-            raise FormatError(f"{path}: {sizes[0]} users and {sizes[1]} items do not fit graphs of "
-                              f"{n_u} and {n_i} entities")
+    sizes = struct.unpack("<3I", r.take(12, "serving counts"))
+    if sizes[0] + sizes[1] > min(n_u, n_i):
+        raise FormatError(f"{path}: {sizes[0]} users and {sizes[1]} items do not fit graphs of "
+                          f"{n_u} and {n_i} entities")
     layout = _blocks([(n_u, m_u), (n_i, m_i)], d, k, dims, sizes)
     blocks = {name: r.array(shape, dtype, name) for name, shape, dtype in layout}
 
@@ -255,15 +257,25 @@ def load(path) -> Loaded:
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"{path}: unreadable metadata blob: {err}")
 
-    shared = bool(meta.get("shared_weights", True))
-    slope = float(meta.get("slope", 0.2))
-    printed = bool(meta.get("printed_attention", False))
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: metadata is not a JSON object")
+    if missing := [key for key in METADATA_KEYS if key not in meta]:
+        raise FormatError(f"{path}: metadata lacks {', '.join(missing)}, so the file cannot prove the graphs "
+                          "it was trained on; train the model again")
+    shared, printed, slope = meta["shared_weights"], meta["printed_attention"], meta["slope"]
+    if not (isinstance(shared, bool) and isinstance(printed, bool)):
+        raise FormatError(f"{path}: metadata shared_weights and printed_attention must be true or false, "
+                          f"got {shared!r} and {printed!r}")
+    if not (isinstance(slope, float) and 0.0 < slope < 1.0):
+        raise FormatError(f"{path}: metadata slope must be a number in (0, 1), got {slope!r}")
+    if meta["dims"] != dims:
+        raise FormatError(f"{path}: metadata dims {meta['dims']!r} differ from the layer widths {dims} in the header")
     if printed and (problem := printed_width_problem(dims, k)):
         raise FormatError(f"{path}: metadata says {problem}")
-    digests = meta.get("graph_digests", {"u": "", "i": ""})
+    digests = meta["graph_digests"]
     if not (isinstance(digests, dict) and all(isinstance(digests.get(side), str) for side in ("u", "i"))):
         raise FormatError(f"{path}: metadata graph_digests must map u and i to digest strings, got {digests!r}")
-    serving = None if sizes is None else _serving(path, blocks, meta, sizes)
+    serving = _serving(path, blocks, meta, sizes)
 
     layers = range(1, n_layers + 1)
     sides = []
@@ -285,7 +297,7 @@ def load(path) -> Loaded:
 
 
 def _serving(path, blocks: dict, meta: dict, sizes) -> Serving:
-    """The serving blocks and tokens of a version-2 file, checked against each other."""
+    """The serving blocks and tokens, checked against each other."""
     n_users, n_items, n_train = sizes
     ptr, items = blocks["serving.train_ptr"], blocks["serving.train_items"]
     if ptr[0] != 0 or ptr[-1] != n_train or np.any(np.diff(ptr) < 0):
@@ -308,25 +320,21 @@ def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None):
     `loaded` is what `load(path)` returned, for a caller that has read
     the file already; without it the file is read here.
 
-    Given graphs, `bound` is the model over them.  Graphs whose counts,
-    or whose digests when the file stores them, differ from the trained
-    ones are a DimensionConflictError.
+    Given graphs, `bound` is the model over them.  Graphs whose counts
+    or digests differ from the trained ones are a DimensionConflictError.
 
     Given no graphs, the file binds to the world it stores, and `bound`
-    is its `Serving`: it must hold serving arrays and graph digests, as
-    every version-2 `save` writes, `config` (a config dict) must equal
-    the one it was saved with, and every input file `config` names must
-    still have its stored sha256.  Otherwise `bound` is None, and the
-    caller rebuilds the graphs and attaches to them.
+    is its `Serving`: `config` (a config dict) must equal the one it was
+    saved with, and every input file `config` names must still have its
+    stored sha256.  Otherwise `bound` is None, and the caller rebuilds
+    the graphs and attaches to them.
     """
     table_u, stack_u, table_i, stack_i, meta, serving = load(path) if loaded is None else loaded
     if kg_u is None:
         binds = (
-            serving is not None
-            and "graph_digests" in meta
-            and config is not None
+            config is not None
             and config == meta.get("config")
-            and input_digests(config) == meta.get("input_digests")
+            and input_digests(config) == meta["input_digests"]
         )
         return (serving if binds else None), meta
     bad = []
@@ -337,7 +345,7 @@ def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None):
         ):
             if stored != built:
                 bad.append(f"{tag} {what}: checkpoint {stored} vs graph {built}")
-    if not bad and "graph_digests" in meta:
+    if not bad:
         for side, tag, kg in (("u", "user-side", kg_u), ("i", "item-side", kg_i)):
             stored, built = meta["graph_digests"][side], kg.digest()
             if stored != built:

@@ -14,16 +14,18 @@ Later sources win: defaults, `CKGR_SEED`, the checkpoint's own config
 `--seed`.  A set, non-empty `CKGR_SEED` that is not an integer is an
 error for every command, even when another source supplies the seed.
 
-`evaluate` and `recommend` rank from the final user and item matrices
-and the training items a version-2 checkpoint stores, without building a
-graph, when the resolved config equals the checkpoint's own and every
-input file it names still has its stored sha256 (`_serving` makes that
-choice for both).  `recommend` then parses no data at all; `evaluate`
-re-derives only the split, for its test pairs, and maps them to ids
-through the stored tokens; it hashes the inputs again after that read,
-and an edit in between sends it down the rebuild path.  Otherwise, and
-for a version-1 checkpoint (with a warning), they rebuild the world and
-attach to it, so another world exits 1 and never serves stale rows.
+`evaluate` and `recommend` always rank the final user and item matrices
+and the training items the checkpoint stores.  When the resolved config
+equals the checkpoint's own and every input file it names still has its
+stored sha256, they build no graph: `recommend` parses no data at all,
+and `evaluate` re-derives only the split, for its test pairs, and maps
+them to ids through the stored tokens; it hashes the inputs again after
+that read, and an edit in between sends it down the rebuild path.
+Otherwise they rebuild the world and attach the checkpoint to it
+(`_rebuilt`), only so that another world exits 1 and never serves stale
+rows: graphs with the stored digests give back the stored matrices bit
+for bit.  A checkpoint of an older format exits 1 and must be trained
+again.
 
 Exit codes: 0 success, 1 for validation problems (bad config, malformed
 or missing inputs, mismatched checkpoints), 2 for runtime faults.  A
@@ -347,45 +349,28 @@ def _load_checkpoint(args) -> tuple[ckpt.Loaded, RunConfig]:
     return loaded, _resolve_config(args, loaded.meta.get("config"))
 
 
-def _serving(args, loaded: ckpt.Loaded, cfg: RunConfig) -> tuple[ckpt.Serving, World | None]:
-    """What `recommend` and `evaluate` rank from, and the world rebuilt for it (None when the file serves).
+def _rebuilt(args, loaded: ckpt.Loaded, cfg: RunConfig) -> World:
+    """Rebuild the world `cfg` names and attach the checkpoint to its graphs, which refuses any but the trained ones.
 
-    The file serves when `ckpt.attach` binds it to the world it stores
-    (serving arrays and graph digests present, the same config, every
-    input file unchanged).  Anything else may be another world: it is
-    rebuilt, and attach refuses other graphs.  Notes on the file go out
-    as one warning line.
+    No model is run: graphs with the stored digests, and the parameters,
+    widths and flags of the file, give back `loaded.serving` bit for bit.
     """
-    serving, _ = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())
-    if serving is not None:
-        return serving, None
-    return _rebuilt(args, loaded, cfg)
-
-
-def _rebuilt(args, loaded: ckpt.Loaded, cfg: RunConfig) -> tuple[ckpt.Serving, World]:
-    """Rebuild the world `cfg` names, attach the checkpoint to its graphs and turn the model into serving arrays."""
     world = _build_world(cfg)
-    model, _ = ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
-    notes = []
-    if loaded.serving is None:
-        notes.append("is a version-1 checkpoint without serving arrays, so they were rebuilt from the data files")
-    if "graph_digests" not in loaded.meta:
-        notes.append("stores no graph digests, so only the graphs' counts were checked")
-    if notes:
-        print(f"warning: {args.checkpoint} " + "; it ".join(notes), file=sys.stderr)
-    return ckpt.serving_of(model), world
+    ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
+    return world
 
 
 def cmd_evaluate(args) -> int:
     loaded, cfg = _load_checkpoint(args)
-    serving, world = _serving(args, loaded, cfg)
-    if world is None:  # the split is all a served evaluate needs of the world
+    serving = loaded.serving
+    served = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())[0] is not None
+    if served:  # the split is all a served evaluate needs of the world
         split = _read_split(cfg)[1]
         # hashed after the parse, as `_build_world` does: a file edited since attach hashed it may be another world
         inputs = input_digests(cfg.to_dict())
-        if inputs != loaded.meta["input_digests"]:
-            serving, world = _rebuilt(args, loaded, cfg)
-    if world is not None:
+        served = inputs == loaded.meta["input_digests"]
+    if not served:
+        world = _rebuilt(args, loaded, cfg)
         split, inputs = world.split, world.inputs
     k = cfg.top_k if args.k is None else args.k
     train_pairs = serving.train_pairs()
@@ -409,7 +394,9 @@ def cmd_evaluate(args) -> int:
 def cmd_recommend(args) -> int:
     loaded, cfg = _load_checkpoint(args)
     _require_path(cfg, "interactions")
-    serving, _ = _serving(args, loaded, cfg)
+    if ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())[0] is None:
+        _rebuilt(args, loaded, cfg)
+    serving = loaded.serving
     k = cfg.top_k if args.k is None else args.k
     if args.user not in serving.user_tokens:
         raise ConfigError(f"unknown user id {args.user!r}")

@@ -25,7 +25,7 @@ from ckgrec.table import Interactions
 from ckgrec.training import train
 from ckgrec.transr import TripleBatch, init_table
 
-from reference import checkpoint_v1_reference, checkpoint_v2_reference
+from reference import checkpoint_v2_reference
 from tablerows import interactions_from_rows
 
 
@@ -106,23 +106,12 @@ def checkpoint_sides(table_u, stack_u, table_i, stack_i):
 
 
 def rewrite_metadata(src, dst, change) -> None:
-    """Copy checkpoint `src` to `dst` in its own version with `change(metadata)` applied, through a reference writer."""
+    """Copy checkpoint `src` to `dst` with `change(metadata)` applied, through the reference writer."""
     table_u, stack_u, table_i, stack_i, meta, serving = checkpoint.load(src)
     change(meta)
     sides = checkpoint_sides(table_u, stack_u, table_i, stack_i)
-    if serving is None:
-        dst.write_bytes(checkpoint_v1_reference(*sides, stack_u.dims, meta))
-    else:
-        arrays = (serving.users, serving.items, serving.train_ptr, serving.train_items)
-        dst.write_bytes(checkpoint_v2_reference(*sides, stack_u.dims, meta, arrays))
-
-
-def downgrade_to_v1(src, dst) -> None:
-    """Copy checkpoint `src` to `dst` as the version-1 file an older save wrote: no serving blocks or keys."""
-    table_u, stack_u, table_i, stack_i, meta, _ = checkpoint.load(src)
-    for key in ("tokens", "input_digests"):
-        meta.pop(key)
-    dst.write_bytes(checkpoint_v1_reference(*checkpoint_sides(table_u, stack_u, table_i, stack_i), stack_u.dims, meta))
+    arrays = (serving.users, serving.items, serving.train_ptr, serving.train_items)
+    dst.write_bytes(checkpoint_v2_reference(*sides, stack_u.dims, meta, arrays))
 
 
 def fresh_table(n_entities=5, n_relations=2, d=4, k=3, seed=9, std=0.3):

@@ -581,41 +581,27 @@ def world_records(path, user_attrs, item_attrs, format="tsv", threshold=float("-
     }
 
 
-def checkpoint_v1_reference(user_side, item_side, dims, metadata):
-    """Version-1 checkpoint bytes, written field by field from raw arrays.
+def checkpoint_v2_reference(user_side, item_side, dims, metadata, serving):
+    """Version-2 checkpoint bytes, written field by field from raw arrays.
 
     Each side is (entity, relation, projection, w1, w2, attn): the (N, d),
     (M, k) and (M, k, d) table arrays, then per-layer lists where w1[l-1]
     and w2[l-1] belong to layer l, w2 is None for shared aggregator
-    weights, and attn[l-1] is read for l >= 2 only.  `metadata` is the
-    complete JSON object, flags included.
+    weights, and attn[l-1] is read for l >= 2 only.  `serving` is
+    (users, items, train_ptr, train_items): the final user and item
+    matrices, then each user's training items as CSR rows.  The three
+    serving counts follow the layer widths in the header, and the four
+    blocks follow the parameter blocks.  `metadata` is the complete JSON
+    object, flags included.
     """
-    return _checkpoint_reference(user_side, item_side, dims, metadata, None)
-
-
-def checkpoint_v2_reference(user_side, item_side, dims, metadata, serving):
-    """Version-2 checkpoint bytes: version 1 plus the serving section.
-
-    `serving` is (users, items, train_ptr, train_items): the final user
-    and item matrices, then each user's training items as CSR rows.  The
-    three serving counts follow the layer widths in the header, and the
-    four blocks follow the parameter blocks.
-    """
-    return _checkpoint_reference(user_side, item_side, dims, metadata, serving)
-
-
-def _checkpoint_reference(user_side, item_side, dims, metadata, serving):
     n_layers = len(dims) - 1
     (n_u, d), (m_u, k) = user_side[0].shape, user_side[1].shape
     n_i, m_i = item_side[0].shape[0], item_side[1].shape[0]
     out = bytearray(b"CKGR")
-    out += bytes([1 if serving is None else 2])
-    for value in (n_u, m_u, n_i, m_i, d, k, n_layers, *dims):
+    out += bytes([2])
+    users, items, train_ptr, train_items = serving
+    for value in (n_u, m_u, n_i, m_i, d, k, n_layers, *dims, len(users), len(items), len(train_items)):
         out += struct.pack("<I", value)
-    if serving is not None:
-        users, items, train_ptr, train_items = serving
-        for value in (len(users), len(items), len(train_items)):
-            out += struct.pack("<I", value)
 
     def put(array, code="<d"):
         for value in np.asarray(array).flatten().tolist():
@@ -630,11 +616,10 @@ def _checkpoint_reference(user_side, item_side, dims, metadata, serving):
             put(w1[l - 1] if w2 is None else w2[l - 1])  # shared weights store W1 again
             if l >= 2:
                 put(attn[l - 1])
-    if serving is not None:
-        put(users)
-        put(items)
-        put(train_ptr, "<q")
-        put(train_items, "<q")
+    put(users)
+    put(items)
+    put(train_ptr, "<q")
+    put(train_items, "<q")
     blob = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
     out += struct.pack("<Q", len(blob))
     out += blob

@@ -13,7 +13,7 @@ import pytest
 from ckgrec.checkpoint import MAGIC, attach, load, save
 from ckgrec.errors import DimensionConflictError, FormatError
 
-from conftest import checkpoint_sides, downgrade_to_v1, rewrite_metadata, toy_dual
+from conftest import checkpoint_sides, rewrite_metadata, toy_dual
 from reference import checkpoint_v2_reference
 
 
@@ -105,9 +105,6 @@ class TestRoundTrip:
         assert serving is not None and np.array_equal(serving.users, load(path).serving.users)
         assert meta["config"] == config
         assert attach(path, config={**config, "d": 8})[0] is None  # another config
-        old = tmp_path / "v1.ckgr"
-        downgrade_to_v1(path, old)
-        assert attach(old, config=config)[0] is None  # no serving arrays
         data.write_text("u1 i2\n")
         assert attach(path, loaded=load(path), config=config)[0] is None  # an edited input
 
@@ -167,15 +164,6 @@ class TestFormatOracle:
         stored = load(path).meta["input_digests"]
         assert stored == {name: hashlib.sha256(file.read_bytes()).hexdigest() for name, file in inputs.items()}
 
-    def test_version_1_still_loads_without_serving(self, tmp_path):
-        model, path = saved_toy(tmp_path)
-        old = tmp_path / "v1.ckgr"
-        downgrade_to_v1(path, old)
-        assert old.read_bytes()[4] == 1
-        table_u, _, _, _, meta, serving = load(old)
-        assert serving is None and "tokens" not in meta
-        assert np.array_equal(table_u.entity, model.table_u.entity)
-
 
 class TestRejection:
     def test_bad_magic(self, tmp_path):
@@ -189,10 +177,11 @@ class TestRejection:
     def test_bad_version(self, tmp_path):
         _, path = saved_toy(tmp_path)
         raw = bytearray(path.read_bytes())
-        raw[4] = 0x63
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version 99"):
-            load(path)
+        for version in (0x63, 1):  # an unknown version, and the one before serving arrays were stored
+            raw[4] = version
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match=f"version {version} at byte 4.*train the model again"):
+                load(path)
 
     def test_corrupt_byte_six_header(self, tmp_path):
         # byte 6 sits inside the u32 entity count; blow it up
@@ -238,6 +227,32 @@ class TestRejection:
         (lambda meta: meta["tokens"].update(users=[1, 2]), "tokens"),
     ], ids=["no-tokens", "an-item-token-short", "non-string-tokens"])
     def test_malformed_tokens_rejected(self, tmp_path, change, message):
+        _, path = saved_toy(tmp_path)
+        rewrite_metadata(path, path, change)
+        with pytest.raises(FormatError, match=message):
+            load(path)
+
+    @pytest.mark.parametrize("key", ["dims", "shared_weights", "printed_attention", "slope", "graph_digests",
+                                     "tokens", "input_digests"])
+    def test_metadata_without_a_saved_key_rejected(self, tmp_path, key):
+        # a file written before graph digests were stored, for one, cannot prove the graphs it was trained on
+        _, path = saved_toy(tmp_path)
+        rewrite_metadata(path, path, lambda meta: meta.pop(key))
+        with pytest.raises(FormatError, match=f"metadata lacks {key},.*train the model again"):
+            load(path)
+
+    BOOLEANS = "shared_weights and printed_attention must be true or false"
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda meta: meta.update(shared_weights="false"), BOOLEANS),
+        (lambda meta: meta.update(printed_attention="no"), BOOLEANS),
+        (lambda meta: meta.update(shared_weights=1), BOOLEANS),
+        (lambda meta: meta.update(slope=5.0), r"slope must be a number in \(0, 1\), got 5.0"),
+        (lambda meta: meta.update(slope="0.2"), r"slope must be a number in \(0, 1\), got '0.2'"),
+        (lambda meta: meta.update(dims=[4, 2, 3]), r"dims \[4, 2, 3\] differ from the layer widths \[4, 3, 2\]"),
+    ], ids=["string-shared-flag", "string-printed-flag", "integer-shared-flag", "slope-above-1", "string-slope",
+            "dims-other-than-the-header"])
+    def test_mistyped_metadata_rejected(self, tmp_path, change, message):
         _, path = saved_toy(tmp_path)
         rewrite_metadata(path, path, change)
         with pytest.raises(FormatError, match=message):

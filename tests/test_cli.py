@@ -16,7 +16,7 @@ from ckgrec.evaluate import model_scores, popularity_scores, random_scores, rank
 from ckgrec.ingest import input_digests
 from ckgrec.model import DualModel
 
-from conftest import downgrade_to_v1, rewrite_metadata
+from conftest import rewrite_metadata
 
 # small but non-degenerate: 3 latent factors, every user reaches all items
 SYNTH_ARGS = [
@@ -68,6 +68,14 @@ def run_dir(dataset, tmp_path_factory):
     code = run("train", *data_flags(dataset), "--out", out, *TRAIN_SETS, "--seed", "7")
     assert code == 0
     return out
+
+
+def recorded_builds(monkeypatch) -> list:
+    """The configs `cli._build_world` is called with from now on, in call order."""
+    builds = []
+    real = cli._build_world
+    monkeypatch.setattr(cli, "_build_world", lambda cfg: builds.append(cfg) or real(cfg))
+    return builds
 
 
 class TestSynth:
@@ -378,6 +386,22 @@ class TestTrain:
         assert "CKGR_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["recommend", "--user", "u0"]], ids=["evaluate", "recommend"])
+@pytest.mark.parametrize("kind", ["version-1", "no-graph-digests"])
+def test_old_format_checkpoint_exits_1(dataset, run_dir, tmp_path, capsys, command, kind):
+    # neither can prove the graphs it was trained on: a version-1 file stores no serving arrays, the other no digests
+    old = tmp_path / f"{kind}.ckgr"
+    if kind == "version-1":
+        raw = (run_dir / "checkpoint.ckgr").read_bytes()
+        old.write_bytes(raw[:4] + bytes([1]) + raw[5:])
+    else:
+        rewrite_metadata(run_dir / "checkpoint.ckgr", old, lambda meta: meta.pop("graph_digests"))
+    assert run(*command, "--checkpoint", old, *data_flags(dataset)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "train the model again" in captured.err
+
+
 class TestEvaluate:
     def test_reports_model_and_baselines(self, dataset, run_dir, tmp_path, capsys):
         # a checkpoint whose config metadata still names the removed `workers` key
@@ -448,13 +472,6 @@ class TestEvaluate:
         # item attributes are edges of the user-side graph, which reaches users through items
         assert "user-side graph digest: checkpoint " in err and "entities" not in err
 
-    def test_checkpoint_without_digests_evaluates_with_a_warning(self, dataset, run_dir, tmp_path, capsys):
-        bare = tmp_path / "bare.ckgr"
-        rewrite_metadata(run_dir / "checkpoint.ckgr", bare, lambda meta: meta.pop("graph_digests"))
-        assert run("evaluate", "--checkpoint", bare, *data_flags(dataset)) == 0
-        err = capsys.readouterr().err
-        assert err.count("warning:") == 1 and "stores no graph digests" in err
-
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path, capsys):
         code = run(
             "evaluate", "--checkpoint", tmp_path / "no.ckgr",
@@ -475,17 +492,15 @@ class TestEvaluate:
 
         monkeypatch.setattr(cli, "_build_world", no_world)
 
-    def test_served_lines_equal_the_rebuilt_ones(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
-        # a version-1 file carries no serving arrays: it evaluates on the rebuilt world, as before them
-        old = tmp_path / "v1.ckgr"
-        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
-        rebuilt = {}
+    def test_served_lines_equal_the_rebuilt_ones(self, dataset, run_dir, capsys, monkeypatch):
+        # another setting of the same world rebuilds it and attaches the checkpoint before ranking
+        ckpt, builds = run_dir / "checkpoint.ckgr", recorded_builds(monkeypatch)
         for k in ([], ["--k", "20"]):  # the config's top_k, and more than the 15 items
-            rebuilt[tuple(k)], err = self.evaluate_output(old, capsys, *data_flags(dataset), *k)
-            assert err.count("warning:") == 1 and "version-1 checkpoint" in err
-        self.no_world(monkeypatch)
-        for k, want in rebuilt.items():
-            assert self.evaluate_output(run_dir / "checkpoint.ckgr", capsys, *data_flags(dataset), *k) == (want, "")
+            served = self.evaluate_output(ckpt, capsys, *data_flags(dataset), *k)
+            assert builds == [] and served[1] == ""
+            assert self.evaluate_output(ckpt, capsys, *data_flags(dataset), *k, "--set", "lr=0.5") == served
+            assert len(builds) == 1
+            builds.clear()
 
     def test_served_lines_are_the_attached_model_ranked(self, dataset, run_dir, capsys):
         ckpt = run_dir / "checkpoint.ckgr"
@@ -507,11 +522,11 @@ class TestEvaluate:
         assert out.splitlines() == want
 
     def test_served_report_files_equal_the_rebuilt_ones(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
-        old = tmp_path / "v1.ckgr"
-        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
-        self.evaluate_output(old, capsys, *data_flags(dataset), "--out", tmp_path / "rebuilt")
-        self.no_world(monkeypatch)
-        self.evaluate_output(run_dir / "checkpoint.ckgr", capsys, *data_flags(dataset), "--out", tmp_path / "served")
+        ckpt, builds = run_dir / "checkpoint.ckgr", recorded_builds(monkeypatch)
+        self.evaluate_output(ckpt, capsys, *data_flags(dataset), "--out", tmp_path / "served")
+        assert builds == []
+        self.evaluate_output(ckpt, capsys, *data_flags(dataset), "--set", "lr=0.5", "--out", tmp_path / "rebuilt")
+        assert len(builds) == 1
 
         def metric_columns(out):  # every column but the last, wall_ms
             return [line.rsplit(",", 1)[0] for line in (out / "eval.csv").read_text().splitlines()]
@@ -522,14 +537,19 @@ class TestEvaluate:
         served, rebuilt = tmp_path / "served", tmp_path / "rebuilt"
         assert len(metric_columns(served)) == 4 and metric_columns(served) == metric_columns(rebuilt)
         assert manifest(served)["inputs"] == manifest(rebuilt)["inputs"]
-        assert manifest(served) == manifest(rebuilt)
+        assert manifest(rebuilt) == {**manifest(served), "config": {**manifest(served)["config"], "lr": 0.5}}
 
-    def test_version_1_file_warns_as_recommend_does(self, dataset, run_dir, tmp_path, capsys):
-        old = tmp_path / "v1.ckgr"
-        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
-        _, err = self.evaluate_output(old, capsys, *data_flags(dataset))
-        assert run("recommend", "--checkpoint", old, *data_flags(dataset), "--user", "u0") == 0
-        assert err.count("\n") == 1 and capsys.readouterr().err == err
+    def test_stored_serving_arrays_equal_the_attached_models(self, run_dir):
+        # the rebuild path ranks the stored arrays: attaching to the rebuilt graphs must compute them bit for bit
+        ckpt = run_dir / "checkpoint.ckgr"
+        loaded = checkpoint.load(ckpt)
+        world = cli._build_world(load_config(base=loaded.meta["config"]))
+        model, _ = checkpoint.attach(ckpt, world.kg_u, world.kg_i, world.align)
+        stored, recomputed = loaded.serving, checkpoint.serving_of(model)
+        for name in ("users", "items", "train_ptr", "train_items"):
+            want, got = getattr(stored, name), getattr(recomputed, name)
+            assert got.shape == want.shape and got.astype(want.dtype).tobytes() == want.tobytes(), name
+        assert recomputed.user_tokens == stored.user_tokens and recomputed.item_tokens == stored.item_tokens
 
     def test_wrong_count_manifest_exits_1(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
         # the stored config names the manifest and its digest, so the file serves and the counts are checked
@@ -605,9 +625,7 @@ class TestEvaluate:
     def test_changed_setting_with_the_same_world_rebuilds(self, dataset, run_dir, capsys, monkeypatch):
         ckpt = run_dir / "checkpoint.ckgr"
         want, _ = self.evaluate_output(ckpt, capsys, *data_flags(dataset))
-        builds = []
-        real = cli._build_world
-        monkeypatch.setattr(cli, "_build_world", lambda cfg: builds.append(cfg) or real(cfg))
+        builds = recorded_builds(monkeypatch)
         assert self.evaluate_output(ckpt, capsys, *data_flags(dataset), "--set", "lr=0.5") == (want, "")
         assert len(builds) == 1
 
@@ -659,39 +677,22 @@ class TestRecommend:
 
     USERS = ("u0", "u7", "u13")
 
-    def recommend_lines(self, ckpt, dataset, capsys, user, k) -> tuple[str, str]:
-        assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", user, "--k", k) == 0
+    def recommend_lines(self, ckpt, dataset, capsys, user, k, *flags) -> tuple[str, str]:
+        assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", user, "--k", k, *flags) == 0
         captured = capsys.readouterr()
         return captured.out, captured.err
 
-    def test_served_lines_equal_the_rebuilt_ones(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
-        # a version-1 file carries no serving arrays: it recommends from the rebuilt world, as before them
-        old = tmp_path / "v1.ckgr"
-        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
-        rebuilt = {}
+    def test_served_lines_equal_the_rebuilt_ones(self, dataset, run_dir, capsys, monkeypatch):
+        # another setting of the same world rebuilds it and attaches the checkpoint before ranking
+        ckpt, builds = run_dir / "checkpoint.ckgr", recorded_builds(monkeypatch)
         for user in self.USERS:
             for k in (5, 20):  # 20 is more than the 15 items, so fewer lines than k
-                rebuilt[user, k], err = self.recommend_lines(old, dataset, capsys, user, k)
-                assert err.count("warning:") == 1 and "version-1 checkpoint" in err
-
-        def no_world(cfg):
-            raise AssertionError("a version-2 checkpoint rebuilt the world")
-
-        monkeypatch.setattr(cli, "_build_world", no_world)
-        for (user, k), want in rebuilt.items():
-            assert self.recommend_lines(run_dir / "checkpoint.ckgr", dataset, capsys, user, k) == (want, "")
-        assert len(rebuilt["u0", 20].splitlines()) < 15
-
-    def test_version_1_file_without_digests_warns_once(self, dataset, run_dir, tmp_path, capsys):
-        # a version-1 file written before graph digests existed lacks both
-        old, bare = tmp_path / "v1.ckgr", tmp_path / "bare.ckgr"
-        downgrade_to_v1(run_dir / "checkpoint.ckgr", old)
-        rewrite_metadata(old, bare, lambda meta: meta.pop("graph_digests"))
-        want, _ = self.recommend_lines(old, dataset, capsys, "u0", 5)
-        out, err = self.recommend_lines(bare, dataset, capsys, "u0", 5)
-        assert out == want
-        assert err.count("warning:") == 1 and err.count("\n") == 1
-        assert "version-1 checkpoint" in err and "no graph digests" in err
+                served = self.recommend_lines(ckpt, dataset, capsys, user, k)
+                assert builds == [] and served[1] == ""
+                assert self.recommend_lines(ckpt, dataset, capsys, user, k, "--set", "lr=0.5") == served
+                assert len(builds) == 1
+                builds.clear()
+        assert len(self.recommend_lines(ckpt, dataset, capsys, "u0", 20)[0].splitlines()) < 15
 
     def test_served_scores_are_rows_of_the_model_scores(self, dataset, run_dir, capsys):
         world = cli._build_world(load_config(base=checkpoint.load(run_dir / "checkpoint.ckgr").meta["config"]))
@@ -743,9 +744,7 @@ class TestRecommend:
     def test_changed_setting_with_the_same_world_rebuilds(self, dataset, run_dir, capsys, monkeypatch):
         ckpt = run_dir / "checkpoint.ckgr"
         want, _ = self.recommend_lines(ckpt, dataset, capsys, "u0", 5)
-        builds = []
-        real = cli._build_world
-        monkeypatch.setattr(cli, "_build_world", lambda cfg: builds.append(cfg) or real(cfg))
+        builds = recorded_builds(monkeypatch)
         assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", "u0", "--k", "5",
                    "--set", "lr=0.5") == 0
         assert capsys.readouterr().out == want and len(builds) == 1
