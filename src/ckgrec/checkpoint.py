@@ -28,13 +28,17 @@ Version 2 is the only version `load` reads.  A file of another version,
 or one whose metadata lacks a key `save` writes (a version-2 file
 written before graph digests were stored has no `graph_digests`), is a
 FormatError: it cannot prove the graphs it was trained on, and the
-model has to be trained again.  The block order lives in one function,
-`_blocks`, which both `save` and `load` walk.  A parameter block is
-named as in `DualModel.params()` (`u.entity`, `u.w1.1`, `i.attn.2`,
-...).  W2 is always stored; when the aggregator shares one matrix,
-`params()` has no W2, the stored W2 block is a bitwise copy of W1 and
-the loader re-aliases them, so block sizes derive from the header
-alone.  Saving a just-loaded state reproduces the file byte for byte.
+model has to be trained again.  `load` reads the file once into one
+buffer placed so that the first block after the header is 64-byte
+aligned; every block is a whole number of 8-byte values, and each comes
+back as a writable view of that buffer, not a copy.  The block order
+lives in one function, `_blocks`, which both `save` and `load` walk.  A
+parameter block is named as in `DualModel.params()` (`u.entity`,
+`u.w1.1`, `i.attn.2`, ...).  W2 is always stored; when the aggregator
+shares one matrix, `params()` has no W2, the stored W2 block is a
+bitwise copy of W1 and the loader re-aliases them, so block sizes
+derive from the header alone.  Saving a just-loaded state reproduces
+the file byte for byte.
 
 The serving blocks are what `ckgrec recommend` and `ckgrec evaluate`
 rank from: a score is the inner product of a user's and an item's final
@@ -190,13 +194,40 @@ def save(model: DualModel, path, metadata: dict) -> None:
         fh.write(blob)
 
 
+BLOCK_ALIGN = 64  # the load buffer places the first block after the header at this alignment
+_FIXED = struct.calcsize("<4sB7I")  # the header up to and including its layer count
+
+
+def _read_aligned(path) -> memoryview:
+    """The whole file, read once into one buffer, placed so the first block after the header is BLOCK_ALIGN-aligned.
+
+    Every block is a whole number of 8-byte values, so every block is then
+    8-byte aligned: numpy sends only aligned float64 operands to BLAS, and
+    another matmul loop would round a product differently.  The buffer
+    holds one byte more than the file's size, so a file that grew while it
+    was read shows as trailing bytes, and one that shrank as truncated.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_FIXED)
+        n_layers = struct.unpack_from("<I", prefix, _FIXED - 4)[0] if len(prefix) == _FIXED else 0
+        header = _FIXED + 4 * (n_layers + 1) + 12  # the layer widths and the three serving counts follow
+        buffer = np.empty(size + 1 + BLOCK_ALIGN, dtype=np.uint8)
+        view = memoryview(buffer)[-(buffer.ctypes.data + header) % BLOCK_ALIGN:]
+        view[: len(prefix)] = prefix
+        got = len(prefix)
+        while got < len(view) and (n := fh.readinto(view[got:])):
+            got += n
+    return view[:got]
+
+
 class _Reader:
-    def __init__(self, data: bytes, path):
+    def __init__(self, data: memoryview, path):
         self.data = data
         self.path = path
         self.at = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.at + n > len(self.data):
             raise FormatError(
                 f"{self.path}: truncated checkpoint — needed {n} bytes for {what} "
@@ -207,8 +238,9 @@ class _Reader:
         return chunk
 
     def array(self, shape, dtype: str, what: str) -> np.ndarray:
+        """A writable view of the next block: no copy of the file's bytes."""
         n = int(np.prod(shape)) * 8
-        return np.frombuffer(self.take(n, what), dtype=dtype).reshape(shape).copy()
+        return np.frombuffer(self.take(n, what), dtype=dtype).reshape(shape)
 
 
 class Loaded(NamedTuple):
@@ -225,9 +257,12 @@ METADATA_KEYS = ("dims", "shared_weights", "printed_attention", "slope", "graph_
 
 
 def load(path) -> Loaded:
-    """Read a version-2 checkpoint back, with every check on its layout and metadata."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a version-2 checkpoint back, with every check on its layout and metadata.
+
+    Every array it returns is an aligned, writable view of the one buffer
+    the file was read into (`_read_aligned`).
+    """
+    data = _read_aligned(path)
     r = _Reader(data, path)
     if r.take(4, "magic") != MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0 (not a checkpoint file)")
@@ -253,7 +288,7 @@ def load(path) -> Loaded:
     if r.at != len(data):
         raise FormatError(f"{path}: {len(data) - r.at} trailing bytes after metadata at offset {r.at}")
     try:
-        meta = json.loads(blob.decode("utf-8"))
+        meta = json.loads(str(blob, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"{path}: unreadable metadata blob: {err}")
 

@@ -15,12 +15,16 @@ Later sources win: defaults, `CKGR_SEED`, the checkpoint's own config
 error for every command, even when another source supplies the seed.
 
 `evaluate` and `recommend` always rank the final user and item matrices
-and the training items the checkpoint stores.  When the resolved config
-equals the checkpoint's own and every input file it names still has its
-stored sha256, they build no graph: `recommend` parses no data at all,
-and `evaluate` re-derives only the split, for its test pairs, and maps
-them to ids through the stored tokens; it hashes the inputs again after
-that read, and an edit in between sends it down the rebuild path.
+and the training items the checkpoint stores.  Scores come in aligned
+blocks of `RANK_BLOCK` users (`evaluate.score_block`): `recommend`
+computes only the block that holds its user, whose row is then the
+evaluated row bit for bit, and `evaluate` ranks every block.  When the
+resolved config equals the checkpoint's own and every input file it
+names still has its stored sha256, they build no graph: `recommend`
+parses no data at all, and `evaluate` re-derives only the split, for
+its test pairs, and maps them to ids through the stored tokens; it
+hashes the inputs again after that read, and an edit in between sends
+it down the rebuild path.
 Otherwise they rebuild the world and attach the checkpoint to it
 (`_rebuilt`), only so that another world exits 1 and never serves stale
 rows: graphs with the stored digests give back the stored matrices bit
@@ -55,6 +59,7 @@ from . import checkpoint as ckpt
 from .config import RunConfig, load_config
 from .errors import CkgrecError, ConfigError, FormatError, TrainingDiverged, UnresolvedEntityError
 from .evaluate import (
+    RANK_BLOCK,
     EvalReport,
     make_val_recall,
     model_scores,
@@ -62,6 +67,8 @@ from .evaluate import (
     popularity_scores,
     random_scores,
     rank_and_score,
+    score_block,
+    score_matrix,
     split_dataset,
     topk_from_scores,
     truth_by_user,
@@ -380,7 +387,7 @@ def cmd_evaluate(args) -> int:
     n_users, n_items = len(serving.users), len(serving.items)
     report = EvalReport()
     for label, scores_of in (
-        ("model", lambda: serving.users @ serving.items.T),  # bitwise equal to model_scores of the attached model
+        ("model", lambda: score_matrix(serving.users, serving.items)),  # model_scores of the attached model
         ("popularity", lambda: popularity_scores(train_pairs, n_users, n_items)),
         ("random", lambda: random_scores(cfg.seed, n_users, n_items)),
     ):
@@ -401,8 +408,9 @@ def cmd_recommend(args) -> int:
     if args.user not in serving.user_tokens:
         raise ConfigError(f"unknown user id {args.user!r}")
     u = serving.user_tokens.index(args.user)
-    # row u of the full product, bitwise equal to evaluate.model_scores; a one-row product may round differently
-    scores = (serving.users @ serving.items.T)[u]
+    # only the aligned block that holds u: its row u - at is row u of evaluate.model_scores, bit for bit
+    at = u - u % RANK_BLOCK
+    scores = score_block(serving.users, serving.items, at)[u - at]
     top = topk_from_scores(scores, k, serving.train_items[serving.train_ptr[u]: serving.train_ptr[u + 1]])
     for rank, item in enumerate(top.tolist(), start=1):
         print(f"{rank}\t{serving.item_tokens[item]}\t{float(scores[item])!r}")

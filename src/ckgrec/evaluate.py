@@ -93,10 +93,19 @@ def vocab_pairs(records: Interactions, user_vocab: Vocab, item_vocab: Vocab) -> 
 
 
 def truth_by_user(pairs: np.ndarray) -> dict[int, set]:
-    out: dict[int, set] = {}
-    for u, i in pairs.tolist():
-        out.setdefault(u, set()).add(i)
-    return out
+    """{user: set of items} of (user, item) pairs, users in order of first appearance.
+
+    The pairs are stable-sorted by user, so each user's set is built from
+    one run of them, its items added in pair order.
+    """
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    order = np.argsort(pairs[:, 0], kind="stable")
+    users, items = pairs[order, 0], pairs[order, 1].tolist()
+    starts = np.flatnonzero(np.diff(users, prepend=users[:1] - 1))
+    ends = np.r_[starts[1:], len(users)]
+    runs = np.argsort(order[starts])  # a run's first pair is its user's first appearance
+    return {u: set(items[a:b]) for u, a, b in zip(users[starts[runs]].tolist(), starts[runs].tolist(),
+                                                  ends[runs].tolist())}
 
 
 RANK_BLOCK = 128  # users ranked together; bounds the per-block temporaries
@@ -168,10 +177,28 @@ def rank_and_score(score_matrix: np.ndarray, train_items: dict[int, set], truth:
     return float(np.mean(hits / k)), float(np.mean(hits / sizes))
 
 
+def score_block(users: np.ndarray, items: np.ndarray, at: int) -> np.ndarray:
+    """Scores of the RANK_BLOCK users from row `at`, an aligned block, against every item.
+
+    The one user-by-item product in the program.  `score_matrix` is made
+    of these blocks, so a block's rows are the matrix's rows bit for bit
+    on any BLAS; a product of other rows, or of one row, may round
+    differently.
+    """
+    return users[at: at + RANK_BLOCK] @ items.T
+
+
+def score_matrix(users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The full user-by-item score matrix, block by aligned block (`score_block`)."""
+    out = np.empty((len(users), len(items)))
+    for at in range(0, len(users), RANK_BLOCK):
+        out[at: at + RANK_BLOCK] = score_block(users, items, at)
+    return out
+
+
 def model_scores(model) -> np.ndarray:
     """Full user-by-item score matrix from the current parameters."""
-    users, items = model.representations(*model.stitched())
-    return users @ items.T
+    return score_matrix(*model.representations(*model.stitched()))
 
 
 def popularity_scores(train_pairs: np.ndarray, n_users: int, n_items: int) -> np.ndarray:

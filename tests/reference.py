@@ -107,6 +107,14 @@ def topk_reference(scores, k, exclude=None):
     return order[:k]
 
 
+def truth_by_user_reference(pairs):
+    """{user: set of items}, one `setdefault` per (user, item) pair in pair order."""
+    out = {}
+    for u, i in pairs.tolist():
+        out.setdefault(u, set()).add(i)
+    return out
+
+
 def rank_and_score_reference(score_matrix, train_items, truth, k):
     """Macro Precision@K / Recall@K, ranking one user at a time.
 

@@ -12,7 +12,14 @@ import pytest
 from ckgrec import checkpoint, cli
 from ckgrec.cli import main
 from ckgrec.config import load_config
-from ckgrec.evaluate import model_scores, popularity_scores, random_scores, rank_and_score, truth_by_user
+from ckgrec.evaluate import (
+    RANK_BLOCK,
+    model_scores,
+    popularity_scores,
+    random_scores,
+    rank_and_score,
+    truth_by_user,
+)
 from ckgrec.ingest import input_digests
 from ckgrec.model import DualModel
 
@@ -622,13 +629,6 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert len(builds) == 1 and captured.out == "" and "graph digest" in captured.err
 
-    def test_changed_setting_with_the_same_world_rebuilds(self, dataset, run_dir, capsys, monkeypatch):
-        ckpt = run_dir / "checkpoint.ckgr"
-        want, _ = self.evaluate_output(ckpt, capsys, *data_flags(dataset))
-        builds = recorded_builds(monkeypatch)
-        assert self.evaluate_output(ckpt, capsys, *data_flags(dataset), "--set", "lr=0.5") == (want, "")
-        assert len(builds) == 1
-
     def test_failed_report_replace_keeps_the_previous_report(self, dataset, run_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "eval"
         flags = ["--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(dataset), "--out", out]
@@ -741,14 +741,6 @@ class TestRecommend:
         captured = capsys.readouterr()
         assert captured.out == "" and "user-side graph digest: checkpoint " in captured.err
 
-    def test_changed_setting_with_the_same_world_rebuilds(self, dataset, run_dir, capsys, monkeypatch):
-        ckpt = run_dir / "checkpoint.ckgr"
-        want, _ = self.recommend_lines(ckpt, dataset, capsys, "u0", 5)
-        builds = recorded_builds(monkeypatch)
-        assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", "u0", "--k", "5",
-                   "--set", "lr=0.5") == 0
-        assert capsys.readouterr().out == want and len(builds) == 1
-
     def test_unknown_user_exits_1(self, dataset, run_dir, capsys):
         code = run(
             "recommend", "--checkpoint", run_dir / "checkpoint.ckgr",
@@ -756,6 +748,70 @@ class TestRecommend:
         )
         assert code == 1
         assert "unknown user id" in capsys.readouterr().err
+
+
+
+@pytest.fixture(scope="module")
+def wide_run(tmp_path_factory):
+    """A 300-user dataset and a 1-epoch checkpoint of it: three blocks of users, the last one partial."""
+    data = tmp_path_factory.mktemp("wide")
+    assert run("synth", "--out", data, "--users", "300", "--items", "40", "--factors", "3", "--per-user", "5",
+               "--seed", "3") == 0
+    out = tmp_path_factory.mktemp("wide_run")
+    assert run("train", *data_flags(data), "--out", out, *TRAIN_SETS, "--set", "epochs=1") == 0
+    ckpt = out / "checkpoint.ckgr"
+    world = cli._build_world(load_config(base=checkpoint.load(ckpt).meta["config"]))
+    assert world.align.n_users == 300
+    return data, ckpt, world
+
+
+class TestAlignedBlock:
+    """`recommend` scores only the aligned block of users that holds its user."""
+
+    IDS = (3, 200, 290)  # in the first block, in the middle one, and in the last, partial one (rows 256-299)
+
+    def test_printed_scores_are_rows_of_the_model_scores(self, wide_run, capsys):
+        data, ckpt, world = wide_run
+        model, _ = checkpoint.attach(ckpt, world.kg_u, world.kg_i, world.align)
+        scores = model_scores(model)
+        tokens = world.bg.user_vocab.tokens()
+        for u in self.IDS:
+            assert run("recommend", "--checkpoint", ckpt, *data_flags(data), "--user", tokens[u], "--k", 40) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 40 - len(world.train_pairs[world.train_pairs[:, 0] == u])
+            for line in lines:
+                _, item, score = line.split("\t")
+                assert float(score) == scores[u, world.bg.item_vocab.id_of(item)]  # repr round-trips the bits
+
+    def test_one_block_is_scored(self, wide_run, capsys, monkeypatch):
+        data, ckpt, world = wide_run
+        blocks = []
+        real = cli.score_block
+        monkeypatch.setattr(cli, "score_block", lambda users, items, at: blocks.append(at) or real(users, items, at))
+        tokens = world.bg.user_vocab.tokens()
+        for u in self.IDS:
+            assert run("recommend", "--checkpoint", ckpt, *data_flags(data), "--user", tokens[u]) == 0
+            assert blocks == [u - u % RANK_BLOCK]
+            blocks.clear()
+        assert [u - u % RANK_BLOCK for u in self.IDS] == [0, 128, 256]
+
+    def test_served_evaluate_ranks_the_full_product(self, wide_run, capsys):
+        # the lines a single full users @ items.T product gives, as served evaluate printed them before blocks
+        data, ckpt, world = wide_run
+        serving = checkpoint.load(ckpt).serving
+        train, test = truth_by_user(world.train_pairs), truth_by_user(world.test_pairs)
+        seed = load_config(base=checkpoint.load(ckpt).meta["config"]).seed
+        want = [
+            f"{label}: precision@5={p:.4f} recall@5={r:.4f}"
+            for label, scores in (
+                ("model", serving.users @ serving.items.T),
+                ("popularity", popularity_scores(world.train_pairs, 300, len(serving.items))),
+                ("random", random_scores(seed, 300, len(serving.items))),
+            )
+            for p, r in [rank_and_score(scores, train, test, 5)]
+        ]
+        assert run("evaluate", "--checkpoint", ckpt, *data_flags(data)) == 0
+        assert capsys.readouterr().out.splitlines() == want
 
 
 def trained_depths(monkeypatch) -> list:

@@ -17,7 +17,10 @@ from ckgrec.evaluate import (
     pairs_of,
     popularity_scores,
     random_scores,
+    RANK_BLOCK,
     rank_and_score,
+    score_block,
+    score_matrix,
     split_dataset,
     topk_from_scores,
     truth_by_user,
@@ -26,7 +29,7 @@ from ckgrec.graph import build_bipartite
 from ckgrec.rng import Rng
 
 from conftest import rec, table, toy_dual
-from reference import precision_recall_at_k, rank_and_score_reference, topk_reference
+from reference import precision_recall_at_k, rank_and_score_reference, topk_reference, truth_by_user_reference
 from tablerows import rows_of
 
 
@@ -160,6 +163,36 @@ class TestModelScores:
         monkeypatch.setattr(model_module, "propagate", tracked)
         model_scores(model)
         assert len(earlier) == 2
+
+
+    def test_blocks_are_aligned_rows_of_the_score_matrix(self):
+        rng = np.random.default_rng(4)
+        users, items = rng.normal(size=(2 * RANK_BLOCK + 44, 12)), rng.normal(size=(30, 12))
+        scores = score_matrix(users, items)
+        assert scores.shape == (len(users), len(items))
+        for at in range(0, len(users), RANK_BLOCK):  # the last block is partial
+            block = score_block(users, items, at)
+            assert block.shape == (min(RANK_BLOCK, len(users) - at), len(items))
+            assert block.tobytes() == scores[at: at + RANK_BLOCK].tobytes()
+        assert np.allclose(scores, users @ items.T, rtol=1e-12, atol=1e-12)
+
+    def test_no_users_give_an_empty_matrix(self):
+        assert score_matrix(np.zeros((0, 3)), np.ones((4, 3))).shape == (0, 4)
+
+
+class TestTruthByUser:
+    @pytest.mark.parametrize("n_pairs, n_users", [(0, 1), (1, 1), (7, 3), (500, 40), (2000, 2000)])
+    def test_equals_the_per_pair_reference(self, n_pairs, n_users):
+        rng = np.random.default_rng(n_pairs)
+        pairs = np.stack([rng.integers(0, n_users, n_pairs), rng.integers(0, 50, n_pairs)], axis=1)
+        for ordered in (pairs, pairs[np.argsort(pairs[:, 0], kind="stable")]):
+            got, want = truth_by_user(ordered), truth_by_user_reference(ordered)
+            # the same users in the same order, each set built in the same insertion order
+            assert list(got.items()) == list(want.items())
+            assert [list(s) for s in got.values()] == [list(s) for s in want.values()]
+
+    def test_empty_pairs(self):
+        assert truth_by_user(np.zeros((0, 2), dtype=np.int64)) == {}
 
 
 class TestPrecisionRecall:

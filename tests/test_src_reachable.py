@@ -3,7 +3,9 @@
 Code that only the tests call belongs in tests/, so a definition must be
 referenced from src/ckgrec (re-exports in __init__.py do not count) or
 from the benchmark in bench/.  No module scatters with a ufunc's `.at`
-either: row sums have one vectorised path, `kernels.row_sums`.
+either: row sums have one vectorised path, `kernels.row_sums`.  And no
+module multiplies users by items outside `evaluate.score_block`, the
+one aligned block product every score comes from.
 """
 
 import ast
@@ -107,3 +109,40 @@ def test_no_ufunc_at_calls():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "at"
     ]
     assert not calls, f"ufunc.at scatters in src/ (use kernels.row_sums): {calls}"
+
+
+PRODUCT_CALLS = {"matmul", "dot", "inner", "einsum", "tensordot", "vdot"}
+
+
+def _user_item_products(tree) -> list:
+    """(line, enclosing function) of every product of an operand named for users with one named for items."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            operands = []
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+                operands = [child.left, child.right]
+            elif isinstance(child, ast.Call) and getattr(child.func, "attr", None) in PRODUCT_CALLS:
+                operands = child.args
+            text = [ast.unparse(operand).lower() for operand in operands]
+            if any("user" in t for t in text) and any("item" in t for t in text):
+                found.append((child.lineno, inner))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_user_item_scores_come_from_score_block_only():
+    """A recommend row equals the evaluated row bit for bit only if both come from the same aligned block."""
+    products = [
+        f"{path.name}:{line} in {function}"
+        for path, tree in _definitions()
+        for line, function in _user_item_products(tree)
+        if (path.name, function) != ("evaluate.py", "score_block")
+    ]
+    assert not products, f"user-by-item products outside evaluate.score_block: {products}"
+    evaluate = SRC / "evaluate.py"
+    assert [f for _, f in _user_item_products(ast.parse(evaluate.read_text(encoding="utf-8")))] == ["score_block"]
