@@ -45,11 +45,11 @@ rank from: a score is the inner product of a user's and an item's final
 representations, which depend only on the parameters and the graphs,
 and the CSR rows are the training items both exclude, which
 `evaluate`'s popularity baseline also counts.  `attach` binds a
-checkpoint only to the graphs it was trained on: their entity and
-relation counts and their digests must match, and graphs that match
-give back the stored serving arrays bit for bit.  Given no graphs,
-`attach` binds a file to the world it stores instead: the config it was
-saved with and the sha256 of each input file.
+checkpoint to the world it stores: the values of the config keys that
+shape that world (`WORLD_KEYS`) and the sha256 of each input file.
+Given graphs instead, it binds only to the graphs the file was trained
+on: their entity and relation counts and their digests must match, and
+graphs that match give back the stored serving arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import WORLD_KEYS
 from .errors import DimensionConflictError, FormatError
-from .ingest import input_digests
+from .ingest import INPUT_FILES, input_digests
 from .model import DualModel
 from .propagation import LayerStack, printed_width_problem
 from .transr import EmbeddingTable
@@ -355,23 +356,29 @@ def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None):
     `loaded` is what `load(path)` returned, for a caller that has read
     the file already; without it the file is read here.
 
-    Given graphs, `bound` is the model over them.  Graphs whose counts
-    or digests differ from the trained ones are a DimensionConflictError.
-
     Given no graphs, the file binds to the world it stores, and `bound`
-    is its `Serving`: `config` (a config dict) must equal the one it was
-    saved with, and every input file `config` names must still have its
-    stored sha256.  Otherwise `bound` is None, and the caller rebuilds
-    the graphs and attaches to them.
+    is its `Serving`: `config` (a config dict) must give every key in
+    `WORLD_KEYS` its stored value and name the same input files, each
+    with its stored sha256, wherever it lives now.  Given graphs,
+    `bound` is the model over them, and their counts and digests must
+    be the trained ones.  Any other world is a DimensionConflictError
+    that names the first key, file or graph that differs.
     """
     table_u, stack_u, table_i, stack_i, meta, serving = load(path) if loaded is None else loaded
     if kg_u is None:
-        binds = (
-            config is not None
-            and config == meta.get("config")
-            and input_digests(config) == meta["input_digests"]
-        )
-        return (serving if binds else None), meta
+        stored = meta.get("config") or {}
+        for key in WORLD_KEYS:
+            if config.get(key) != stored.get(key):
+                raise DimensionConflictError(f"{path} was trained with {key}={stored.get(key)!r}, "
+                                             f"not {key}={config.get(key)!r}")
+        inputs, trained = input_digests(config), meta["input_digests"]
+        for name in INPUT_FILES:
+            if inputs.get(name) != trained.get(name):
+                raise DimensionConflictError(
+                    f"{path} was trained on another {name} file: {config.get(name) or 'none given'} has sha256 "
+                    f"{inputs.get(name, 'none')[:16]}, the checkpoint stores {trained.get(name, 'none')[:16]}"
+                )
+        return serving, meta
     bad = []
     for tag, table, kg in (("user-side", table_u, kg_u), ("item-side", table_i, kg_i)):
         for what, stored, built in (

@@ -14,22 +14,19 @@ Later sources win: defaults, `CKGR_SEED`, the checkpoint's own config
 `--seed`.  A set, non-empty `CKGR_SEED` that is not an integer is an
 error for every command, even when another source supplies the seed.
 
-`evaluate` and `recommend` always rank the final user and item matrices
-and the training items the checkpoint stores.  Scores come in aligned
-blocks of `RANK_BLOCK` users (`evaluate.score_block`): `recommend`
-computes only the block that holds its user, whose row is then the
-evaluated row bit for bit, and `evaluate` ranks every block.  When the
-resolved config equals the checkpoint's own and every input file it
-names still has its stored sha256, they build no graph: `recommend`
-parses no data at all, and `evaluate` re-derives only the split, for
-its test pairs, and maps them to ids through the stored tokens; it
-hashes the inputs again after that read, and an edit in between sends
-it down the rebuild path.
-Otherwise they rebuild the world and attach the checkpoint to it
-(`_rebuilt`), only so that another world exits 1 and never serves stale
-rows: graphs with the stored digests give back the stored matrices bit
-for bit.  A checkpoint of an older format exits 1 and must be trained
-again.
+`evaluate` and `recommend` serve from the checkpoint or exit 1.  They
+rank the final user and item matrices and the training items it stores
+and build no graph, once `checkpoint.attach` has bound the file to the
+world it stores: the resolved config must give every `WORLD_KEYS` key
+its stored value, and every input file must have its stored sha256,
+wherever it lives now.  Scores come in aligned blocks of `RANK_BLOCK`
+users (`evaluate.score_block`): `recommend` computes only the block that
+holds its user, whose row is then the evaluated row bit for bit, and
+`evaluate` ranks every block.  `recommend` parses no data at all;
+`evaluate` re-derives only the split, for its test pairs, maps them to
+ids through the stored tokens and then binds again, so that a file
+edited during that read exits 1 too.  A checkpoint of an older format
+exits 1 and must be trained again.
 
 Exit codes: 0 success, 1 for validation problems (bad config, malformed
 or missing inputs, mismatched checkpoints), 2 for runtime faults.  A
@@ -159,8 +156,8 @@ def _read_split(cfg: RunConfig):
     """Parse, binarize, merge and filter the interactions `cfg` names, then split them: (records, split).
 
     Warns on malformed interaction lines and checks the counts against
-    the manifest `cfg` names.  `_build_world` and a served `evaluate`
-    both get their split here.
+    the manifest `cfg` names.  `_build_world` and `evaluate` both get
+    their split here.
     """
     parsed, records = _read_interactions(cfg, _require_path(cfg, "interactions"))
     if parsed.issues:
@@ -356,29 +353,12 @@ def _load_checkpoint(args) -> tuple[ckpt.Loaded, RunConfig]:
     return loaded, _resolve_config(args, loaded.meta.get("config"))
 
 
-def _rebuilt(args, loaded: ckpt.Loaded, cfg: RunConfig) -> World:
-    """Rebuild the world `cfg` names and attach the checkpoint to its graphs, which refuses any but the trained ones.
-
-    No model is run: graphs with the stored digests, and the parameters,
-    widths and flags of the file, give back `loaded.serving` bit for bit.
-    """
-    world = _build_world(cfg)
-    ckpt.attach(args.checkpoint, world.kg_u, world.kg_i, world.align, loaded)
-    return world
-
-
 def cmd_evaluate(args) -> int:
     loaded, cfg = _load_checkpoint(args)
-    serving = loaded.serving
-    served = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())[0] is not None
-    if served:  # the split is all a served evaluate needs of the world
-        split = _read_split(cfg)[1]
-        # hashed after the parse, as `_build_world` does: a file edited since attach hashed it may be another world
-        inputs = input_digests(cfg.to_dict())
-        served = inputs == loaded.meta["input_digests"]
-    if not served:
-        world = _rebuilt(args, loaded, cfg)
-        split, inputs = world.split, world.inputs
+    serving, meta = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())
+    split = _read_split(cfg)[1]
+    # hashed again after the parse: a file edited since attach hashed it may be another world
+    ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())
     k = cfg.top_k if args.k is None else args.k
     train_pairs = serving.train_pairs()
     test_pairs = vocab_pairs(split.test, Vocab(serving.user_tokens), Vocab(serving.item_tokens))
@@ -387,23 +367,20 @@ def cmd_evaluate(args) -> int:
     n_users, n_items = len(serving.users), len(serving.items)
     report = EvalReport()
     for label, scores_of in (
-        ("model", lambda: score_matrix(serving.users, serving.items)),  # model_scores of the attached model
+        ("model", lambda: score_matrix(serving.users, serving.items)),  # model_scores of the trained model
         ("popularity", lambda: popularity_scores(train_pairs, n_users, n_items)),
         ("random", lambda: random_scores(cfg.seed, n_users, n_items)),
     ):
         started = time.perf_counter()
         p, r = rank_and_score(scores_of(), train_truth, test_truth, k)
         report.add(label, k, p, r, cfg.seed, (time.perf_counter() - started) * 1e3)
-    _report(report, args.out, "eval.csv", "evaluate", cfg, inputs)
+    _report(report, args.out, "eval.csv", "evaluate", cfg, meta["input_digests"])
     return 0
 
 
 def cmd_recommend(args) -> int:
     loaded, cfg = _load_checkpoint(args)
-    _require_path(cfg, "interactions")
-    if ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())[0] is None:
-        _rebuilt(args, loaded, cfg)
-    serving = loaded.serving
+    serving = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())[0]
     k = cfg.top_k if args.k is None else args.k
     if args.user not in serving.user_tokens:
         raise ConfigError(f"unknown user id {args.user!r}")

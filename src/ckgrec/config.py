@@ -91,6 +91,11 @@ class RunConfig:
         return out
 
 
+# the keys besides the input files that shape the parsed records, the split
+# and the vocabularies: a checkpoint serves only the values it was trained with
+WORLD_KEYS = ("format", "threshold", "min_interactions", "train_ratio", "val_ratio", "test_ratio", "seed", "id_order")
+
+
 # file/flag keys named differently from the RunConfig field they set;
 # every other key is the field's own name
 KEY_MAP = {

@@ -99,15 +99,24 @@ class TestRoundTrip:
         model, _ = toy_dual()
         data = tmp_path / "interactions.txt"
         data.write_text("u1 i1\n")
-        config = {"interactions": str(data), "d": 4}
+        config = {"interactions": str(data), "d": 4, "seed": 3}
         path = tmp_path / "m.ckgr"
         save(model, path, {"config": config})
         serving, meta = attach(path, config=config)
-        assert serving is not None and np.array_equal(serving.users, load(path).serving.users)
+        assert np.array_equal(serving.users, load(path).serving.users)
         assert meta["config"] == config
-        assert attach(path, config={**config, "d": 8})[0] is None  # another config
+        loaded = load(path)
+        moved = tmp_path / "moved.txt"
+        moved.write_bytes(data.read_bytes())
+        assert attach(path, loaded=loaded, config={**config, "d": 8})[0] is loaded.serving  # a key outside WORLD_KEYS
+        assert attach(path, loaded=loaded, config={**config, "interactions": str(moved)})[0] is loaded.serving
+        with pytest.raises(DimensionConflictError, match="trained with seed=3, not seed=4"):
+            attach(path, loaded=loaded, config={**config, "seed": 4})
+        with pytest.raises(DimensionConflictError, match="another manifest file: .*moved.txt has sha256 "):
+            attach(path, loaded=loaded, config={**config, "manifest": str(moved)})  # a file it was not trained on
         data.write_text("u1 i2\n")
-        assert attach(path, loaded=load(path), config=config)[0] is None  # an edited input
+        with pytest.raises(DimensionConflictError, match="another interactions file: .*interactions.txt has sha256 "):
+            attach(path, loaded=loaded, config=config)  # an edited input
 
 
 

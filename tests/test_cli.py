@@ -77,12 +77,12 @@ def run_dir(dataset, tmp_path_factory):
     return out
 
 
-def recorded_builds(monkeypatch) -> list:
-    """The configs `cli._build_world` is called with from now on, in call order."""
-    builds = []
-    real = cli._build_world
-    monkeypatch.setattr(cli, "_build_world", lambda cfg: builds.append(cfg) or real(cfg))
-    return builds
+def no_world(monkeypatch) -> None:
+    """From now on a call that builds the world is a fault (exit 2)."""
+    def no_world(cfg):
+        raise AssertionError("a version-2 checkpoint rebuilt the world")
+
+    monkeypatch.setattr(cli, "_build_world", no_world)
 
 
 class TestSynth:
@@ -409,6 +409,49 @@ def test_old_format_checkpoint_exits_1(dataset, run_dir, tmp_path, capsys, comma
     assert "train the model again" in captured.err
 
 
+def moved_held_out_record(dataset, edited, ckpt) -> tuple[cli.World, cli.World]:
+    """Copy `dataset` to `edited` with one test record moved to another item; the worlds before and after.
+
+    The new item appears earlier in the file and the user keeps its
+    record count, so the vocabularies and the drawn split positions stay:
+    the training records, and with them both graphs, can stay the same.
+    """
+    shutil.copytree(dataset, edited)
+    path = edited / "interactions.tsv"
+    paths = [f"{name}={edited / f'{name}.tsv'}" for name in ("interactions", "user_attrs", "item_attrs")]
+    cfg = load_config(overrides=paths, base=checkpoint.load(ckpt).meta["config"])
+    before = cli._build_world(cfg)
+    lines = path.read_text().splitlines(keepends=True)
+    rows = [line.split("\t") for line in lines]
+    users, items = before.bg.user_vocab.tokens(), before.bg.item_vocab.tokens()
+    for u, i in before.test_pairs.tolist():
+        pair = [users[u], items[i]]
+        first = next(n for n, row in enumerate(rows) if row[:2] == pair)
+        taken = {row[1] for row in rows if row[0] == pair[0]}
+        for other in dict.fromkeys(row[1] for row in rows[:first] if row[1] not in taken):
+            path.write_text("".join("\t".join([pair[0], other, *row[2:]]) if row[:2] == pair else line
+                                    for row, line in zip(rows, lines)))
+            after = cli._build_world(cfg)
+            if (after.kg_u.digest(), after.kg_i.digest()) == (before.kg_u.digest(), before.kg_i.digest()):
+                return before, after
+    raise AssertionError("no test record moves without changing a graph")
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["recommend", "--user", "u0"]], ids=["evaluate", "recommend"])
+def test_held_out_record_moved_keeping_the_graphs_exits_1(dataset, run_dir, tmp_path, capsys, command):
+    # both graph digests cover only the training records: they cannot tell this test split from the trained one
+    edited = tmp_path / "data"
+    before, after = moved_held_out_record(dataset, edited, run_dir / "checkpoint.ckgr")
+    assert (after.kg_u.digest(), after.kg_i.digest()) == (before.kg_u.digest(), before.kg_i.digest())
+    assert np.array_equal(after.train_pairs, before.train_pairs)
+    assert not np.array_equal(after.test_pairs, before.test_pairs)
+    capsys.readouterr()
+    assert run(*command, "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(edited)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert f"another interactions file: {edited / 'interactions.tsv'} " in captured.err
+
+
 class TestEvaluate:
     def test_reports_model_and_baselines(self, dataset, run_dir, tmp_path, capsys):
         # a checkpoint whose config metadata still names the removed `workers` key
@@ -441,7 +484,7 @@ class TestEvaluate:
         assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", "u0") == 0
         assert [str(path) for path in reads] == [str(ckpt)] * 2
 
-    def test_flags_beat_checkpoint_metadata_beats_env_seed(self, dataset, tmp_path, monkeypatch):
+    def test_flags_beat_checkpoint_metadata_beats_env_seed(self, dataset, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lr = 0.005\nepochs = 1\nd = 8\nk = 8\nlayers = 1\ndims = 8\n")
         trained = tmp_path / "trained"
@@ -450,24 +493,30 @@ class TestEvaluate:
         out = tmp_path / "eval"
         code = run(
             "evaluate", "--checkpoint", trained / "checkpoint.ckgr", *data_flags(dataset),
-            "--set", "min_interactions=1", "--out", out,
+            "--set", "top_k=3", "--out", out,
         )
         assert code == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["lr"] == 0.005  # checkpoint metadata
         assert manifest["seed"] == manifest["config"]["seed"] == 4  # metadata beats CKGR_SEED
-        assert manifest["config"]["min_interactions"] == 1  # --set beats metadata
+        assert manifest["config"]["top_k"] == 3  # --set beats metadata
+        capsys.readouterr()
+        # a world key is not free, even at a value that drops no user of this data
+        code = run("evaluate", "--checkpoint", trained / "checkpoint.ckgr", *data_flags(dataset),
+                   "--set", "min_interactions=1")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trained with min_interactions=0, not min_interactions=1" in captured.err
 
-    @pytest.mark.parametrize("flags, side", [
-        (["--set", "id_order=sorted"], "user-side"),  # the same data, its vocabularies permuted
-        (["--seed", "6"], "user-side"),  # the same data split anew: trained pairs land in the test set
+    @pytest.mark.parametrize("flags, named", [
+        (["--set", "id_order=sorted"], "id_order='first-seen', not id_order='sorted'"),  # vocabularies permuted
+        (["--seed", "6"], "seed=7, not seed=6"),  # the same data split anew: trained pairs land in the test set
     ], ids=["reordered-vocabulary", "reseeded-split"])
-    def test_another_world_exits_1(self, dataset, run_dir, capsys, flags, side):
+    def test_another_world_exits_1(self, dataset, run_dir, capsys, flags, named):
         code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(dataset), *flags)
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{side} graph digest: checkpoint " in err
-        assert "entities" not in err and "relations" not in err  # the counts match
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:") and f"trained with {named}" in captured.err
 
     def test_attribute_edit_keeping_the_counts_exits_1(self, dataset, run_dir, tmp_path, capsys):
         edited = tmp_path / "data"
@@ -475,9 +524,8 @@ class TestEvaluate:
         swap_item_attributes(edited)
         code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(edited))
         assert code == 1
-        err = capsys.readouterr().err
-        # item attributes are edges of the user-side graph, which reaches users through items
-        assert "user-side graph digest: checkpoint " in err and "entities" not in err
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"another item_attrs file: {edited / 'item_attrs.tsv'} " in captured.err
 
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path, capsys):
         code = run(
@@ -492,22 +540,16 @@ class TestEvaluate:
         captured = capsys.readouterr()
         return captured.out, captured.err
 
-    @staticmethod
-    def no_world(monkeypatch) -> None:
-        def no_world(cfg):
-            raise AssertionError("a version-2 checkpoint rebuilt the world")
-
-        monkeypatch.setattr(cli, "_build_world", no_world)
-
-    def test_served_lines_equal_the_rebuilt_ones(self, dataset, run_dir, capsys, monkeypatch):
-        # another setting of the same world rebuilds it and attaches the checkpoint before ranking
-        ckpt, builds = run_dir / "checkpoint.ckgr", recorded_builds(monkeypatch)
+    def test_moved_data_and_free_keys_serve_the_same_lines(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
+        # the same bytes at another path, and a key that shapes no world, serve the same lines without a build
+        ckpt, moved = run_dir / "checkpoint.ckgr", tmp_path / "moved"
+        shutil.copytree(dataset, moved)
+        no_world(monkeypatch)
         for k in ([], ["--k", "20"]):  # the config's top_k, and more than the 15 items
             served = self.evaluate_output(ckpt, capsys, *data_flags(dataset), *k)
-            assert builds == [] and served[1] == ""
+            assert served[1] == ""
+            assert self.evaluate_output(ckpt, capsys, *data_flags(moved), *k) == served
             assert self.evaluate_output(ckpt, capsys, *data_flags(dataset), *k, "--set", "lr=0.5") == served
-            assert len(builds) == 1
-            builds.clear()
 
     def test_served_lines_are_the_attached_model_ranked(self, dataset, run_dir, capsys):
         ckpt = run_dir / "checkpoint.ckgr"
@@ -528,12 +570,13 @@ class TestEvaluate:
         out, _ = self.evaluate_output(ckpt, capsys, *data_flags(dataset))
         assert out.splitlines() == want
 
-    def test_served_report_files_equal_the_rebuilt_ones(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
-        ckpt, builds = run_dir / "checkpoint.ckgr", recorded_builds(monkeypatch)
+    def test_moved_data_and_free_keys_serve_the_same_report_files(self, dataset, run_dir, tmp_path, capsys,
+                                                                  monkeypatch):
+        ckpt, moved = run_dir / "checkpoint.ckgr", tmp_path / "moved"
+        shutil.copytree(dataset, moved)
+        no_world(monkeypatch)
         self.evaluate_output(ckpt, capsys, *data_flags(dataset), "--out", tmp_path / "served")
-        assert builds == []
-        self.evaluate_output(ckpt, capsys, *data_flags(dataset), "--set", "lr=0.5", "--out", tmp_path / "rebuilt")
-        assert len(builds) == 1
+        self.evaluate_output(ckpt, capsys, *data_flags(moved), "--set", "lr=0.5", "--out", tmp_path / "other")
 
         def metric_columns(out):  # every column but the last, wall_ms
             return [line.rsplit(",", 1)[0] for line in (out / "eval.csv").read_text().splitlines()]
@@ -541,13 +584,14 @@ class TestEvaluate:
         def manifest(out):
             return json.loads((out / "run_manifest.json").read_text())
 
-        served, rebuilt = tmp_path / "served", tmp_path / "rebuilt"
-        assert len(metric_columns(served)) == 4 and metric_columns(served) == metric_columns(rebuilt)
-        assert manifest(served)["inputs"] == manifest(rebuilt)["inputs"]
-        assert manifest(rebuilt) == {**manifest(served), "config": {**manifest(served)["config"], "lr": 0.5}}
+        served, other = tmp_path / "served", tmp_path / "other"
+        assert len(metric_columns(served)) == 4 and metric_columns(served) == metric_columns(other)
+        assert manifest(served)["inputs"] == manifest(other)["inputs"]
+        paths = {name: str(moved / f"{name}.tsv") for name in ("interactions", "user_attrs", "item_attrs")}
+        assert manifest(other) == {**manifest(served), "config": {**manifest(served)["config"], "lr": 0.5, **paths}}
 
     def test_stored_serving_arrays_equal_the_attached_models(self, run_dir):
-        # the rebuild path ranks the stored arrays: attaching to the rebuilt graphs must compute them bit for bit
+        # the stored arrays are the trained model's: attached to the rebuilt graphs, it computes them bit for bit
         ckpt = run_dir / "checkpoint.ckgr"
         loaded = checkpoint.load(ckpt)
         world = cli._build_world(load_config(base=loaded.meta["config"]))
@@ -569,7 +613,7 @@ class TestEvaluate:
             meta["input_digests"]["manifest"] = hashlib.sha256(bad.read_bytes()).hexdigest()
 
         rewrite_metadata(run_dir / "checkpoint.ckgr", ckpt, name_the_manifest)
-        self.no_world(monkeypatch)
+        no_world(monkeypatch)
         assert run("evaluate", "--checkpoint", ckpt, *data_flags(dataset)) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "items: manifest says 16, parsed 15" in captured.err
@@ -588,7 +632,7 @@ class TestEvaluate:
 
         rewrite_metadata(run_dir / "checkpoint.ckgr", ckpt, name_the_edited_files)
         want, _ = self.evaluate_output(run_dir / "checkpoint.ckgr", capsys, *data_flags(dataset))
-        self.no_world(monkeypatch)
+        no_world(monkeypatch)
         out, err = self.evaluate_output(ckpt, capsys, *data_flags(edited))
         assert out == want and err == "warning: 1 malformed interaction lines skipped\n"
 
@@ -604,9 +648,9 @@ class TestEvaluate:
         swap_item_attributes(edited)
         assert run("evaluate", "--checkpoint", ckpt) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "user-side graph digest: checkpoint " in captured.err
+        assert captured.out == "" and f"another item_attrs file: {edited / 'item_attrs.tsv'} " in captured.err
 
-    def test_interactions_edited_after_the_digest_check_rebuild(self, dataset, run_dir, tmp_path, capsys,
+    def test_interactions_edited_after_the_digest_check_exits_1(self, dataset, run_dir, tmp_path, capsys,
                                                                 monkeypatch):
         # attach hashed the files before the split re-reads them: the split must come from the hashed bytes
         edited = tmp_path / "data"
@@ -615,19 +659,19 @@ class TestEvaluate:
         rewrite_metadata(run_dir / "checkpoint.ckgr", ckpt, lambda meta: meta["config"].update(
             {name: str(edited / f"{name}.tsv") for name in ("interactions", "user_attrs", "item_attrs")}))
         path = edited / "interactions.tsv"
-        real_parse, real_build = cli.parse_interactions, cli._build_world
-        builds = []
+        real_parse = cli.parse_interactions
+        parses = []
 
         def edit_then_parse(*args, **kwargs):
-            if not builds:  # the served split's parse: drop one interaction first
-                path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+            parses.append(args)  # the split's parse: drop one interaction first
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
             return real_parse(*args, **kwargs)
 
         monkeypatch.setattr(cli, "parse_interactions", edit_then_parse)
-        monkeypatch.setattr(cli, "_build_world", lambda cfg: builds.append(cfg) or real_build(cfg))
+        no_world(monkeypatch)
         assert run("evaluate", "--checkpoint", ckpt) == 1
         captured = capsys.readouterr()
-        assert len(builds) == 1 and captured.out == "" and "graph digest" in captured.err
+        assert len(parses) == 1 and captured.out == "" and f"another interactions file: {path} " in captured.err
 
     def test_failed_report_replace_keeps_the_previous_report(self, dataset, run_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "eval"
@@ -682,16 +726,17 @@ class TestRecommend:
         captured = capsys.readouterr()
         return captured.out, captured.err
 
-    def test_served_lines_equal_the_rebuilt_ones(self, dataset, run_dir, capsys, monkeypatch):
-        # another setting of the same world rebuilds it and attaches the checkpoint before ranking
-        ckpt, builds = run_dir / "checkpoint.ckgr", recorded_builds(monkeypatch)
+    def test_moved_data_and_free_keys_serve_the_same_lines(self, dataset, run_dir, tmp_path, capsys, monkeypatch):
+        # the same bytes at another path, and a key that shapes no world, serve the same lines without a build
+        ckpt, moved = run_dir / "checkpoint.ckgr", tmp_path / "moved"
+        shutil.copytree(dataset, moved)
+        no_world(monkeypatch)
         for user in self.USERS:
             for k in (5, 20):  # 20 is more than the 15 items, so fewer lines than k
                 served = self.recommend_lines(ckpt, dataset, capsys, user, k)
-                assert builds == [] and served[1] == ""
+                assert served[1] == ""
+                assert self.recommend_lines(ckpt, moved, capsys, user, k) == served
                 assert self.recommend_lines(ckpt, dataset, capsys, user, k, "--set", "lr=0.5") == served
-                assert len(builds) == 1
-                builds.clear()
         assert len(self.recommend_lines(ckpt, dataset, capsys, "u0", 20)[0].splitlines()) < 15
 
     def test_served_scores_are_rows_of_the_model_scores(self, dataset, run_dir, capsys):
@@ -705,15 +750,17 @@ class TestRecommend:
                 _, item, score = line.split("\t")
                 assert float(score) == scores[u, world.bg.item_vocab.id_of(item)]
 
-    @pytest.mark.parametrize("flags", [["--set", "id_order=sorted"], ["--seed", "6"]],
-                             ids=["reordered-vocabulary", "reseeded-split"])
-    def test_another_world_exits_1(self, dataset, run_dir, capsys, flags):
+    @pytest.mark.parametrize("flags, named", [
+        (["--set", "id_order=sorted"], "id_order='first-seen', not id_order='sorted'"),
+        (["--seed", "6"], "seed=7, not seed=6"),
+    ], ids=["reordered-vocabulary", "reseeded-split"])
+    def test_another_world_exits_1(self, dataset, run_dir, capsys, flags, named):
         code = run("recommend", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(dataset), *flags,
                    "--user", "u0")
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and "user-side graph digest: checkpoint " in captured.err
+        assert captured.err.startswith("error:") and f"trained with {named}" in captured.err
 
     def test_input_edited_between_calls_exits_1(self, dataset, run_dir, tmp_path, capsys):
         # the same process, the same paths: only the file's content tells the two calls apart
@@ -730,7 +777,7 @@ class TestRecommend:
         swap_item_attributes(edited)
         assert run(*argv) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "user-side graph digest: checkpoint " in captured.err
+        assert captured.out == "" and f"another item_attrs file: {edited / 'item_attrs.tsv'} " in captured.err
 
     def test_attribute_edit_keeping_the_counts_exits_1(self, dataset, run_dir, tmp_path, capsys):
         edited = tmp_path / "data"
@@ -739,7 +786,7 @@ class TestRecommend:
         code = run("recommend", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(edited), "--user", "u0")
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "user-side graph digest: checkpoint " in captured.err
+        assert captured.out == "" and f"another item_attrs file: {edited / 'item_attrs.tsv'} " in captured.err
 
     def test_unknown_user_exits_1(self, dataset, run_dir, capsys):
         code = run(
