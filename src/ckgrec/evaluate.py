@@ -177,22 +177,22 @@ def rank_and_score(score_matrix: np.ndarray, train_items: dict[int, set], truth:
     return float(np.mean(hits / k)), float(np.mean(hits / sizes))
 
 
-def score_block(users: np.ndarray, items: np.ndarray, at: int) -> np.ndarray:
+def score_block(users: np.ndarray, items: np.ndarray, at: int, out: np.ndarray | None = None) -> np.ndarray:
     """Scores of the RANK_BLOCK users from row `at`, an aligned block, against every item.
 
-    The one user-by-item product in the program.  `score_matrix` is made
-    of these blocks, so a block's rows are the matrix's rows bit for bit
-    on any BLAS; a product of other rows, or of one row, may round
-    differently.
+    The one user-by-item product in the program, written into `out` when
+    given.  `score_matrix` is made of these blocks, so a block's rows are
+    the matrix's rows bit for bit on any BLAS; a product of other rows, or
+    of one row, may round differently.
     """
-    return users[at: at + RANK_BLOCK] @ items.T
+    return np.matmul(users[at: at + RANK_BLOCK], items.T, out=out)
 
 
 def score_matrix(users: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """The full user-by-item score matrix, block by aligned block (`score_block`)."""
+    """The full user-by-item score matrix, each aligned block (`score_block`) written in place."""
     out = np.empty((len(users), len(items)))
     for at in range(0, len(users), RANK_BLOCK):
-        out[at: at + RANK_BLOCK] = score_block(users, items, at)
+        score_block(users, items, at, out=out[at: at + RANK_BLOCK])
     return out
 
 

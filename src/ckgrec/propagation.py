@@ -27,15 +27,20 @@ factors depend on one edge end's pair only, so pt = A_r x_t is computed
 and cached once per tail pair and q = tanh(A_r x_h + e_r) once per head
 pair: a user heading twenty edges of one relation is projected once, not
 twenty times.  (The printed form adds x_t inside tanh, so there q is
-made and cached per edge; it is the only (edges, width) array a layer
-makes.)  Every per-edge computation takes one blocked walk,
-`_Runs.sum` or `_Runs.per_edge`: the terms of about EDGE_BLOCK edges are
-made at a time, gathering rows of the per-entity and per-pair arrays,
-and each run is reduced whole by `np.add.reduceat`, so no result depends
-on the block size.  That walk makes the logits, the messages (summed
-over the head runs), the tail gradients (over the tail runs) and the
-projection gradients (over the pair runs), after which one small matmul
-per relation and side gives both dA_r and dx.
+made and cached per edge; it is the only array with a column per edge
+that a layer keeps.)  Every per-edge computation takes one blocked walk,
+`_Runs.sum` or `_Runs.per_edge`, over the terms of about EDGE_BLOCK
+edges at a time.  The logits and dL/dw are per-edge dot products of
+gathered rows.  The summed terms are made feature-major, a (width,
+edges) block gathered with `np.take(..., axis=1)` from the transposed
+per-entity arrays (x, dL/dmsg) and from pt and q, which the cache keeps
+transposed.  Each run is reduced whole by one `np.add.reduceat` along
+the block's columns, which adds in the same order as along the rows of
+an (edges, width) block but runs several times faster, so no result
+depends on the block size or the layout.  That walk makes the messages
+(summed over the head runs), the tail gradients (over the tail runs)
+and the projection gradients (over the pair runs), after which one
+small matmul per relation and side gives both dA_r and dx.
 
 The backward pass mirrors the forward step by step (softmax, tanh, and
 sum adjoints written out by hand) and is validated against central
@@ -181,11 +186,24 @@ class _Runs:
             b = nxt
         return out
 
-    def sum(self, rows_of) -> np.ndarray:
-        """Per run, the sum of `rows_of(e)` over its edges e; one reduceat per block of `order`."""
-        return np.concatenate(
-            [np.add.reduceat(rows_of(self.order[lo:hi]), self.starts[runs] - lo) for runs, lo, hi in self.blocks]
-        )
+    def sum(self, cols_of, width: int) -> np.ndarray:
+        """Per run, the sum of the columns `cols_of(e)` over its edges e, as a (runs, width) array.
+
+        `cols_of(e)` returns the terms of the edges e feature-major, a
+        (width, len(e)) block.  Each block of `order` is reduced by one
+        `np.add.reduceat` along its columns, written straight into that
+        block's rows of the result.  Along the columns a run is summed in
+        the same pairwise order as along the rows of the transposed block,
+        so the layout changes the speed, not the bits.
+        """
+        out = np.empty((len(self.starts), width))
+        for runs, lo, hi in self.blocks:
+            block = cols_of(self.order[lo:hi])
+            if block.shape != (width, hi - lo):
+                raise ShapeError(f"edge block of shape {block.shape}, expected feature-major {(width, hi - lo)}")
+            np.add.reduceat(block, self.starts[runs] - lo, axis=1, out=out[runs].T)
+            del block  # freed before the next block is made, so only one exists at a time
+        return out
 
     def per_edge(self, values_of) -> np.ndarray:
         """`values_of(order)` in run order, with values_of called on one block of `order` at a time."""
@@ -237,9 +255,9 @@ class _Pairs:
     def project_backward(self, g_of_edges, x, a, g_a, g_x) -> np.ndarray:
         """Adds the adjoint of `project` into g_a and g_x; returns the edge gradients summed per pair.
 
-        g_of_edges(e) gives the gradient rows of the edges e.
+        g_of_edges(e) gives the gradients of the edges e, feature-major (k, len(e)).
         """
-        g = self.runs.sum(g_of_edges)
+        g = self.runs.sum(g_of_edges, a.shape[1])
         for rel, pairs in self.relations:
             ents = self.entity[pairs]
             g_a[rel] += g[pairs].T @ x[ents]
@@ -265,9 +283,9 @@ class PropagationPlan:
 
 @dataclass
 class _LayerCache:
-    pt: np.ndarray | None      # A_r x_t, one row per tail pair
-    q: np.ndarray | None       # tanh(A_r x_h + e_r), one row per head pair (per edge when printed)
-    q_rows: np.ndarray | None  # row of q for each edge
+    pt: np.ndarray | None      # A_r x_t, feature-major (k, tail pairs): one column per tail pair
+    q: np.ndarray | None       # tanh(A_r x_h + e_r), feature-major: one column per head pair (per edge when printed)
+    q_rows: np.ndarray | None  # column of q for each edge
     w: np.ndarray | None
     msg: np.ndarray
     a1: np.ndarray
@@ -316,13 +334,17 @@ def propagate(kg: CollaborativeKG, table: EmbeddingTable, stack: LayerStack) -> 
                 pt_rows = plan.tail_pairs.of_edge
                 logits = plan.heads.per_edge(lambda e: np.einsum("ij,ij->i", pt[pt_rows[e]], q[q_rows[e]]))
                 w = plan.heads.softmax(logits)
+                # the walks gather columns of pt and q: keep them feature-major, not also edge-major
+                pt = np.ascontiguousarray(pt.T)
+                q = np.ascontiguousarray(q.T)
+                x_cols = np.ascontiguousarray(x.T)
 
                 def weighted_tails(e):
-                    t = x[kg.tails[e]]
-                    t *= w[e, None]  # in place: one block-sized temporary, not two
+                    t = np.take(x_cols, kg.tails[e], axis=1)
+                    t *= w[e]  # in place: one block-sized temporary, not two
                     return t
 
-                msg[plan.heads.ids] = plan.heads.sum(weighted_tails)
+                msg[plan.heads.ids] = plan.heads.sum(weighted_tails, din)
             else:
                 pt = q = q_rows = w = None
             a1 = (x + msg) @ stack.w1[l - 1].T
@@ -385,26 +407,35 @@ def propagate_backward(
             g_logit = plan.heads.softmax_backward(c.w, g_w)
             tanh_slope = 1.0 - c.q * c.q
             pt_rows = plan.tail_pairs.of_edge
+            g_msg_cols = np.ascontiguousarray(g_msg.T)
+            del g_msg  # only its columns are read from here on
 
             def g_arg(e):
-                """dL/d(argument of tanh) on edges e: (dL/dlogit * pt) * (1 - q^2), with 1 - q^2 per row of q."""
-                t = g_logit[e, None] * c.pt[pt_rows[e]]
-                t *= tanh_slope[c.q_rows[e]]
+                """dL/d(argument of tanh) on edges e: (dL/dlogit * pt) * (1 - q^2), with 1 - q^2 per column of q."""
+                t = np.take(c.pt, pt_rows[e], axis=1)
+                t *= g_logit[e]  # in place: one block-sized temporary, not two
+                t *= np.take(tanh_slope, c.q_rows[e], axis=1)
+                return t
+
+            def g_pt(e):
+                """dL/d(A_r x_t) on edges e: dL/dlogit * q."""
+                t = np.take(c.q, c.q_rows[e], axis=1)
+                t *= g_logit[e]
                 return t
 
             def g_tail(e):
                 """dL/dx_t on edges e through the message, plus through tanh in the printed form."""
-                t = g_msg[kg.heads[e]]
-                t *= c.w[e, None]
+                t = np.take(g_msg_cols, kg.heads[e], axis=1)
+                t *= c.w[e]
                 if stack.printed_attention:
                     t += g_arg(e)
                 return t
 
-            g_x[plan.tails.ids] += plan.tails.sum(g_tail)
+            g_x[plan.tails.ids] += plan.tails.sum(g_tail, x.shape[1])
             a = table.projection if l == 1 else stack.attn[l - 1]
             g_a = grads["projection"] if l == 1 else grads[f"attn.{l}"]
             g_head = plan.head_pairs.project_backward(g_arg, x, a, g_a, g_x)
-            plan.tail_pairs.project_backward(lambda e: g_logit[e, None] * c.q[c.q_rows[e]], x, a, g_a, g_x)
+            plan.tail_pairs.project_backward(g_pt, x, a, g_a, g_x)
             if not stack.printed_attention:
                 for rel, pairs in plan.head_pairs.relations:
                     grads["relation"][rel] += g_head[pairs].sum(axis=0)

@@ -49,9 +49,10 @@ def head_edges(kg: CollaborativeKG, h: int) -> slice:
 def edge_terms(kg: CollaborativeKG, cache) -> tuple[np.ndarray, np.ndarray]:
     """A layer cache's attention terms as one row per edge: (A_r x_t, tanh(A_r x_h + e_r)).
 
-    The cache holds pt per tail pair and q per row of `cache.q_rows`.
+    The cache holds pt feature-major with one column per tail pair, and q
+    with one column per entry of `cache.q_rows`.
     """
-    return cache.pt[kg.propagation_plan.tail_pairs.of_edge], cache.q[cache.q_rows]
+    return cache.pt.T[kg.propagation_plan.tail_pairs.of_edge], cache.q.T[cache.q_rows]
 
 
 def rec(u, i, *types):

@@ -210,6 +210,18 @@ def kg_loss_dense_reference(table, batch):
     return float(np.sum(losses)), grads
 
 
+def runs_sum_edge_major(runs, rows_of):
+    """Per run of `runs`, the sum of the edge-major rows `rows_of(e)` (len(e), width) over its edges.
+
+    The edge-major form of the blocked walk: one `np.add.reduceat` along
+    axis 0 per block of `runs.order`.  It reads `order`, `starts` and
+    `blocks` by attribute only.
+    """
+    return np.concatenate(
+        [np.add.reduceat(rows_of(runs.order[lo:hi]), runs.starts[b] - lo) for b, lo, hi in runs.blocks]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Edgewise propagation kernel: every edge projects its own head and tail
 # with A_r, and messages and gradients are scattered edge by edge with

@@ -29,6 +29,7 @@ from reference import (
     propagate_backward_edgewise,
     propagate_edgewise,
     propagate_reference,
+    runs_sum_edge_major,
     softmax_reference,
 )
 
@@ -508,7 +509,10 @@ class TestEdgeBlocks:
             assert hi - lo <= 4 or block.stop - block.start == 1
         assert blocks[0] == (slice(0, 1), 0, 6)  # a run longer than a block stands alone
         values = np.random.default_rng(0).normal(size=(14, 3))
-        assert np.array_equal(runs.sum(lambda e: values[e]), np.add.reduceat(values[runs.order], runs.starts))
+        columns = np.ascontiguousarray(values.T)
+        assert np.array_equal(
+            runs.sum(lambda e: np.take(columns, e, axis=1), 3), np.add.reduceat(values[runs.order], runs.starts)
+        )
         assert np.array_equal(runs.per_edge(lambda e: values[e, 0]), values[runs.order, 0])
 
     @pytest.mark.parametrize("printed", [False, True])
@@ -534,6 +538,66 @@ class TestEdgeBlocks:
             assert np.array_equal(one[name], many[name]), name
 
 
+class TestFeatureMajorSum:
+    """`_Runs.sum` over feature-major blocks equals the edge-major walk in tests/reference.py bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(lengths, values, seed=0):
+        keys = np.repeat(np.arange(len(lengths)), lengths)
+        runs = _Runs.of(keys[np.random.default_rng(seed).permutation(len(keys))])
+        columns = np.ascontiguousarray(values.T)
+        got = runs.sum(lambda e: np.take(columns, e, axis=1), values.shape[1])
+        want = runs_sum_edge_major(runs, lambda e: values[e])
+        assert got.flags.c_contiguous and got.shape == (len(lengths), values.shape[1])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()  # signed zeros and nan bits too
+
+    @pytest.mark.parametrize("width", [1, 5, 64])
+    def test_run_lengths_around_the_pairwise_unroll(self, width):
+        """Runs of 8 and more edges are where a pairwise sum could reorder the additions."""
+        lengths = [1, 7, 8, 9, 1, 16, 17, 127, 128, 129, 1000, 1203, 3]
+        scale = 10.0 ** np.arange(-6, 7, 3)[np.arange(sum(lengths)) % 5]
+        values = np.random.default_rng(width).normal(size=(sum(lengths), width)) * scale[:, None]
+        self.assert_same_bits(lengths, values, seed=width)
+
+    def test_runs_longer_than_a_block(self, monkeypatch):
+        monkeypatch.setattr(propagation, "EDGE_BLOCK", 16)
+        lengths = [3, 1000, 9, 8, 1, 40, 7, 17]
+        self.assert_same_bits(lengths, np.random.default_rng(1).normal(size=(sum(lengths), 6)))
+
+    def test_signed_zeros_infinities_and_nans(self, monkeypatch):
+        monkeypatch.setattr(propagation, "EDGE_BLOCK", 64)
+        lengths = [1, 7, 8, 9, 300, 2, 1024]
+        rng = np.random.default_rng(2)
+        values = rng.normal(size=(sum(lengths), 4))
+        hit = rng.random(values.shape) < 0.05
+        values[hit] = rng.choice([-0.0, 0.0, np.inf, -np.inf, np.nan], size=int(hit.sum()))
+        values[:, 0] = -0.0  # every run of this column sums to -0.0
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            self.assert_same_bits(lengths, values, seed=2)
+
+    def test_one_block_alive_at_a_time(self, monkeypatch):
+        """The walk holds its result and one block of terms, never two blocks at once."""
+        monkeypatch.setattr(propagation, "EDGE_BLOCK", 1024)
+        runs = _Runs.of(np.random.default_rng(3).integers(0, 2000, size=16 * 1024))
+        columns = np.random.default_rng(4).normal(size=(64, 16 * 1024))
+        block_bytes = 64 * 1024 * 8
+        assert len(runs.blocks) >= 15 and max(hi - lo for _, lo, hi in runs.blocks) <= 1024 + 64
+        tracemalloc.start()
+        try:
+            got = runs.sum(lambda e: np.take(columns, e, axis=1), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + 1.5 * block_bytes
+
+    def test_edge_major_block_is_refused(self):
+        runs = _Runs.of(np.array([2, 0, 1, 1, 0, 2, 2]))
+        values = np.arange(21.0).reshape(7, 3)
+        with pytest.raises(ShapeError, match="feature-major"):
+            runs.sum(lambda e: values[e], 3)
+
+
 def dense_graph(n=200, m=4, n_edges=6000, seed=0):
     """`n_edges` distinct random triples over n entities and m relations: many edges per pair."""
     chosen = np.random.default_rng(seed).choice(n * m * n, size=n_edges, replace=False)
@@ -551,8 +615,9 @@ class TestLayerCacheSize:
         table = fresh_table(n_entities=12, n_relations=3, d=dims[0], k=3, seed=1, std=0.5)
         stack = init_stack(list(dims), 3, 3, 0.5, Rng(1, (5,)), printed_attention=printed)
         for c in propagate(kg, table, stack).cache:
-            assert len(c.pt) == len(plan.tail_pairs.entity) < len(kg.heads)
-            assert len(c.q) == (len(kg.heads) if printed else len(plan.head_pairs.entity))
+            assert c.pt.shape[1] == len(plan.tail_pairs.entity) < len(kg.heads)
+            assert c.q.shape[1] == (len(kg.heads) if printed else len(plan.head_pairs.entity))
+            assert len(c.pt) == len(c.q) == 3  # feature-major: one row per attention dimension
             assert len(c.q_rows) == len(kg.heads)
 
     def test_forward_peak_memory(self, monkeypatch):
