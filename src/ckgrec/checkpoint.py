@@ -54,7 +54,6 @@ graphs that match give back the stored serving arrays bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import struct
@@ -63,9 +62,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import WORLD_KEYS
+from .config import KEY_OF, WORLD_KEYS
 from .errors import DimensionConflictError, FormatError
-from .ingest import INPUT_FILES, input_digests
+from .ingest import INPUT_FILES, input_digests, open_replacing
 from .model import DualModel
 from .propagation import LayerStack, printed_width_problem
 from .transr import EmbeddingTable
@@ -127,28 +126,6 @@ def _blocks(counts, d: int, k: int, dims, serving) -> list[tuple[str, tuple[int,
         ("serving.train_ptr", (n_users + 1,), "<i8"),
         ("serving.train_items", (n_train,), "<i8"),
     ]
-
-
-@contextlib.contextmanager
-def open_replacing(path, mode: str = "wb", **kwargs):
-    """Open a temporary file beside `path`; when the block ends cleanly, sync it and rename it over `path`.
-
-    The target is always either its previous content or the complete new
-    one: a failure inside the block, or in the sync or rename, removes
-    the temporary file and leaves the target untouched.
-    """
-    directory, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 def save(model: DualModel, path, metadata: dict) -> None:
@@ -369,8 +346,8 @@ def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None):
         stored = meta.get("config") or {}
         for key in WORLD_KEYS:
             if config.get(key) != stored.get(key):
-                raise DimensionConflictError(f"{path} was trained with {key}={stored.get(key)!r}, "
-                                             f"not {key}={config.get(key)!r}")
+                raise DimensionConflictError(f"{path} was trained with {KEY_OF[key]}={stored.get(key)!r}, "
+                                             f"not {KEY_OF[key]}={config.get(key)!r}")
         inputs, trained = input_digests(config), meta["input_digests"]
         for name in INPUT_FILES:
             if inputs.get(name) != trained.get(name):

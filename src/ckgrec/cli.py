@@ -11,7 +11,7 @@ Each command resolves one `RunConfig` through `config.load_config`, and
 that object goes unchanged to graph building, the model and `train`.
 Later sources win: defaults, `CKGR_SEED`, the checkpoint's own config
 (`evaluate`, `recommend`), `--config`, `--set`, the data-path flags,
-`--seed`.  A set, non-empty `CKGR_SEED` that is not an integer is an
+`--seed` and `--k` (`top_k`).  A set, non-empty `CKGR_SEED` that is not an integer is an
 error for every command, even when another source supplies the seed.
 
 `evaluate` and `recommend` serve from the checkpoint or exit 1.  They
@@ -35,9 +35,13 @@ checkpoint last, after removing an earlier run's checkpoints, so a
 checkpoint beside them is always theirs.  A run that diverges exits 2
 after writing its last finite state to `checkpoint.last_good.ckgr` and
 its finished epochs to `history.csv`.  Every training/evaluation run
-writes a `run_manifest.json` with the resolved config, the seed, and the
-sha256 of each input file by config key, enough to reproduce the run
-bit for bit single-threaded.
+writes a `run_manifest.json` with the resolved config, `--k` included
+as `top_k`, the seed, and the sha256 of each input file by config key,
+enough to reproduce the run bit for bit single-threaded.  `train`,
+`build-graph` and `sweep-layers` hash each input before the parse and
+again after it, and exit 1 if a file changed in between.  Every file
+the program writes replaces its target crash-safely
+(`ingest.open_replacing`).
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from .ingest import (
     filter_min_interactions,
     input_digests,
     merge_records,
+    open_replacing,
     parse_attribute_triples,
     parse_interactions,
     synth_generate,
@@ -102,13 +107,15 @@ def _env_seed() -> int:
 
 
 def _resolve_config(args, meta_config=None) -> RunConfig:
-    """defaults <- CKGR_SEED <- checkpoint metadata <- config file <- --set <- data-path flags <- --seed."""
+    """defaults <- CKGR_SEED <- checkpoint metadata <- config file <- --set <- data-path flags <- --seed and --k."""
     overrides = list(args.set or [])
     for name in INPUT_FILES:
         if getattr(args, name):
             overrides.append(f"{name}={getattr(args, name)}")
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
+    if getattr(args, "k", None) is not None:  # only evaluate and recommend take --k
+        overrides.append(f"top_k={args.k}")
     return load_config(args.config, overrides, {"seed": _env_seed(), **(meta_config or {})})
 
 
@@ -169,9 +176,14 @@ def _read_split(cfg: RunConfig):
 
 
 def _build_world(cfg: RunConfig) -> World:
+    inputs = input_digests(cfg.to_dict())
     records, split = _read_split(cfg)
     user_attrs = _read_attributes(cfg.user_attrs)
     item_attrs = _read_attributes(cfg.item_attrs)
+    # hashed again after the parse: no digest names the bytes of a file edited in between
+    for name, digest in input_digests(cfg.to_dict()).items():
+        if digest != inputs.get(name):
+            raise ConfigError(f"the {name} file {getattr(cfg, name)} changed while it was read; run again")
     # vocabularies span the full dataset so held-out entities keep their ids,
     # but only training interactions become graph edges
     bg = build_bipartite(split.train, order=cfg.id_order, vocab_records=records)
@@ -186,13 +198,13 @@ def _build_world(cfg: RunConfig) -> World:
         train_pairs=pairs_of(split.train, bg),
         val_pairs=pairs_of(split.validation, bg),
         test_pairs=pairs_of(split.test, bg),
-        inputs=input_digests(cfg.to_dict()),
+        inputs=inputs,
     )
 
 
 def _write_run_manifest(out_dir, command: str, cfg: RunConfig, inputs: dict) -> None:
     payload = {"command": command, "config": cfg.to_dict(), "seed": cfg.seed, "inputs": inputs}
-    with ckpt.open_replacing(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
+    with open_replacing(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -251,12 +263,12 @@ def cmd_synth(args) -> int:
     write_records(interactions, os.path.join(args.out, "interactions.tsv"))
     write_attribute_triples(user_attrs, os.path.join(args.out, "user_attrs.tsv"))
     write_attribute_triples(item_attrs, os.path.join(args.out, "item_attrs.tsv"))
-    with open(os.path.join(args.out, "factors.tsv"), "w", encoding="utf-8", newline="\n") as fh:
+    with open_replacing(os.path.join(args.out, "factors.tsv"), "w", encoding="utf-8", newline="\n") as fh:
         for u, f in enumerate(truth.user_factor.tolist()):
             fh.write(f"user\tu{u}\t{f}\n")
         for i, f in enumerate(truth.item_factor.tolist()):
             fh.write(f"item\ti{i}\t{f}\n")
-    with open(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
+    with open_replacing(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"users={cfg.n_users}\nitems={cfg.n_items}\ninteractions={len(interactions)}\n")
     print(f"wrote synthetic dataset ({cfg.n_users} users, {cfg.n_items} items, "
           f"{len(interactions)} interactions) to {args.out}")
@@ -306,7 +318,7 @@ def _write_train_outputs(world: World, cfg: RunConfig, out_dir, name: str, model
     for stale in ("checkpoint.ckgr", "checkpoint.last_good.ckgr"):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(os.path.join(out_dir, stale))
-    with ckpt.open_replacing(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8", newline="\n") as fh:
+    with open_replacing(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epoch,kg_u,kg_i,cf,reg,total,val_recall,wall_ms\n")
         for row in history:
             fh.write(
@@ -359,7 +371,6 @@ def cmd_evaluate(args) -> int:
     split = _read_split(cfg)[1]
     # hashed again after the parse: a file edited since attach hashed it may be another world
     ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())
-    k = cfg.top_k if args.k is None else args.k
     train_pairs = serving.train_pairs()
     test_pairs = vocab_pairs(split.test, Vocab(serving.user_tokens), Vocab(serving.item_tokens))
     train_truth = truth_by_user(train_pairs)
@@ -372,8 +383,8 @@ def cmd_evaluate(args) -> int:
         ("random", lambda: random_scores(cfg.seed, n_users, n_items)),
     ):
         started = time.perf_counter()
-        p, r = rank_and_score(scores_of(), train_truth, test_truth, k)
-        report.add(label, k, p, r, cfg.seed, (time.perf_counter() - started) * 1e3)
+        p, r = rank_and_score(scores_of(), train_truth, test_truth, cfg.top_k)
+        report.add(label, cfg.top_k, p, r, cfg.seed, (time.perf_counter() - started) * 1e3)
     _report(report, args.out, "eval.csv", "evaluate", cfg, meta["input_digests"])
     return 0
 
@@ -381,14 +392,13 @@ def cmd_evaluate(args) -> int:
 def cmd_recommend(args) -> int:
     loaded, cfg = _load_checkpoint(args)
     serving = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())[0]
-    k = cfg.top_k if args.k is None else args.k
     if args.user not in serving.user_tokens:
         raise ConfigError(f"unknown user id {args.user!r}")
     u = serving.user_tokens.index(args.user)
     # only the aligned block that holds u: its row u - at is row u of evaluate.model_scores, bit for bit
     at = u - u % RANK_BLOCK
     scores = score_block(serving.users, serving.items, at)[u - at]
-    top = topk_from_scores(scores, k, serving.train_items[serving.train_ptr[u]: serving.train_ptr[u + 1]])
+    top = topk_from_scores(scores, cfg.top_k, serving.train_items[serving.train_ptr[u]: serving.train_ptr[u + 1]])
     for rank, item in enumerate(top.tolist(), start=1):
         print(f"{rank}\t{serving.item_tokens[item]}\t{float(scores[item])!r}")
     return 0
@@ -469,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--k", type=int, help="ranking cutoff (default: config top_k)")
+    p.add_argument("--k", type=int, help="ranking cutoff: sets top_k")
     p.add_argument("--out", help="directory for eval.csv")
     p.set_defaults(fn=cmd_evaluate)
 
@@ -478,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--user", required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, help="list length: sets top_k")
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("sweep-layers", help="train and evaluate at several depths")

@@ -108,6 +108,7 @@ KEY_MAP = {
 
 _TYPES = {f.name: f.type for f in fields(RunConfig)}
 _KEYS = {**{name: name for name in _TYPES if name not in KEY_MAP.values()}, **KEY_MAP}
+KEY_OF = {attr: key for key, attr in _KEYS.items()}  # the key a message names for each field
 
 
 def _coerce(attr: str, raw: str):
@@ -124,17 +125,17 @@ def _coerce(attr: str, raw: str):
             return True
         if low in _FALSE:
             return False
-        raise ConfigError(f"{attr} expects a boolean, got {raw!r}")
+        raise ConfigError(f"{KEY_OF[attr]} expects a boolean, got {raw!r}")
     if kind == "int":
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"{attr} expects an integer, got {raw!r}")
+            raise ConfigError(f"{KEY_OF[attr]} expects an integer, got {raw!r}")
     if kind == "float":
         try:
             return float(raw)
         except ValueError:
-            raise ConfigError(f"{attr} expects a number, got {raw!r}")
+            raise ConfigError(f"{KEY_OF[attr]} expects a number, got {raw!r}")
     return raw if raw else None
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import open_replacing
 from .errors import ConfigError
 from .graph import BipartiteGraph, Vocab
+from .ingest import open_replacing
 from .rng import Rng
 from .table import Interactions, first_seen_groups
 
@@ -234,7 +234,7 @@ class EvalReport:
         self.rows.append(EvalRow(label, k, precision, recall, seed, wall_ms))
 
     def to_csv(self, path) -> None:
-        """Write the rows to `path` crash-safely (`checkpoint.open_replacing`)."""
+        """Write the rows to `path` crash-safely (`ingest.open_replacing`)."""
         with open_replacing(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("label,K,precision,recall,seed,wall_ms\n")
             for r in self.rows:

@@ -45,9 +45,6 @@ class Vocab:
         """Ids of `tokens`, -1 for tokens outside the vocabulary."""
         return np.array([self._index.get(t, -1) for t in tokens], dtype=np.int64)
 
-    def token(self, idx: int) -> str:
-        return self._tokens[idx]
-
     def tokens(self) -> list[str]:
         return list(self._tokens)
 

@@ -19,14 +19,16 @@ given the seed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
 from .rng import Rng
-from .table import NO_TIME, Interactions, type_bits
+from .table import NO_TIME, Interactions
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -165,7 +167,8 @@ def to_implicit(ratings: Ratings, threshold: float = float("-inf")) -> Interacti
 
     Numeric values >= threshold become positives of type "rated"; values
     below are dropped.  Non-numeric tokens pass through as named
-    interaction types.  Never increases the record count.
+    interaction types.  A kept row has exactly one type, one bit set in
+    its word.  Never increases the record count.
     """
     names: dict[str, int] = {}
     type_of = np.full(len(ratings.values), -1, dtype=np.int64)
@@ -176,11 +179,12 @@ def to_implicit(ratings: Ratings, threshold: float = float("-inf")) -> Interacti
             type_of[v] = names.setdefault("rated", len(names))
     codes = type_of[ratings.value]
     keep = np.flatnonzero(codes >= 0)
+    codes = codes[keep]
+    types = np.zeros((len(keep), max(1, -(-len(names) // 64))), dtype=np.uint64)
+    types[np.arange(len(keep)), codes >> 6] = np.uint64(1) << (codes & 63).astype(np.uint64)
     return Interactions(
         ratings.user_tokens, ratings.item_tokens, list(names),
-        ratings.user[keep], ratings.item[keep],
-        type_bits(np.arange(len(keep)), codes[keep], len(keep), len(names)),
-        ratings.timestamp[keep],
+        ratings.user[keep], ratings.item[keep], types, ratings.timestamp[keep],
     )
 
 
@@ -350,8 +354,30 @@ def synth_generate(cfg: SynthConfig):
     return interactions, user_attrs, item_attrs, truth
 
 
+@contextlib.contextmanager
+def open_replacing(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside `path`; when the block ends cleanly, sync it and rename it over `path`.
+
+    The target is always either its previous content or the complete new
+    one: a failure inside the block, or in the sync or rename, removes
+    the temporary file and leaves the target untouched.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_attribute_triples(triples, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         for h, r, t in triples:
             fh.write(f"{h}\t{r}\t{t}\n")
 
@@ -374,5 +400,5 @@ def write_records(records: Interactions, path, format: str = "tsv") -> None:
         for u, i, g, t in zip(*columns)
         for v in values[g]
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)

@@ -33,21 +33,6 @@ def first_seen(codes: np.ndarray) -> np.ndarray:
     return codes[first_seen_groups(codes)[1]]
 
 
-def type_bits(rows: np.ndarray, codes: np.ndarray, n_rows: int, n_names: int) -> np.ndarray:
-    """(n_rows, words) uint64 bit sets with bit codes[j] set on row rows[j]."""
-    words = max(1, -(-n_names // 64))
-    out = np.zeros(n_rows * words, dtype=np.uint64)
-    codes = np.asarray(codes, dtype=np.int64)
-    cells = np.asarray(rows, dtype=np.int64) * words + (codes >> 6)
-    # each word ORs its bits as one run of the codes sorted by word; the
-    # stable sort is linear on rows already in order, as ingest gives them
-    order = np.argsort(cells, kind="stable")
-    starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
-    bits = np.left_shift(np.uint64(1), (codes[order] & 63).astype(np.uint64))
-    out[cells[order[starts]]] = np.bitwise_or.reduceat(bits, starts)
-    return out.reshape(n_rows, words)
-
-
 @dataclass(eq=False)
 class Interactions:
     """User-item interactions, one row each, as parallel columns.

@@ -7,7 +7,9 @@ column; tests state their inputs and expectations as plain tuples.
 import numpy as np
 
 from ckgrec.ingest import Ratings
-from ckgrec.table import NO_TIME, Interactions, type_bits
+from ckgrec.table import NO_TIME, Interactions
+
+from reference import type_bits_reference
 
 
 def rows_of(table) -> list[tuple]:
@@ -43,7 +45,7 @@ def interactions_from_rows(rows) -> Interactions:
         list(users), list(items), list(names),
         np.array(user, dtype=np.int64),
         np.array(item, dtype=np.int64),
-        type_bits(set_rows, set_codes, len(user), len(names)),
+        type_bits_reference(set_rows, set_codes, len(user), len(names)),
         np.array(stamps, dtype=np.int64),
     )
 

@@ -352,6 +352,25 @@ class TestTrain:
         assert run("evaluate", "--checkpoint", out / "checkpoint.ckgr", *data_flags(dataset)) == 1
         assert "No such file" in capsys.readouterr().err
 
+    def test_input_edited_while_read_exits_1(self, dataset, tmp_path, capsys, monkeypatch):
+        edited = tmp_path / "data"
+        shutil.copytree(dataset, edited)
+        path = edited / "interactions.tsv"
+        real_parse = cli.parse_interactions
+
+        def parse_then_edit(*args, **kwargs):
+            parsed = real_parse(*args, **kwargs)
+            with open(path, "a") as fh:
+                fh.write("u0\ti14\tview\n")
+            return parsed
+
+        monkeypatch.setattr(cli, "parse_interactions", parse_then_edit)
+        out = tmp_path / "run"
+        assert run("train", *data_flags(edited), *TRAIN_SETS, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"the interactions file {path} changed while it was read" in captured.err
+        assert not out.exists()
+
     def test_diverged_run_removes_an_earlier_checkpoint(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
         flags = [*data_flags(dataset), *TRAIN_SETS, "--seed", "7", "--out", out]
@@ -475,6 +494,13 @@ class TestEvaluate:
             assert len(csv_lines) == 4
             assert json.loads((out / "run_manifest.json").read_text())["command"] == "evaluate"
 
+    def test_k_flag_is_the_manifest_top_k(self, dataset, run_dir, tmp_path):
+        out = tmp_path / "eval"
+        assert run("evaluate", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(dataset),
+                   "--k", "3", "--out", out) == 0
+        assert (out / "eval.csv").read_text().splitlines()[1].split(",")[:2] == ["model", "3"]
+        assert json.loads((out / "run_manifest.json").read_text())["config"]["top_k"] == 3
+
     def test_reads_the_checkpoint_once(self, dataset, run_dir, monkeypatch):
         reads = []
         real = checkpoint.load
@@ -511,7 +537,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("flags, named", [
         (["--set", "id_order=sorted"], "id_order='first-seen', not id_order='sorted'"),  # vocabularies permuted
         (["--seed", "6"], "seed=7, not seed=6"),  # the same data split anew: trained pairs land in the test set
-    ], ids=["reordered-vocabulary", "reseeded-split"])
+        # the message names the key the user wrote, not the RunConfig field it sets
+        (["--set", "split.train=0.7", "--set", "split.val=0.2", "--set", "split.test=0.1"],
+         "split.train=0.8, not split.train=0.7"),
+    ], ids=["reordered-vocabulary", "reseeded-split", "resized-split"])
     def test_another_world_exits_1(self, dataset, run_dir, capsys, flags, named):
         code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(dataset), *flags)
         assert code == 1
@@ -926,9 +955,9 @@ VALIDATION_FAILURES = {
     "train-bad-env-seed": ("lots", ["train", "--interactions", "{data}/interactions.tsv", "--out", "{tmp}/t"],
                            "CKGR_SEED is not an integer: 'lots'"),
     "evaluate-k-0": (None, ["evaluate", *CHECKPOINT, "--interactions", "{data}/interactions.tsv", "--k", "0"],
-                     "K must be >= 1, got 0"),
+                     "top_k must be >= 1, got 0"),
     "recommend-k-0": (None, ["recommend", *CHECKPOINT, "--interactions", "{data}/interactions.tsv",
-                             "--user", "u0", "--k", "0"], "K must be >= 1, got 0"),
+                             "--user", "u0", "--k", "0"], "top_k must be >= 1, got 0"),
     "l-values-not-integers": (None, ["sweep-layers", "--interactions", "{data}/interactions.tsv", "--l-values", "1,x"],
                               "--l-values must be a comma-separated integer list, got '1,x'"),
     "l-values-empty": (None, ["sweep-layers", "--interactions", "{data}/interactions.tsv", "--l-values", ","],

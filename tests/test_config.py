@@ -69,6 +69,10 @@ class TestFileParsing:
         with pytest.raises(ConfigError):
             load_config(overrides=["epochs=ten"])
 
+    def test_errors_name_the_key_given(self):
+        with pytest.raises(ConfigError, match="^aggregator.shared_weights expects a boolean, got 'maybe'$"):
+            load_config(overrides=["aggregator.shared_weights=maybe"])
+
     def test_hash_in_override_is_part_of_the_value(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("interactions = data#1.tsv  # the file's comment\n")

@@ -71,7 +71,7 @@ class TestBuildBipartite:
     def test_vocab_round_trip(self):
         bg = build_bipartite(table([rec("u1", "i1"), rec("u2", "i1")]))
         for tok in ["u1", "u2"]:
-            assert bg.user_vocab.token(bg.user_vocab.id_of(tok)) == tok
+            assert bg.user_vocab.tokens()[bg.user_vocab.id_of(tok)] == tok
 
 
 def one_edge_each(type_sets):

@@ -18,10 +18,11 @@ from ckgrec.ingest import (
     synth_generate,
     to_implicit,
     verify_manifest,
+    write_attribute_triples,
     write_records,
 )
 from ckgrec.rng import Rng
-from ckgrec.table import NO_TIME, type_bits
+from ckgrec.table import NO_TIME
 
 from conftest import table
 from reference import type_bits_reference
@@ -119,6 +120,19 @@ class TestParseInteractions:
         # one line per type, in name order, "rated" as the rating 1.0
         assert p.read_text().splitlines()[2:5] == ["u3,i3,like,7", "u3,i3,1.0,7", "u3,i3,view,7"]
 
+    @pytest.mark.parametrize("write, good, bad", [
+        (write_records, table([("u1", "i1", frozenset({"like"}))]), table([("u\ud800", "i1", frozenset({"like"}))])),
+        (write_attribute_triples, [("i1", "genre", "g1")], [("i1", "genre", "\ud800")]),
+    ], ids=["records", "attribute-triples"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, write, good, bad):
+        path = tmp_path / "out.tsv"
+        write(good, path)
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails the UTF-8 encoder inside the write
+            write(bad, path)
+        assert before and path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
     @given(st.lists(
         st.tuples(
             st.integers(0, 5),
@@ -177,6 +191,25 @@ class TestToImplicit:
         for thr in [float("-inf"), 0.5, 2.0]:
             assert len(to_implicit(two, thr)) <= len(two)
 
+    def test_bits_match_bit_by_bit_reference(self):
+        rng = np.random.default_rng(11)
+        for n_rows, n_names in ((0, 1), (4, 1), (6, 3), (9, 64), (9, 65), (30, 200)):
+            names = [f"t{j}" for j in range(n_names)]
+            picked = rng.integers(0, n_names, size=n_rows)
+            rows = [(f"u{r % 5}", f"i{r % 7}", names[c], None) for r, c in enumerate(picked.tolist())]
+            out = to_implicit(ratings(*rows))
+            # type codes number the names in order of first appearance
+            codes = [out.type_names.index(names[c]) for c in picked.tolist()]
+            want = type_bits_reference(range(n_rows), codes, n_rows, len(out.type_names))
+            assert out.types.dtype == np.uint64 and out.types.shape == want.shape
+            assert np.array_equal(out.types, want), (n_rows, n_names)
+
+    def test_top_bit_of_a_word(self):
+        names = [f"t{j}" for j in range(128)]
+        out = to_implicit(ratings(*[("u1", f"i{j}", name, None) for j, name in enumerate(names)]))
+        assert out.type_names == names
+        assert out.types[[63, 64, 127]].tolist() == [[2**63, 0], [0, 1], [0, 2**63]]
+
 
 class TestMergeRecords:
     def test_unions_types_per_pair(self):
@@ -192,22 +225,6 @@ class TestMergeRecords:
     def test_identity_when_unique(self):
         records = table([("u1", "i1", frozenset({"view"}))])
         assert rows_of(merge_records(records)) == rows_of(records)
-
-
-class TestTypeBits:
-    def test_matches_bit_by_bit_reference(self):
-        rng = np.random.default_rng(11)
-        for n_rows, n_names, n_bits in ((0, 0, 0), (4, 1, 0), (6, 3, 20), (9, 64, 80), (9, 65, 80), (30, 200, 400)):
-            rows = rng.integers(0, max(n_rows, 1), size=n_bits)  # repeats set a bit twice
-            codes = rng.integers(0, max(n_names, 1), size=n_bits)
-            got = type_bits(rows, codes, n_rows, n_names)
-            want = type_bits_reference(rows, codes, n_rows, n_names)
-            assert got.dtype == np.uint64 and got.shape == want.shape
-            assert np.array_equal(got, want), (n_rows, n_names)
-
-    def test_top_bit_of_a_word(self):
-        bits = type_bits([0, 1, 1], [63, 64, 127], 2, 128)
-        assert bits.tolist() == [[2**63, 0], [0, 2**63 + 1]]
 
 
 class TestFilterMinInteractions:

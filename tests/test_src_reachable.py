@@ -17,26 +17,28 @@ SRC = Path(ckgrec.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _referenced(path: Path) -> set:
-    """Names, attribute names and imported names a module mentions."""
+def _referenced(path: Path, attributes_only: bool = False) -> set:
+    """Names, attribute names and imported names a module mentions; with `attributes_only`, only the attribute names."""
     used = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             used.add(node.attr)
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             used.update(alias.name.split(".")[-1] for alias in node.names)
     return used
 
 
-def _program_names() -> set:
+def _program_names(attributes_only: bool = False) -> set:
     """Every name the program mentions: src/ckgrec except __init__.py, and bench/."""
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     assert len(modules) > 5, f"found only {modules}; the glob is not reading the package"
     used = set()
     for path in modules + sorted(BENCH.glob("*.py")):
-        used |= _referenced(path)
+        used |= _referenced(path, attributes_only)
     return used
 
 
@@ -60,11 +62,13 @@ def test_every_top_level_definition_is_referenced():
 def test_every_method_is_referenced():
     """Methods and properties of every class in src/ckgrec; dunders are exempt.
 
-    A name check cannot tell a member from a numpy or builtin one of the
-    same name (`copy`, `rows`), so it catches only members whose names
-    nothing else in the program uses.
+    A member counts as used only where the program reads it as an
+    attribute (`obj.name`): a local variable of the same name (`token`)
+    does not.  A name check still cannot tell a member from a numpy or
+    builtin attribute of the same name (`copy`, `rows`), so it catches
+    only members no attribute read anywhere in the program names.
     """
-    used = _program_names()
+    used = _program_names(attributes_only=True)
     unreferenced = [
         f"{path.name}:{cls.name}.{node.name}"
         for path, tree in _definitions()
