@@ -26,8 +26,6 @@ from .graph import (
     Vocab,
     build_bipartite,
     build_graphs,
-    build_item_side_ckg,
-    build_user_side_ckg,
 )
 from .ingest import (
     Ratings,

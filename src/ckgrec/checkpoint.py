@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import KEY_OF, WORLD_KEYS
+from .config import KEY_OF, WORLD_KEYS, stored_type_problem
 from .errors import DimensionConflictError, FormatError
 from .ingest import INPUT_FILES, input_digests, open_replacing
 from .model import DualModel
@@ -288,6 +288,10 @@ def load(path) -> Loaded:
     digests = meta["graph_digests"]
     if not (isinstance(digests, dict) and all(isinstance(digests.get(side), str) for side in ("u", "i"))):
         raise FormatError(f"{path}: metadata graph_digests must map u and i to digest strings, got {digests!r}")
+    if not (isinstance(inputs := meta["input_digests"], dict) and all(isinstance(v, str) for v in inputs.values())):
+        raise FormatError(f"{path}: metadata input_digests must map file keys to digest strings, got {inputs!r}")
+    if problem := stored_type_problem(meta.get("config", {})):
+        raise FormatError(f"{path}: metadata config {problem}")
     serving = _serving(path, blocks, meta, sizes)
 
     layers = range(1, n_layers + 1)

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands cover the whole pipeline: `synth` writes a seeded synthetic
-dataset, `ingest` parses and summarizes interaction files, `build-graph`
+dataset, `ingest` parses and counts interaction files, `build-graph`
 reports the two collaborative graphs, `train` fits and checkpoints a
 model, `evaluate` scores it against popularity/random baselines,
 `recommend` prints a ranked list for one user, and `sweep-layers` runs
@@ -29,19 +29,19 @@ edited during that read exits 1 too.  A checkpoint of an older format
 exits 1 and must be trained again.
 
 Exit codes: 0 success, 1 for validation problems (bad config, malformed
-or missing inputs, mismatched checkpoints), 2 for runtime faults.  A
-`train` run writes `history.csv` and `run_manifest.json` first and its
-checkpoint last, after removing an earlier run's checkpoints, so a
-checkpoint beside them is always theirs.  A run that diverges exits 2
-after writing its last finite state to `checkpoint.last_good.ckgr` and
-its finished epochs to `history.csv`.  Every training/evaluation run
-writes a `run_manifest.json` with the resolved config, `--k` included
-as `top_k`, the seed, and the sha256 of each input file by config key,
-enough to reproduce the run bit for bit single-threaded.  `train`,
-`build-graph` and `sweep-layers` hash each input before the parse and
-again after it, and exit 1 if a file changed in between.  Every file
-the program writes replaces its target crash-safely
-(`ingest.open_replacing`).
+or missing inputs, a file where a directory belongs, mismatched or
+malformed checkpoints), 2 for runtime faults.  `synth` writes
+`manifest.txt` last and `train` its checkpoint, each after removing an
+earlier run's outputs, so a failed run never leaves a mix of two runs.
+A run that diverges exits 2 after writing its last finite state to
+`checkpoint.last_good.ckgr` and its finished epochs to `history.csv`.
+Every training/evaluation run writes a `run_manifest.json` with the
+resolved config, `--k` included as `top_k`, the seed, and the sha256 of
+each input file by config key, enough to reproduce the run bit for bit
+single-threaded.  `train`, `build-graph` and `sweep-layers` hash each
+input before the parse and again after it, and exit 1 if a file changed
+in between.  Every file the program writes replaces its target
+crash-safely (`ingest.open_replacing`).
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ from .ingest import (
     open_replacing,
     parse_attribute_triples,
     parse_interactions,
+    record_counts,
     synth_generate,
     to_implicit,
     verify_manifest,
@@ -170,8 +171,7 @@ def _read_split(cfg: RunConfig):
     if parsed.issues:
         print(f"warning: {len(parsed.issues)} malformed interaction lines skipped", file=sys.stderr)
     if cfg.manifest:
-        # records are merged already: one per (user, item) pair
-        verify_manifest(cfg.manifest, len(np.unique(records.user)), len(np.unique(records.item)), len(records))
+        verify_manifest(cfg.manifest, record_counts(records))
     return records, split_dataset(records, cfg.ratios, cfg.seed)
 
 
@@ -260,6 +260,10 @@ def cmd_synth(args) -> int:
     )
     interactions, user_attrs, item_attrs, truth = synth_generate(cfg)
     os.makedirs(args.out, exist_ok=True)
+    # an earlier run's files go first and the manifest comes last, so a failed run leaves no mix of two runs
+    for stale in ("interactions.tsv", "user_attrs.tsv", "item_attrs.tsv", "factors.tsv", "manifest.txt"):
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(args.out, stale))
     write_records(interactions, os.path.join(args.out, "interactions.tsv"))
     write_attribute_triples(user_attrs, os.path.join(args.out, "user_attrs.tsv"))
     write_attribute_triples(item_attrs, os.path.join(args.out, "item_attrs.tsv"))
@@ -269,7 +273,7 @@ def cmd_synth(args) -> int:
         for i, f in enumerate(truth.item_factor.tolist()):
             fh.write(f"item\ti{i}\t{f}\n")
     with open_replacing(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"users={cfg.n_users}\nitems={cfg.n_items}\ninteractions={len(interactions)}\n")
+        fh.writelines(f"{key}={n}\n" for key, n in record_counts(interactions).items())
     print(f"wrote synthetic dataset ({cfg.n_users} users, {cfg.n_items} items, "
           f"{len(interactions)} interactions) to {args.out}")
     return 0
@@ -278,14 +282,14 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
     parsed, records = _read_interactions(cfg, _require_path(cfg, "interactions"), strict=args.strict)
-    bg = build_bipartite(records, order=cfg.id_order)
+    counts = record_counts(records)
     if cfg.manifest:
-        verify_manifest(cfg.manifest, bg.n_users, bg.n_items, bg.n_edges)
+        verify_manifest(cfg.manifest, counts)
         print(f"manifest {cfg.manifest}: counts match")
     for issue in parsed.issues:
         print(f"line {issue.line}: {issue.message}", file=sys.stderr)
-    print(f"rows={len(parsed.records)} malformed={len(parsed.issues)} "
-          f"records={len(records)} users={bg.n_users} items={bg.n_items} edges={bg.n_edges}")
+    print(f"rows={len(parsed.records)} malformed={len(parsed.issues)} records={len(records)} "
+          f"users={counts['users']} items={counts['items']} edges={counts['interactions']}")
     if args.out:
         write_records(records, args.out, cfg.format)
         print(f"normalized records written to {args.out}")
@@ -504,8 +508,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, UnresolvedEntityError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as err:
+    except (ConfigError, FormatError, UnresolvedEntityError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except CkgrecError as err:

@@ -109,10 +109,23 @@ KEY_MAP = {
 _TYPES = {f.name: f.type for f in fields(RunConfig)}
 _KEYS = {**{name: name for name in _TYPES if name not in KEY_MAP.values()}, **KEY_MAP}
 KEY_OF = {attr: key for key, attr in _KEYS.items()}  # the key a message names for each field
+# the JSON value types a stored config may give each kind of field: an int may stand for a float, a bool for no int
+_STORED = {"int": {int}, "float": {int, float}, "bool": {bool}, "str": {str}, "str | None": {str, type(None)},
+           "tuple": {list}}
+
+
+def stored_type_problem(config) -> str | None:
+    """What keeps a stored config from resolving, naming the first mistyped field; None if nothing does."""
+    if type(config) is not dict:
+        return f"must be an object, got {config!r}"
+    for name, value in config.items():
+        kind = _TYPES.get(name)
+        if kind and (type(value) not in _STORED[kind] or kind == "tuple" and any(type(x) is not int for x in value)):
+            return f"{name} is {value!r}, not of type {kind}"
+    return None
 
 
 def _coerce(attr: str, raw: str):
-    raw = raw.strip()
     kind = _TYPES[attr]
     if attr == "dims":
         try:
@@ -139,12 +152,8 @@ def _coerce(attr: str, raw: str):
     return raw if raw else None
 
 
-def parse_assignments(lines, source: str, comments: bool = True) -> dict:
-    """`key = value` pairs -> attribute dict, rejecting unknown keys.
-
-    With `comments`, a `#` starts a comment that runs to the end of the line.
-    """
-    out = {}
+def assignments(lines, source: str, comments: bool = True):
+    """(line number, key, value) of each `key = value` line, stripped; with `comments`, `#` starts a comment."""
     for lineno, line in enumerate(lines, start=1):
         body = (line.split("#", 1)[0] if comments else line).strip()
         if not body:
@@ -152,7 +161,13 @@ def parse_assignments(lines, source: str, comments: bool = True) -> dict:
         if "=" not in body:
             raise ConfigError(f"{source}:{lineno}: expected `key = value`, got {line.strip()!r}")
         key, _, value = body.partition("=")
-        key = key.strip()
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_assignments(lines, source: str, comments: bool = True) -> dict:
+    """`key = value` pairs -> attribute dict, rejecting unknown keys (see `assignments`)."""
+    out = {}
+    for lineno, key, value in assignments(lines, source, comments):
         attr = _KEYS.get(key)
         if attr is None:
             raise ConfigError(f"{source}:{lineno}: unknown configuration key {key!r}")

@@ -74,10 +74,6 @@ class BipartiteGraph:
     def n_items(self) -> int:
         return len(self.item_vocab)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
 
 def _require_types(records: Interactions) -> None:
     empty = np.flatnonzero(~records.types.any(axis=1))
@@ -236,8 +232,8 @@ class CollaborativeKG:
         return hashlib.sha256(self.serialized()).hexdigest()
 
 
-def _build_side(bg, attrs, head_is_user):
-    """Shared construction for both collaborative graphs.
+def _build_side(bg, attrs, rows, head_is_user):
+    """Shared construction for both collaborative graphs; `rows` are the side's (user rows, item rows).
 
     Relation j is the j-th distinct interaction type set of the edges.
     The attribute relations follow those, and the attribute entities
@@ -246,8 +242,7 @@ def _build_side(bg, attrs, head_is_user):
     edges = bg.edges
     sets, set_of_edge = edges.type_sets()
     relations = [(INTERACTION if len(types) == 1 else COMPOSITE_INTERACTION, "|".join(sorted(types))) for types in sets]
-    align = AlignmentMap(bg.n_users, bg.n_items)
-    user_rows, item_rows = align.user_side if head_is_user else align.item_side
+    user_rows, item_rows = rows
     user_ents, item_ents = user_rows.start + edges.user, item_rows.start + edges.item
     users = [("user", t) for t in bg.user_vocab.tokens()]
     items = [("item", t) for t in bg.item_vocab.tokens()]
@@ -286,18 +281,9 @@ def _build_side(bg, attrs, head_is_user):
     )
 
 
-def build_user_side_ckg(bg: BipartiteGraph, item_attrs) -> CollaborativeKG:
-    """Graph rooted at users: (user, interaction, item) plus item attributes."""
-    return _build_side(bg, item_attrs, head_is_user=True)
-
-
-def build_item_side_ckg(bg: BipartiteGraph, user_attrs) -> CollaborativeKG:
-    """Graph rooted at items: (item, interaction, user) plus user attributes."""
-    return _build_side(bg, user_attrs, head_is_user=False)
-
-
 def build_graphs(bg: BipartiteGraph, user_attrs, item_attrs):
-    """Convenience: both collaborative graphs plus their shared entity layout."""
-    gu = build_user_side_ckg(bg, item_attrs)
-    gi = build_item_side_ckg(bg, user_attrs)
-    return gu, gi, AlignmentMap(bg.n_users, bg.n_items)
+    """(user-side graph, item-side graph, AlignmentMap) of `bg`: the one way to build the collaborative graphs."""
+    align = AlignmentMap(bg.n_users, bg.n_items)
+    kg_u = _build_side(bg, item_attrs, align.user_side, head_is_user=True)
+    kg_i = _build_side(bg, user_attrs, align.item_side, head_is_user=False)
+    return kg_u, kg_i, align

@@ -8,7 +8,9 @@ where `value` is either a numeric rating or a named interaction type
 ("like", "favorite", ...).  Attribute triples come as TSV
 `head<TAB>relation<TAB>tail` with '#' comment lines.  Malformed lines
 are collected with their line numbers rather than aborting the whole
-parse, unless strict mode is requested for an interaction file.
+parse, unless strict mode is requested for an interaction file.  A
+manifest holds `record_counts` in config syntax; `synth` writes one and
+`verify_manifest` checks one.
 
 The synthetic generator builds a latent-factor world: users and items
 belong to factor blocks, positives are drawn from a softmax over factor
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import assignments
 from .errors import ConfigError, FormatError
 from .rng import Rng
 from .table import NO_TIME, Interactions
@@ -208,32 +211,25 @@ def filter_min_interactions(records: Interactions, n: int) -> Interactions:
     return records.take(counts[records.user] >= n)
 
 
-def verify_manifest(path, n_users: int, n_items: int, n_interactions: int) -> None:
-    """Check parsed counts against an announced `key=value` manifest."""
+def record_counts(records: Interactions) -> dict[str, int]:
+    """The users, items and interactions of merged `records`: the counts a manifest announces."""
+    return {"users": len(np.unique(records.user)), "items": len(np.unique(records.item)), "interactions": len(records)}
+
+
+def verify_manifest(path, actual: dict[str, int]) -> None:
+    """Check `record_counts` against the manifest at `path`, `key = value` lines in config syntax."""
     announced: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
+        for lineno, key, value in assignments(fh, str(path)):
             try:
-                announced[key.strip()] = int(value.strip())
+                announced[key] = int(value)
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: count is not an integer: {value.strip()!r}")
-    actual = {"users": n_users, "items": n_items, "interactions": n_interactions}
-    mismatches = [
-        f"{key}: manifest says {announced[key]}, parsed {actual[key]}"
-        for key in sorted(announced)
-        if key in actual and announced[key] != actual[key]
-    ]
-    unknown = sorted(set(announced) - set(actual))
-    if unknown:
+                raise FormatError(f"{path}:{lineno}: count is not an integer: {value!r}")
+    if unknown := sorted(set(announced) - set(actual)):
         raise FormatError(f"{path}: unknown manifest keys: {', '.join(unknown)}")
-    if mismatches:
-        raise FormatError(f"{path}: count mismatch — " + "; ".join(mismatches))
+    if wrong := [f"{key}: manifest says {n}, parsed {actual[key]}"
+                 for key, n in sorted(announced.items()) if n != actual[key]]:
+        raise FormatError(f"{path}: count mismatch — " + "; ".join(wrong))
 
 
 INPUT_FILES = ("interactions", "user_attrs", "item_attrs", "manifest")  # config keys that name input files

@@ -103,8 +103,6 @@ def _snapshot(model: DualModel) -> dict[str, np.ndarray]:
 def _kg_epoch(model, side: str, opt: Adam, cfg: RunConfig, rng: Rng) -> float:
     kg = model.kg_u if side == "u" else model.kg_i
     table = model.table_u if side == "u" else model.table_i
-    if kg.n_triples == 0:
-        return 0.0
     order = rng.split(0).permutation(kg.n_triples)
     total = 0.0
     for b, idx in enumerate(_batches(kg.n_triples, cfg.kg_batch, order)):
@@ -117,8 +115,6 @@ def _kg_epoch(model, side: str, opt: Adam, cfg: RunConfig, rng: Rng) -> float:
 
 
 def _cf_epoch(model, pairs: np.ndarray, pos_keys: np.ndarray, opt: Adam, cfg: RunConfig, rng: Rng) -> float:
-    if len(pairs) == 0:
-        return 0.0
     order = rng.split(0).permutation(len(pairs))
     total = 0.0
     params = model.params()

@@ -24,7 +24,7 @@ from ckgrec.evaluate import (
     rank_and_score,
     truth_by_user,
 )
-from ckgrec.graph import build_bipartite, build_item_side_ckg, build_user_side_ckg
+from ckgrec.graph import build_bipartite, build_graphs
 from ckgrec.model import bpr_loss
 from ckgrec.propagation import init_stack, propagate
 from ckgrec.rng import Rng
@@ -217,10 +217,9 @@ def test_criterion_5_graph_construction_counts(capsys):
     for trial in range(100):
         records, user_attrs, item_attrs = _random_counts_instance(rng.split(trial))
         bg = build_bipartite(table(records))
-        kg_u = build_user_side_ckg(bg, item_attrs)
-        kg_i = build_item_side_ckg(bg, user_attrs)
-        ok = ok and kg_u.n_triples == bg.n_edges + len(item_attrs)
-        ok = ok and kg_i.n_triples == bg.n_edges + len(user_attrs)
+        kg_u, kg_i, _ = build_graphs(bg, user_attrs, item_attrs)
+        ok = ok and kg_u.n_triples == len(bg.edges) + len(item_attrs)
+        ok = ok and kg_i.n_triples == len(bg.edges) + len(user_attrs)
     assert _verdict(
         capsys, 5,
         ok,

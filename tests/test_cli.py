@@ -118,6 +118,37 @@ class TestSynth:
         for name in self.FILES:
             assert (tmp_path / "empty" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
 
+    def test_manifest_counts_only_the_drawn_items(self, tmp_path, capsys):
+        # 10 users drawing 2 items each from 50 reach 17 of them: the manifest announces those
+        out = tmp_path / "sparse"
+        argv = ["--users", "10", "--items", "50", "--per-user", "2", "--factors", "2", "--noise", "0", "--seed", "1"]
+        assert run("synth", "--out", out, *argv) == 0
+        assert (out / "manifest.txt").read_text() == "users=10\nitems=17\ninteractions=20\n"
+        flags = ["--interactions", out / "interactions.tsv", "--manifest", out / "manifest.txt"]
+        assert run("ingest", *flags) == 0
+        assert "counts match" in capsys.readouterr().out
+        assert run("train", *flags, *TRAIN_SETS, "--out", tmp_path / "run") == 0
+
+    def test_failed_manifest_replace_leaves_no_earlier_file(self, dataset, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "data"
+        shutil.copytree(dataset, out)
+        again = tmp_path / "again"
+        assert run("synth", "--out", again, *SYNTH_ARGS, "--users", "30", "--seed", "8") == 0
+        real = os.replace
+
+        def crash_on_manifest(src, dst):
+            if os.path.basename(dst) == "manifest.txt":
+                raise OSError("simulated crash while writing manifest.txt")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_manifest)
+        assert run("synth", "--out", out, *SYNTH_ARGS, "--users", "30", "--seed", "8") == 2
+        assert "simulated crash" in capsys.readouterr().err
+        # the new run's files up to the manifest, and nothing of the run before
+        assert sorted(os.listdir(out)) == sorted(name for name in self.FILES if name != "manifest.txt")
+        for name in os.listdir(out):
+            assert (out / name).read_bytes() == (again / name).read_bytes()
+
 
 class TestIngest:
     def test_counts_line(self, dataset, capsys):
@@ -134,6 +165,14 @@ class TestIngest:
         )
         assert code == 0
         assert "counts match" in capsys.readouterr().out
+
+    def test_builds_no_graph(self, dataset, monkeypatch, capsys):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("ingest built a graph")
+
+        monkeypatch.setattr(cli, "build_bipartite", no_graph)
+        assert run("ingest", "--interactions", dataset / "interactions.tsv", "--manifest", dataset / "manifest.txt") == 0
+        assert "records=100 users=20 items=15 edges=100" in capsys.readouterr().out
 
     def test_manifest_mismatch_exits_1(self, dataset, tmp_path, capsys):
         bad = tmp_path / "manifest.txt"
@@ -963,6 +1002,11 @@ VALIDATION_FAILURES = {
     "l-values-empty": (None, ["sweep-layers", "--interactions", "{data}/interactions.tsv", "--l-values", ","],
                        "--l-values must be a comma-separated integer list, got ','"),
     "missing-input": (None, ["build-graph", "--interactions", "{tmp}/nope.tsv"], "No such file or directory"),
+    "synth-out-is-a-file": (None, ["synth", "--out", "{data}/manifest.txt"], "File exists"),
+    "train-out-under-a-file": (None, ["train", "--interactions", "{data}/interactions.tsv", *TRAIN_SETS,
+                                      "--out", "{data}/manifest.txt/run"], "Not a directory"),
+    "train-input-under-a-file": (None, ["train", "--interactions", "{data}/manifest.txt/x.tsv", "--out", "{tmp}/t"],
+                                 "Not a directory"),
 }
 
 
@@ -977,3 +1021,25 @@ def test_validation_failures_exit_1(case, dataset, run_dir, tmp_path, monkeypatc
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
     assert "fault:" not in captured.err
+
+
+# stored config or input_digests -> (the metadata change, a part of the error line)
+MALFORMED_STORED = {
+    "epochs-a-string": (lambda meta: meta["config"].update(epochs="3"), "epochs is '3'"),
+    "dims-an-int": (lambda meta: meta["config"].update(dims=5), "dims is 5"),
+    "top_k-null": (lambda meta: meta["config"].update(top_k=None), "top_k is None"),
+    "lr-a-word": (lambda meta: meta["config"].update(lr="fast"), "lr is 'fast'"),
+    "config-a-list": (lambda meta: meta.update(config=[]), "metadata config must be an object"),
+    "input_digests-a-list": (lambda meta: meta.update(input_digests=[]), "metadata input_digests must map"),
+}
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["recommend", "--user", "u0"]], ids=["evaluate", "recommend"])
+@pytest.mark.parametrize("case", list(MALFORMED_STORED))
+def test_malformed_stored_metadata_exits_1(dataset, run_dir, tmp_path, capsys, case, command):
+    change, message = MALFORMED_STORED[case]
+    bad = tmp_path / "bad.ckgr"
+    rewrite_metadata(run_dir / "checkpoint.ckgr", bad, change)
+    assert run(*command, "--checkpoint", bad, *data_flags(dataset)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and message in captured.err

@@ -2,8 +2,9 @@
 
 import pytest
 
-from ckgrec.config import RunConfig, load_config, parse_assignments
+from ckgrec.config import RunConfig, assignments, load_config, parse_assignments
 from ckgrec.errors import ConfigError
+from ckgrec.ingest import verify_manifest
 
 
 class TestDefaults:
@@ -126,6 +127,24 @@ class TestValidation:
             overrides=["attention.printed_form=true", "d=16", "k=16", "dims=16,16,8"]
         )
         assert cfg.printed_attention is True
+
+
+class TestAssignments:
+    LINES = "  {0} = 3   # spaced, with a comment\n\n# a comment line\n{1}=4#inline\n\t{2} =9 \n"
+
+    def test_manifest_and_config_file_read_alike(self, tmp_path):
+        manifest, config = tmp_path / "manifest.txt", tmp_path / "run.cfg"
+        manifest.write_text(self.LINES.format("users", "items", "interactions"))
+        config.write_text(self.LINES.format("d", "k", "epochs"))
+        read = {}
+        for path in (manifest, config):
+            with open(path, encoding="utf-8") as fh:
+                read[path] = list(assignments(fh, str(path)))
+        assert read[manifest] == [(1, "users", "3"), (4, "items", "4"), (5, "interactions", "9")]
+        assert read[config] == [(1, "d", "3"), (4, "k", "4"), (5, "epochs", "9")]
+        verify_manifest(manifest, {"users": 3, "items": 4, "interactions": 9})
+        cfg = load_config(config)
+        assert (cfg.d, cfg.k, cfg.epochs) == (3, 4, 9)
 
 
 class TestParseAssignments:

@@ -12,8 +12,6 @@ from ckgrec.graph import (
     AlignmentMap,
     build_bipartite,
     build_graphs,
-    build_item_side_ckg,
-    build_user_side_ckg,
 )
 from ckgrec.rng import Rng
 
@@ -21,19 +19,29 @@ from conftest import head_edges, rec, table
 from tablerows import rows_of
 
 
+def user_side(bg, item_attrs):
+    """The user-side graph `build_graphs` makes of `bg` and the item attributes."""
+    return build_graphs(bg, [], item_attrs)[0]
+
+
+def item_side(bg, user_attrs):
+    """The item-side graph `build_graphs` makes of `bg` and the user attributes."""
+    return build_graphs(bg, user_attrs, [])[1]
+
+
 class TestBuildBipartite:
     def test_empty(self):
         bg = build_bipartite(table([]))
-        assert (bg.n_users, bg.n_items, bg.n_edges) == (0, 0, 0)
+        assert (bg.n_users, bg.n_items, len(bg.edges)) == (0, 0, 0)
 
     def test_singleton(self):
         bg = build_bipartite(table([rec("u1", "i1", "view")]))
-        assert (bg.n_users, bg.n_items, bg.n_edges) == (1, 1, 1)
+        assert (bg.n_users, bg.n_items, len(bg.edges)) == (1, 1, 1)
         assert (bg.edges.user[0], bg.edges.item[0], rows_of(bg.edges)[0][2]) == (0, 0, frozenset({"view"}))
 
     def test_duplicate_pair_merges_types(self):
         bg = build_bipartite(table([rec("u1", "i1", "like"), rec("u1", "i1", "favorite")]))
-        assert bg.n_edges == 1
+        assert len(bg.edges) == 1
         assert rows_of(bg.edges)[0][2] == frozenset({"like", "favorite"})
 
     def test_first_seen_order(self):
@@ -58,7 +66,7 @@ class TestBuildBipartite:
     def test_vocab_records_widen_vocabulary(self):
         all_recs = [rec("u1", "i1"), rec("u2", "i2")]
         bg = build_bipartite(table(all_recs[:1]), vocab_records=table(all_recs))
-        assert bg.n_users == 2 and bg.n_items == 2 and bg.n_edges == 1
+        assert bg.n_users == 2 and bg.n_items == 2 and len(bg.edges) == 1
 
     @pytest.mark.parametrize(
         "edge, named", [(rec("u3", "i1"), "user 'u3'"), (rec("u1", "i9"), "item 'i9'")], ids=["user", "item"]
@@ -87,20 +95,20 @@ class TestCompositeRelation:
     """Interaction relations of built graphs: one per distinct type set."""
 
     def test_deterministic(self):
-        kg = build_user_side_ckg(one_edge_each([{"like"}, {"like"}]), [])
+        kg = user_side(one_edge_each([{"like"}, {"like"}]), [])
         assert kg.rels.tolist() == [0, 0] and kg.relations == [("interaction", "like")]
 
     def test_distinct_sets_distinct_ids(self):
-        kg = build_user_side_ckg(one_edge_each([{"like"}, {"like", "favorite"}]), [])
+        kg = user_side(one_edge_each([{"like"}, {"like", "favorite"}]), [])
         assert kg.rels.tolist() == [0, 1]
 
     def test_order_insensitive(self):
         bg = build_bipartite(table([rec("u1", "i1", "favorite", "like"), rec("u2", "i1", "like", "favorite")]))
-        kg = build_user_side_ckg(bg, [])
+        kg = user_side(bg, [])
         assert kg.rels.tolist() == [0, 0] and kg.relations == [("composite-interaction", "favorite|like")]
 
     def test_kind_classification(self):
-        kg = build_user_side_ckg(one_edge_each([{"view"}, {"view", "like"}]), [("i0", "genre", "g1")])
+        kg = user_side(one_edge_each([{"view"}, {"view", "like"}]), [("i0", "genre", "g1")])
         assert [kind for kind, _ in kg.relations] == ["interaction", "composite-interaction", "item-attribute"]
 
     def test_rejects_empty_set(self):
@@ -129,12 +137,12 @@ class TestCompositeRelation:
 
 class TestUserSideCkg:
     def test_empty(self):
-        kg = build_user_side_ckg(build_bipartite(table([])), [])
+        kg = user_side(build_bipartite(table([])), [])
         assert kg.entity_count == 0 and kg.n_triples == 0
 
     def test_two_users_one_item_plus_attr(self):
         bg = build_bipartite(table([rec("u1", "i1", "view"), rec("u2", "i1", "view")]))
-        kg = build_user_side_ckg(bg, [("i1", "genre", "g1")])
+        kg = user_side(bg, [("i1", "genre", "g1")])
         assert kg.n_triples == 3
         # u1 -> 1 neighbor, u2 -> 1, i1 -> 1 (its attribute)
         u1, u2 = 0, 1
@@ -145,30 +153,30 @@ class TestUserSideCkg:
 
     def test_distinct_type_sets_distinct_relations(self):
         bg = build_bipartite(table([rec("u1", "i1", "like"), rec("u2", "i2", "like", "favorite")]))
-        kg = build_user_side_ckg(bg, [])
+        kg = user_side(bg, [])
         rels = {int(r) for r in kg.rels}
         assert len(rels) == 2
 
     def test_unknown_attr_head_rejected(self):
         bg = build_bipartite(table([rec("u1", "i1")]))
         with pytest.raises(UnresolvedEntityError, match="ghost"):
-            build_user_side_ckg(bg, [("ghost", "genre", "g1")])
+            user_side(bg, [("ghost", "genre", "g1")])
 
     def test_duplicate_attr_triples_dropped_with_count(self):
         bg = build_bipartite(table([rec("u1", "i1")]))
-        kg = build_user_side_ckg(bg, [("i1", "genre", "g1"), ("i1", "genre", "g1")])
+        kg = user_side(bg, [("i1", "genre", "g1"), ("i1", "genre", "g1")])
         assert kg.n_triples == 2  # 1 edge + 1 attr
         assert kg.stats.duplicate_attributes == 1
 
 
 class TestItemSideCkg:
     def test_empty(self):
-        kg = build_item_side_ckg(build_bipartite(table([])), [])
+        kg = item_side(build_bipartite(table([])), [])
         assert kg.n_triples == 0
 
     def test_one_edge_one_user_attr(self):
         bg = build_bipartite(table([rec("u1", "i1", "view")]))
-        kg = build_item_side_ckg(bg, [("u1", "age", "a30")])
+        kg = item_side(bg, [("u1", "age", "a30")])
         assert kg.n_triples == 2
         i1, u1 = 0, 1  # items first on the item side
         assert len(kg.tails[head_edges(kg, i1)]) == 1
@@ -177,15 +185,14 @@ class TestItemSideCkg:
     def test_interaction_counts_mirror(self):
         records = [rec("u1", "i1", "like"), rec("u2", "i1", "view"), rec("u2", "i2", "view")]
         bg = build_bipartite(table(records))
-        kg_u = build_user_side_ckg(bg, [])
-        kg_i = build_item_side_ckg(bg, [])
-        assert kg_u.stats.interaction_triples == kg_i.stats.interaction_triples == bg.n_edges
+        kg_u, kg_i, _ = build_graphs(bg, [], [])
+        assert kg_u.stats.interaction_triples == kg_i.stats.interaction_triples == len(bg.edges)
 
 
 class TestNeighbors:
     def make(self):
         bg = build_bipartite(table([rec("u1", "i1"), rec("u1", "i2"), rec("u1", "i3"), rec("u2", "i9")]))
-        return build_user_side_ckg(bg, [])
+        return user_side(bg, [])
 
     def test_isolated_node_empty(self):
         kg = self.make()
@@ -237,31 +244,30 @@ class TestInvariants:
         for trial in range(60):
             records, user_attrs, item_attrs = random_instance(rng.split(trial))
             bg = build_bipartite(table(records))
-            kg_u = build_user_side_ckg(bg, item_attrs)
-            kg_i = build_item_side_ckg(bg, user_attrs)
+            kg_u, kg_i, _ = build_graphs(bg, user_attrs, item_attrs)
             uniq_item_attrs = len(set(item_attrs))
             uniq_user_attrs = len(set(user_attrs))
-            assert kg_u.n_triples == bg.n_edges + uniq_item_attrs
-            assert kg_i.n_triples == bg.n_edges + uniq_user_attrs
+            assert kg_u.n_triples == len(bg.edges) + uniq_item_attrs
+            assert kg_i.n_triples == len(bg.edges) + uniq_user_attrs
 
     def test_rebuild_is_bitwise_identical(self):
         records, user_attrs, item_attrs = random_instance(Rng(5))
-        first = build_user_side_ckg(build_bipartite(table(records)), item_attrs)
-        second = build_user_side_ckg(build_bipartite(table(records)), item_attrs)
+        first = user_side(build_bipartite(table(records)), item_attrs)
+        second = user_side(build_bipartite(table(records)), item_attrs)
         assert first.serialized() == second.serialized()
         assert first.digest() == second.digest()
 
     def test_digest_changes_with_input(self):
         records, _, item_attrs = random_instance(Rng(5))
-        base = build_user_side_ckg(build_bipartite(table(records)), item_attrs)
-        extra = build_user_side_ckg(build_bipartite(table(records + [rec("uX", "iX")])), item_attrs)
+        base = user_side(build_bipartite(table(records)), item_attrs)
+        extra = user_side(build_bipartite(table(records + [rec("uX", "iX")])), item_attrs)
         assert base.digest() != extra.digest()
 
     def test_neighbor_flatten_reproduces_triples(self):
         rng = Rng(91)
         for trial in range(20):
             records, user_attrs, item_attrs = random_instance(rng.split(trial))
-            kg = build_item_side_ckg(build_bipartite(table(records)), user_attrs)
+            kg = item_side(build_bipartite(table(records)), user_attrs)
             flat = []
             for h in range(kg.entity_count):
                 s = head_edges(kg, h)
@@ -308,4 +314,4 @@ class TestAlignment:
             expected[u].append(i)
         assert rows == [sorted(r) for r in expected]
         assert rows[bg.user_vocab.id_of("u3")] == []  # a user with no edge has an empty row
-        assert len(items) == bg.n_edges  # attribute triples have item heads and are left out
+        assert len(items) == len(bg.edges)  # attribute triples have item heads and are left out

@@ -271,19 +271,19 @@ class TestManifest:
     def test_match_passes(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("# counts\nusers=3\nitems=4\ninteractions=9\n")
-        verify_manifest(p, 3, 4, 9)
+        verify_manifest(p, {"users": 3, "items": 4, "interactions": 9})
 
     def test_mismatch_raises(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("users=3\nitems=4\ninteractions=9\n")
         with pytest.raises(FormatError, match="interactions"):
-            verify_manifest(p, 3, 4, 10)
+            verify_manifest(p, {"users": 3, "items": 4, "interactions": 10})
 
     def test_unknown_key_raises(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("users=3\nwidgets=1\n")
         with pytest.raises(FormatError, match="widgets"):
-            verify_manifest(p, 3, 0, 0)
+            verify_manifest(p, {"users": 3, "items": 0, "interactions": 0})
 
 
 class TestSynthGenerate:
