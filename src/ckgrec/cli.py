@@ -272,10 +272,11 @@ def cmd_synth(args) -> int:
             fh.write(f"user\tu{u}\t{f}\n")
         for i, f in enumerate(truth.item_factor.tolist()):
             fh.write(f"item\ti{i}\t{f}\n")
+    counts = record_counts(interactions)
     with open_replacing(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{key}={n}\n" for key, n in record_counts(interactions).items())
-    print(f"wrote synthetic dataset ({cfg.n_users} users, {cfg.n_items} items, "
-          f"{len(interactions)} interactions) to {args.out}")
+        fh.writelines(f"{key}={n}\n" for key, n in counts.items())
+    print(f"wrote synthetic dataset ({counts['users']} users, {counts['items']} items, "
+          f"{counts['interactions']} interactions) to {args.out}")
     return 0
 
 

@@ -8,10 +8,18 @@ two final vectors.  The ranking objective is the pairwise BPR loss over
 (user, observed item, unobserved item) triplets.  Training alternates
 it with both graphs' encoding losses (see `training`); no joint
 objective is ever formed.
+
+The two graphs share nothing until their outputs are stitched, so where
+both run independently (a forward pass, or one encoding phase each) they
+go through `both_sides`: on graphs larger than one edge block, the
+user side runs on one worker thread while the item side runs on the
+calling thread.  Each side computes exactly what it computes alone, so
+results are bitwise those of the two run in order.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +27,33 @@ import numpy as np
 from .errors import NumericFaultError
 from .graph import AlignmentMap, CollaborativeKG
 from .kernels import row_sums, sigmoid, softplus
-from .propagation import LayerStack, PropagationResult, init_stack, propagate, propagate_backward, resolve_dims
+from .propagation import EDGE_BLOCK, LayerStack, PropagationResult, init_stack, propagate, propagate_backward, resolve_dims
 from .rng import Rng
 from .transr import EmbeddingTable, init_table
+
+
+_worker: ThreadPoolExecutor | None = None  # runs the user side; started on first concurrent call
+
+
+def both_sides(user_side, item_side, concurrent: bool):
+    """(user_side(), item_side()), the two at once when `concurrent`.
+
+    Concurrently, the user side runs on the one worker thread and the
+    item side on the calling thread.  Neither is still running when this
+    returns or raises, and when both raise, the user side's error is the
+    one raised, as when the two run in order.
+    """
+    if not concurrent:
+        return user_side(), item_side()
+    global _worker
+    if _worker is None:
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ckgrec-user-side")
+    future = _worker.submit(user_side)
+    try:
+        item = item_side()
+    finally:
+        user = future.result()  # waits, and raises the user side's error over the item side's
+    return user, item
 
 
 @dataclass
@@ -50,21 +82,33 @@ class DualModel:
         for name, v in values.items():
             np.copyto(mine[name], v)
 
+    @property
+    def concurrent(self) -> bool:
+        """Whether the two graphs run at once: both have more than one edge block.
+
+        Below that a thread would save little and cost the worker's
+        allocator arena, so small graphs run in order and start no thread.
+        """
+        return min(self.kg_u.n_triples, self.kg_i.n_triples) > EDGE_BLOCK
+
     def propagate_both(self) -> tuple[PropagationResult, PropagationResult]:
-        return (
-            propagate(self.kg_u, self.table_u, self.stack_u),
-            propagate(self.kg_i, self.table_i, self.stack_i),
+        return both_sides(
+            lambda: propagate(self.kg_u, self.table_u, self.stack_u),
+            lambda: propagate(self.kg_i, self.table_i, self.stack_i),
+            self.concurrent,
         )
 
     def stitched(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each graph's stitched output, one forward pass at a time.
+        """Each graph's stitched output.
 
-        Only the stitched matrix of a pass is kept, so the user-side
-        per-edge caches are freed before the item-side pass starts.
+        Only the stitched matrix of a pass is kept.  When the two passes
+        run in order, the user-side per-edge caches are freed before the
+        item-side pass starts; when they run at once, both exist together.
         """
-        return (
-            propagate(self.kg_u, self.table_u, self.stack_u).stitched,
-            propagate(self.kg_i, self.table_i, self.stack_i).stitched,
+        return both_sides(
+            lambda: propagate(self.kg_u, self.table_u, self.stack_u).stitched,
+            lambda: propagate(self.kg_i, self.table_i, self.stack_i).stitched,
+            self.concurrent,
         )
 
     def representations(self, stitched_u: np.ndarray, stitched_i: np.ndarray):

@@ -2,10 +2,15 @@
 
 One epoch runs (a) a pass of encoding-loss mini-batches on the
 user-side graph, (b) the same on the item-side graph, then (c) a pass
-of pairwise ranking mini-batches.  A knowledge-graph step works on the
-rows its batch touches: `kg_loss` returns gradients for those rows
-only, the regularizer is added to them as weight decay, and Adam
-advances their moments alone, so the batch never moves other entities.
+of pairwise ranking mini-batches.  Phases (a) and (b) touch disjoint
+parameters, Adam slots and random streams; on graphs above
+`DualModel.concurrent`'s size gate they run at once (see
+`model.both_sides`), with results bitwise those of (a) then (b).
+
+A knowledge-graph step works on the rows its batch touches: `kg_loss`
+returns gradients for those rows only, the regularizer is added to them
+as weight decay, and Adam advances their moments alone, so the batch
+never moves other entities.
 A ranking step sends every parameter row through the same Adam update.
 
 All sampling derives from one root Rng split by (epoch, phase, batch),
@@ -27,7 +32,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import NumericFaultError, TrainingDiverged
-from .model import BprBatch, DualModel, bpr_loss
+from .model import BprBatch, DualModel, both_sides, bpr_loss
 from .rng import Rng
 from .transr import kg_loss, sample_absent, sample_batch
 
@@ -164,8 +169,12 @@ def train(
         started = time.perf_counter()
         last_good = _snapshot(model)
         try:
-            loss_u = _kg_epoch(model, "u", opt, cfg, rng.split(epoch, 0))
-            loss_i = _kg_epoch(model, "i", opt, cfg, rng.split(epoch, 1))
+            rng_u, rng_i = rng.split(epoch, 0), rng.split(epoch, 1)
+            loss_u, loss_i = both_sides(
+                lambda: _kg_epoch(model, "u", opt, cfg, rng_u),
+                lambda: _kg_epoch(model, "i", opt, cfg, rng_i),
+                model.concurrent,
+            )
             loss_cf = _cf_epoch(model, pairs, pos_keys, opt, cfg, rng.split(epoch, 2))
         except NumericFaultError as err:
             raise TrainingDiverged(

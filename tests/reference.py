@@ -418,6 +418,9 @@ def parse_interactions_records(path, format="tsv", strict=False):
                         ts = int(fields[3])
                     except ValueError:
                         issue = f"timestamp is not an integer: {fields[3]!r}"
+                    else:
+                        if not -2**63 < ts < 2**63:  # int64 min is the parser's "no timestamp"
+                            issue = f"timestamp is out of the 64-bit range: {fields[3]!r}"
                 if issue is None:
                     try:
                         value = float(fields[2])

@@ -124,6 +124,7 @@ class TestSynth:
         argv = ["--users", "10", "--items", "50", "--per-user", "2", "--factors", "2", "--noise", "0", "--seed", "1"]
         assert run("synth", "--out", out, *argv) == 0
         assert (out / "manifest.txt").read_text() == "users=10\nitems=17\ninteractions=20\n"
+        assert "(10 users, 17 items, 20 interactions)" in capsys.readouterr().out
         flags = ["--interactions", out / "interactions.tsv", "--manifest", out / "manifest.txt"]
         assert run("ingest", *flags) == 0
         assert "counts match" in capsys.readouterr().out

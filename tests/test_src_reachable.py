@@ -3,9 +3,11 @@
 Code that only the tests call belongs in tests/, so a definition must be
 referenced from src/ckgrec (re-exports in __init__.py do not count) or
 from the benchmark in bench/.  No module scatters with a ufunc's `.at`
-either: row sums have one vectorised path, `kernels.row_sums`.  And no
+either: row sums have one vectorised path, `kernels.row_sums`.  No
 module multiplies users by items outside `evaluate.score_block`, the
-one aligned block product every score comes from.
+one aligned block product every score comes from.  And no thread is
+started outside `model.both_sides`, the one place the two graphs run at
+once.
 """
 
 import ast
@@ -115,27 +117,57 @@ def test_no_ufunc_at_calls():
     assert not calls, f"ufunc.at scatters in src/ (use kernels.row_sums): {calls}"
 
 
+def _with_functions(tree):
+    """(node, name of the innermost enclosing function or None) of every node below `tree`."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            yield child, inner
+            yield from visit(child, inner)
+
+    return visit(tree, None)
+
+
+THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+THREAD_CALLS = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Process", "Pool", "start_new_thread", "submit"}
+
+
+def test_threads_start_only_in_both_sides():
+    """Only model.py imports a threading module, and only `both_sides` makes or feeds a worker."""
+    imports, calls = [], []
+    for path, tree in _definitions():
+        for node, function in _with_functions(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if path.name != "model.py" and any(m.split(".")[0] in THREAD_MODULES for m in modules):
+                imports.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if name in THREAD_CALLS and (path.name, function) != ("model.py", "both_sides"):
+                    calls.append(f"{path.name}:{node.lineno} in {function}")
+    assert not imports, f"threading modules imported outside model.py: {imports}"
+    assert not calls, f"threads made or fed outside model.both_sides: {calls}"
+
+
 PRODUCT_CALLS = {"matmul", "dot", "inner", "einsum", "tensordot", "vdot"}
 
 
 def _user_item_products(tree) -> list:
     """(line, enclosing function) of every product of an operand named for users with one named for items."""
     found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-            operands = []
-            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
-                operands = [child.left, child.right]
-            elif isinstance(child, ast.Call) and getattr(child.func, "attr", None) in PRODUCT_CALLS:
-                operands = child.args
-            text = [ast.unparse(operand).lower() for operand in operands]
-            if any("user" in t for t in text) and any("item" in t for t in text):
-                found.append((child.lineno, inner))
-            visit(child, inner)
-
-    visit(tree, None)
+    for node, function in _with_functions(tree):
+        operands = []
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in PRODUCT_CALLS:
+            operands = node.args
+        text = [ast.unparse(operand).lower() for operand in operands]
+        if any("user" in t for t in text) and any("item" in t for t in text):
+            found.append((node.lineno, function))
     return found
 
 

@@ -98,6 +98,7 @@ def hand_made_lines(sep: str) -> list[str]:
         f"u2{sep}{sep}1.0\n",                       # empty item
         f"u2{sep}i1{sep}\n",                        # empty value
         f"u2{sep}i1{sep}4.0{sep}soon\n",            # timestamp that is not an integer
+        f"u1{sep}i1{sep}1{sep}99999999999999999999\n",  # timestamp beyond int64
         f"u2{sep}i1{sep}1{sep}2{sep}3{sep}4\n",     # six fields
         f" u2 {sep} i5 {sep} 4.5 {sep} 7 \n",       # padded fields
         f"u2{sep}i6{sep}5\r",                       # lone CR line ending
@@ -150,6 +151,7 @@ def test_hand_made_file_reaches_every_branch(hand_made):
         "empty user or item id",
         "empty value field",
         "timestamp is not an integer",
+        "timestamp is out of the 64-bit range",
     }
     world = cli._build_world(RunConfig(**paths).validate())
     assert world.records.types.shape[1] == 2
