@@ -331,7 +331,7 @@ def _serving(path, blocks: dict, meta: dict, sizes) -> Serving:
     return Serving(blocks["serving.users"], blocks["serving.items"], ptr, items, tokens["users"], tokens["items"])
 
 
-def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None):
+def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None, inputs=None):
     """Bind a checkpoint to the world it is used in: (bound, meta).
 
     `loaded` is what `load(path)` returned, for a caller that has read
@@ -340,10 +340,13 @@ def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None):
     Given no graphs, the file binds to the world it stores, and `bound`
     is its `Serving`: `config` (a config dict) must give every key in
     `WORLD_KEYS` its stored value and name the same input files, each
-    with its stored sha256, wherever it lives now.  Given graphs,
-    `bound` is the model over them, and their counts and digests must
-    be the trained ones.  Any other world is a DimensionConflictError
-    that names the first key, file or graph that differs.
+    with its stored sha256, wherever it lives now.  `inputs` holds the
+    sha256 of the input files the caller has parsed, by config key, as
+    the parser took it from the bytes it read; only the other files are
+    hashed here.  Given graphs, `bound` is the model over them, and
+    their counts and digests must be the trained ones.  Any other world
+    is a DimensionConflictError that names the first key, file or graph
+    that differs.
     """
     table_u, stack_u, table_i, stack_i, meta, serving = load(path) if loaded is None else loaded
     if kg_u is None:
@@ -352,7 +355,9 @@ def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None):
             if config.get(key) != stored.get(key):
                 raise DimensionConflictError(f"{path} was trained with {KEY_OF[key]}={stored.get(key)!r}, "
                                              f"not {KEY_OF[key]}={config.get(key)!r}")
-        inputs, trained = input_digests(config), meta["input_digests"]
+        inputs = inputs or {}
+        inputs = {**input_digests({k: v for k, v in config.items() if k not in inputs}), **inputs}
+        trained = meta["input_digests"]
         for name in INPUT_FILES:
             if inputs.get(name) != trained.get(name):
                 raise DimensionConflictError(

@@ -22,11 +22,11 @@ its stored value, and every input file must have its stored sha256,
 wherever it lives now.  Scores come in aligned blocks of `RANK_BLOCK`
 users (`evaluate.score_block`): `recommend` computes only the block that
 holds its user, whose row is then the evaluated row bit for bit, and
-`evaluate` ranks every block.  `recommend` parses no data at all;
-`evaluate` re-derives only the split, for its test pairs, maps them to
-ids through the stored tokens and then binds again, so that a file
-edited during that read exits 1 too.  A checkpoint of an older format
-exits 1 and must be trained again.
+`evaluate` ranks every block.  `recommend` parses no data at all, so
+attach hashes every input file; `evaluate` re-derives only the split,
+for its test pairs, and binds with the digests of the interaction file
+and manifest it parsed, so attach hashes only the attribute files.  A
+checkpoint of an older format exits 1 and must be trained again.
 
 Exit codes: 0 success, 1 for validation problems (bad config, malformed
 or missing inputs, a file where a directory belongs, mismatched or
@@ -38,10 +38,10 @@ A run that diverges exits 2 after writing its last finite state to
 Every training/evaluation run writes a `run_manifest.json` with the
 resolved config, `--k` included as `top_k`, the seed, and the sha256 of
 each input file by config key, enough to reproduce the run bit for bit
-single-threaded.  `train`, `build-graph` and `sweep-layers` hash each
-input before the parse and again after it, and exit 1 if a file changed
-in between.  Every file the program writes replaces its target
-crash-safely (`ingest.open_replacing`).
+single-threaded.  Each parser reads its file once and takes the digest
+from the bytes it parsed, so no command opens an input file twice.
+Every file the program writes replaces its target crash-safely
+(`ingest.open_replacing`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,7 +80,6 @@ from .ingest import (
     INPUT_FILES,
     SynthConfig,
     filter_min_interactions,
-    input_digests,
     merge_records,
     open_replacing,
     parse_attribute_triples,
@@ -94,7 +93,6 @@ from .ingest import (
 )
 from .model import build_model
 from .rng import Rng
-from .table import Interactions
 from .training import train
 
 
@@ -122,10 +120,8 @@ def _resolve_config(args, meta_config=None) -> RunConfig:
 
 @dataclass
 class World:
-    """Parsed dataset, split, graphs, and index-space interaction pairs."""
+    """The graphs, the index-space interaction pairs, and the sha256 of each input file parsed, by config key."""
 
-    records: Interactions
-    split: object
     bg: object
     kg_u: object
     kg_i: object
@@ -133,7 +129,7 @@ class World:
     train_pairs: np.ndarray
     val_pairs: np.ndarray
     test_pairs: np.ndarray
-    inputs: dict = field(default_factory=dict)
+    inputs: dict
 
 
 def _require_path(cfg: RunConfig, name: str) -> str:
@@ -150,47 +146,47 @@ def _read_interactions(cfg: RunConfig, path, strict: bool = False):
     return parsed, records
 
 
-def _read_attributes(path) -> list:
-    """Attribute triples of `path` (none when unset)."""
+def _read_attributes(cfg: RunConfig, name: str, inputs: dict) -> list:
+    """Attribute triples of the file `cfg` names under `name` (none when unset); its sha256 goes into `inputs`."""
+    path = getattr(cfg, name)
     if not path:
         return []
-    triples, issues = parse_attribute_triples(path)
+    triples, issues, inputs[name] = parse_attribute_triples(path)
     if issues:
         print(f"warning: {len(issues)} malformed attribute lines skipped in {path}", file=sys.stderr)
     return triples
 
 
 def _read_split(cfg: RunConfig):
-    """Parse, binarize, merge and filter the interactions `cfg` names, then split them: (records, split).
+    """Parse, binarize, merge and filter the interactions `cfg` names, then split them: (records, split, inputs).
 
     Warns on malformed interaction lines and checks the counts against
-    the manifest `cfg` names.  `_build_world` and `evaluate` both get
-    their split here.
+    the manifest `cfg` names; `inputs` holds the sha256 of the bytes
+    each of the two files was parsed from.  A world with no record left
+    is an error.  `_build_world` and `evaluate` both get their split here.
     """
-    parsed, records = _read_interactions(cfg, _require_path(cfg, "interactions"))
+    path = _require_path(cfg, "interactions")
+    parsed, records = _read_interactions(cfg, path)
     if parsed.issues:
         print(f"warning: {len(parsed.issues)} malformed interaction lines skipped", file=sys.stderr)
+    if not len(records):
+        raise ConfigError(f"no interaction of {path} is left at threshold={cfg.threshold} and "
+                          f"min_interactions={cfg.min_interactions}")
+    inputs = {"interactions": parsed.digest}
     if cfg.manifest:
-        verify_manifest(cfg.manifest, record_counts(records))
-    return records, split_dataset(records, cfg.ratios, cfg.seed)
+        inputs["manifest"] = verify_manifest(cfg.manifest, record_counts(records))
+    return records, split_dataset(records, cfg.ratios, cfg.seed), inputs
 
 
 def _build_world(cfg: RunConfig) -> World:
-    inputs = input_digests(cfg.to_dict())
-    records, split = _read_split(cfg)
-    user_attrs = _read_attributes(cfg.user_attrs)
-    item_attrs = _read_attributes(cfg.item_attrs)
-    # hashed again after the parse: no digest names the bytes of a file edited in between
-    for name, digest in input_digests(cfg.to_dict()).items():
-        if digest != inputs.get(name):
-            raise ConfigError(f"the {name} file {getattr(cfg, name)} changed while it was read; run again")
+    records, split, inputs = _read_split(cfg)
+    user_attrs = _read_attributes(cfg, "user_attrs", inputs)
+    item_attrs = _read_attributes(cfg, "item_attrs", inputs)
     # vocabularies span the full dataset so held-out entities keep their ids,
     # but only training interactions become graph edges
     bg = build_bipartite(split.train, order=cfg.id_order, vocab_records=records)
     kg_u, kg_i, align = build_graphs(bg, user_attrs, item_attrs)
     return World(
-        records=records,
-        split=split,
         bg=bg,
         kg_u=kg_u,
         kg_i=kg_i,
@@ -332,7 +328,6 @@ def _write_train_outputs(world: World, cfg: RunConfig, out_dir, name: str, model
             )
     _write_run_manifest(out_dir, "train", cfg, world.inputs)
     saved = os.path.join(out_dir, name)
-    # the digests of the files this run parsed, not of what they hold by now
     ckpt.save(model, saved, {"config": cfg.to_dict(), "seed": cfg.seed, "epoch": epoch, "input_digests": world.inputs})
     return saved
 
@@ -372,10 +367,8 @@ def _load_checkpoint(args) -> tuple[ckpt.Loaded, RunConfig]:
 
 def cmd_evaluate(args) -> int:
     loaded, cfg = _load_checkpoint(args)
-    serving, meta = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())
-    split = _read_split(cfg)[1]
-    # hashed again after the parse: a file edited since attach hashed it may be another world
-    ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())
+    _, split, inputs = _read_split(cfg)
+    serving, meta = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict(), inputs=inputs)
     train_pairs = serving.train_pairs()
     test_pairs = vocab_pairs(split.test, Vocab(serving.user_tokens), Vocab(serving.item_tokens))
     train_truth = truth_by_user(train_pairs)

@@ -8,6 +8,7 @@ configuration is echoed into run manifests and checkpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -68,6 +69,7 @@ class RunConfig:
         require(self.top_k >= 1, f"top_k must be >= 1, got {self.top_k}")
         require(0.0 < self.slope < 1.0, f"activation slope must lie in (0,1), got {self.slope}")
         require(self.init_std > 0, f"init std must be positive, got {self.init_std}")
+        require(not math.isnan(self.threshold), "threshold must be a number, got nan")
         require(self.min_interactions >= 0, "min_interactions must be >= 0")
         require(self.eval_every >= 1, "eval_every must be >= 1")
         require(self.id_order in ("first-seen", "sorted"), f"unknown id_order {self.id_order!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,23 @@ class ParseIssue:
 @dataclass
 class ParseResult:
     records: Ratings
-    issues: list[ParseIssue] = field(default_factory=list)
+    issues: list[ParseIssue]
+    digest: str  # sha256 of the bytes parsed
+
+
+def _read_lines(path) -> tuple[list[str], str]:
+    """The lines of `path` and the sha256 of its bytes, from one read of the file.
+
+    The lines are `open(path, encoding="utf-8").read().split("\n")`:
+    with universal newlines, "\r\n" and a lone "\r" end a line as "\n"
+    does, and no other character does.  Every input parser reads
+    through here, so the digest a run records is that of the bytes it
+    parsed.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n"), hashlib.sha256(data).hexdigest()
 
 
 _SEPARATORS = {"tsv": "\t", "csv": ","}
@@ -87,7 +103,8 @@ def parse_interactions(path, format: str = "tsv", strict: bool = False) -> Parse
     distinct value is converted once.  Blank lines are skipped.  In
     strict mode the first malformed line raises; otherwise issues
     accumulate in the result.  A file whose every non-blank line is
-    malformed raises either way.
+    malformed raises either way.  The result carries the sha256 of the
+    bytes parsed (`_read_lines`).
     """
     sep = _SEPARATORS.get(format)
     if sep is None:
@@ -100,9 +117,8 @@ def parse_interactions(path, format: str = "tsv", strict: bool = False) -> Parse
     stamped, stamps = [], []  # rows that carry a timestamp, and their timestamps
     issues: list[ParseIssue] = []
     n_lines = 0
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()  # universal newlines: "\r\n" and "\r" are read as "\n"
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    lines, digest = _read_lines(path)
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         n_lines += 1
@@ -141,28 +157,27 @@ def parse_interactions(path, format: str = "tsv", strict: bool = False) -> Parse
     timestamp[stamped] = stamps
     user, item, value = (np.array(c, dtype=np.int64) for c in (user, item, value))
     ratings = Ratings(list(users), list(items), [_parse_value(t) for t in values], user, item, value, timestamp)
-    return ParseResult(ratings, issues)
+    return ParseResult(ratings, issues, digest)
 
 
 def parse_attribute_triples(path):
     """Parse TSV `head<TAB>relation<TAB>tail`; '#' lines are comments.
 
     Duplicate triples are returned as-is; graph construction dedups them
-    with a counter.  Returns (triples, issues).
+    with a counter.  Returns (triples, issues, sha256 of the bytes parsed).
     """
     triples: list[tuple[str, str, str]] = []
     issues: list[ParseIssue] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split("\t")]
-            if len(fields) != 3 or not all(fields):
-                issues.append(ParseIssue(lineno, f"expected 3 non-empty tab-separated fields, got {len(fields)}", line))
-                continue
-            triples.append((fields[0], fields[1], fields[2]))
-    return triples, issues
+    lines, digest = _read_lines(path)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if len(fields) != 3 or not all(fields):
+            issues.append(ParseIssue(lineno, f"expected 3 non-empty tab-separated fields, got {len(fields)}", line))
+            continue
+        triples.append((fields[0], fields[1], fields[2]))
+    return triples, issues, digest
 
 
 def to_implicit(ratings: Ratings, threshold: float = float("-inf")) -> Interactions:
@@ -216,20 +231,24 @@ def record_counts(records: Interactions) -> dict[str, int]:
     return {"users": len(np.unique(records.user)), "items": len(np.unique(records.item)), "interactions": len(records)}
 
 
-def verify_manifest(path, actual: dict[str, int]) -> None:
-    """Check `record_counts` against the manifest at `path`, `key = value` lines in config syntax."""
+def verify_manifest(path, actual: dict[str, int]) -> str:
+    """Check `record_counts` against the manifest at `path`, `key = value` lines in config syntax.
+
+    Returns the sha256 of the bytes checked.
+    """
     announced: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, key, value in assignments(fh, str(path)):
-            try:
-                announced[key] = int(value)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: count is not an integer: {value!r}")
+    lines, digest = _read_lines(path)
+    for lineno, key, value in assignments(lines, str(path)):
+        try:
+            announced[key] = int(value)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: count is not an integer: {value!r}")
     if unknown := sorted(set(announced) - set(actual)):
         raise FormatError(f"{path}: unknown manifest keys: {', '.join(unknown)}")
     if wrong := [f"{key}: manifest says {n}, parsed {actual[key]}"
                  for key, n in sorted(announced.items()) if n != actual[key]]:
         raise FormatError(f"{path}: count mismatch — " + "; ".join(wrong))
+    return digest
 
 
 INPUT_FILES = ("interactions", "user_attrs", "item_attrs", "manifest")  # config keys that name input files

@@ -436,6 +436,43 @@ def parse_interactions_records(path, format="tsv", strict=False):
     return ratings, issues
 
 
+def parse_attribute_triples_text_mode(path):
+    """(triples, issues) of an attribute file iterated in text mode; each issue is (line, message, raw)."""
+    triples, issues = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = [f.strip() for f in line.split("\t")]
+            if len(fields) == 3 and all(fields):
+                triples.append(tuple(fields))
+            else:
+                issues.append((lineno, f"expected 3 non-empty tab-separated fields, got {len(fields)}", line))
+    return triples, issues
+
+
+def manifest_counts_text_mode(path):
+    """The counts a manifest iterated in text mode announces, later lines winning.
+
+    A line that is not `key = integer` raises RecordError, with the message the package gives.
+    """
+    counts = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise RecordError(f"{path}:{lineno}: expected `key = value`, got {line.strip()!r}")
+            key, _, value = body.partition("=")
+            try:
+                counts[key.strip()] = int(value.strip())
+            except ValueError:
+                raise RecordError(f"{path}:{lineno}: count is not an integer: {value.strip()!r}")
+    return counts
+
+
 def to_implicit_records(ratings, threshold=float("-inf")):
     out = []
     for r in ratings:

@@ -1,5 +1,7 @@
 """Command-line pipeline, driven in-process through main(argv)."""
 
+import builtins
+import collections
 import hashlib
 import json
 import os
@@ -208,6 +210,10 @@ class TestIngest:
         assert "malformed=1" in captured.out
         assert "line 2" in captured.err
 
+    def test_empty_world_reports_zero_counts(self, dataset, capsys):
+        assert run("ingest", "--interactions", dataset / "interactions.tsv", "--set", "min_interactions=50") == 0
+        assert "records=0 users=0 items=0 edges=0" in capsys.readouterr().out
+
     def test_normalized_output_reparses(self, dataset, tmp_path, capsys):
         norm = tmp_path / "norm.tsv"
         assert run("ingest", "--interactions", dataset / "interactions.tsv", "--out", norm) == 0
@@ -392,24 +398,56 @@ class TestTrain:
         assert run("evaluate", "--checkpoint", out / "checkpoint.ckgr", *data_flags(dataset)) == 1
         assert "No such file" in capsys.readouterr().err
 
-    def test_input_edited_while_read_exits_1(self, dataset, tmp_path, capsys, monkeypatch):
+    def test_input_appended_after_its_parse_trains_on_the_bytes_parsed(self, dataset, tmp_path, capsys,
+                                                                       monkeypatch):
+        # the run records the digest of what it parsed; the file as it is now is another world
         edited = tmp_path / "data"
         shutil.copytree(dataset, edited)
         path = edited / "interactions.tsv"
+        parsed_bytes = path.read_bytes()
         real_parse = cli.parse_interactions
 
-        def parse_then_edit(*args, **kwargs):
+        def parse_then_append(*args, **kwargs):
             parsed = real_parse(*args, **kwargs)
             with open(path, "a") as fh:
                 fh.write("u0\ti14\tview\n")
             return parsed
 
-        monkeypatch.setattr(cli, "parse_interactions", parse_then_edit)
+        monkeypatch.setattr(cli, "parse_interactions", parse_then_append)
         out = tmp_path / "run"
-        assert run("train", *data_flags(edited), *TRAIN_SETS, "--out", out) == 1
+        assert run("train", *data_flags(edited), *TRAIN_SETS, "--out", out) == 0
+        monkeypatch.setattr(cli, "parse_interactions", real_parse)
+        want = hashlib.sha256(parsed_bytes).hexdigest()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() != want
+        assert json.loads((out / "run_manifest.json").read_text())["inputs"]["interactions"] == want
+        assert checkpoint.load(out / "checkpoint.ckgr").meta["input_digests"]["interactions"] == want
+        capsys.readouterr()
+        assert run("evaluate", "--checkpoint", out / "checkpoint.ckgr") == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and f"the interactions file {path} changed while it was read" in captured.err
-        assert not out.exists()
+        assert captured.out == "" and f"another interactions file: {path} " in captured.err
+
+    def test_each_input_file_is_opened_once(self, dataset, tmp_path, monkeypatch):
+        # one read per file gives both the parse and its digest
+        opened = collections.Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened[os.path.realpath(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        names = ("interactions.tsv", "user_attrs.tsv", "item_attrs.tsv", "manifest.txt")
+        flags, out = [*data_flags(dataset), "--manifest", dataset / "manifest.txt"], tmp_path / "run"
+        for argv in (
+            ["train", *flags, *TRAIN_SETS, "--out", out],
+            ["evaluate", "--checkpoint", out / "checkpoint.ckgr", *flags],
+            ["recommend", "--checkpoint", out / "checkpoint.ckgr", *flags, "--user", "u0"],
+        ):
+            opened.clear()
+            assert run(*argv) == 0
+            counts = {name: opened[os.path.realpath(dataset / name)] for name in names}
+            assert counts == dict.fromkeys(names, 1), argv[0]
 
     def test_diverged_run_removes_an_earlier_checkpoint(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
@@ -450,6 +488,44 @@ class TestTrain:
         )
         assert code == 1
         assert "CKGR_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["train", *TRAIN_SETS, "--out", "{tmp}/run"],
+    ["build-graph"],
+    ["sweep-layers", *TRAIN_SETS, "--l-values", "1", "--out", "{tmp}/run"],
+], ids=["train", "build-graph", "sweep-layers"])
+@pytest.mark.parametrize("empty", ["min-interactions-above-every-user", "blank-file"])
+def test_empty_world_exits_1(dataset, tmp_path, capsys, command, empty):
+    # every user of the dataset has 5 interactions
+    path, flags = dataset / "interactions.tsv", ["--set", "min_interactions=50"]
+    if empty == "blank-file":
+        path, flags = tmp_path / "blank.tsv", []
+        path.write_text("\n  \n")
+    argv = [command[0], *data_flags(dataset), "--interactions", path, *flags,
+            *(a.format(tmp=tmp_path) for a in command[1:])]
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: no interaction of {path} is left at threshold=-inf and "
+        f"min_interactions={50 if flags else 0}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_of_an_empty_world_exits_1(dataset, run_dir, tmp_path, capsys):
+    # a checkpoint whose stored world names a blank interaction file, with that file's digest
+    blank = tmp_path / "blank.tsv"
+    blank.write_text("\n")
+    ckpt = tmp_path / "checkpoint.ckgr"
+
+    def name_the_blank_file(meta):
+        meta["config"]["interactions"] = str(blank)
+        meta["input_digests"]["interactions"] = hashlib.sha256(blank.read_bytes()).hexdigest()
+
+    rewrite_metadata(run_dir / "checkpoint.ckgr", ckpt, name_the_blank_file)
+    assert run("evaluate", "--checkpoint", ckpt) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: no interaction of {blank} is left" in captured.err
 
 
 @pytest.mark.parametrize("command", [["evaluate"], ["recommend", "--user", "u0"]], ids=["evaluate", "recommend"])
@@ -721,7 +797,7 @@ class TestEvaluate:
 
     def test_interactions_edited_after_the_digest_check_exits_1(self, dataset, run_dir, tmp_path, capsys,
                                                                 monkeypatch):
-        # attach hashed the files before the split re-reads them: the split must come from the hashed bytes
+        # the file changes before the split's parse: attach compares the digest of the bytes that parse read
         edited = tmp_path / "data"
         shutil.copytree(dataset, edited)
         ckpt = tmp_path / "checkpoint.ckgr"
@@ -992,6 +1068,8 @@ VALIDATION_FAILURES = {
     "synth-bad-env-seed": ("lots", ["synth", "--out", "{tmp}/s"], "CKGR_SEED is not an integer: 'lots'"),
     "synth-bad-env-seed-with-seed-flag": ("lots", ["synth", "--out", "{tmp}/s", "--seed", "7"],
                                           "CKGR_SEED is not an integer: 'lots'"),
+    "train-nan-threshold": (None, ["train", "--interactions", "{data}/interactions.tsv", "--set", "threshold=nan",
+                                   "--out", "{tmp}/t"], "threshold must be a number, got nan"),
     "train-bad-env-seed": ("lots", ["train", "--interactions", "{data}/interactions.tsv", "--out", "{tmp}/t"],
                            "CKGR_SEED is not an integer: 'lots'"),
     "evaluate-k-0": (None, ["evaluate", *CHECKPOINT, "--interactions", "{data}/interactions.tsv", "--k", "0"],
@@ -1013,7 +1091,10 @@ VALIDATION_FAILURES = {
 
 @pytest.mark.parametrize("case", list(VALIDATION_FAILURES))
 def test_validation_failures_exit_1(case, dataset, run_dir, tmp_path, monkeypatch, capsys):
-    """The module docstring's contract: a validation problem exits 1 with an `error:` line, never a fault."""
+    """The module docstring's contract: a validation problem exits 1 with an `error:` line, never a fault.
+
+    It writes nothing either.
+    """
     env_seed, argv, message = VALIDATION_FAILURES[case]
     if env_seed is not None:
         monkeypatch.setenv("CKGR_SEED", env_seed)
@@ -1022,6 +1103,7 @@ def test_validation_failures_exit_1(case, dataset, run_dir, tmp_path, monkeypatc
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
     assert "fault:" not in captured.err
+    assert not any(tmp_path.iterdir())
 
 
 # stored config or input_digests -> (the metadata change, a part of the error line)

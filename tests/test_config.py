@@ -109,6 +109,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(overrides=["layers=5"])
 
+    def test_nan_threshold(self):
+        # NaN equals no value: a checkpoint trained with it could never bind again
+        with pytest.raises(ConfigError, match="threshold must be a number, got nan"):
+            load_config(overrides=["threshold=nan"])
+        assert load_config(overrides=["threshold=inf"]).threshold == float("inf")
+
     def test_slope_range(self):
         with pytest.raises(ConfigError):
             load_config(overrides=["slope=1.5"])

@@ -1,5 +1,6 @@
 """Parsing, implicit-feedback conversion, filtering, and the synthetic generator."""
 
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckgrec.errors import ConfigError, FormatError
+from ckgrec.errors import CkgrecError, ConfigError, FormatError
 from ckgrec.ingest import (
     SynthConfig,
     filter_min_interactions,
@@ -24,6 +25,7 @@ from ckgrec.ingest import (
 from ckgrec.rng import Rng
 from ckgrec.table import NO_TIME
 
+import reference as ref
 from conftest import table
 from reference import type_bits_reference
 from tablerows import ratings_from_rows, rows_of
@@ -155,20 +157,89 @@ class TestAttributeTriples:
     def test_basic_and_comment(self, tmp_path):
         p = tmp_path / "a.tsv"
         p.write_text("# header comment\ni1\tgenre\tg_comedy\n")
-        triples, issues = parse_attribute_triples(p)
+        triples, issues, _ = parse_attribute_triples(p)
         assert triples == [("i1", "genre", "g_comedy")] and issues == []
 
     def test_duplicates_kept(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("i1\tgenre\tg1\ni1\tgenre\tg1\n")
-        triples, _ = parse_attribute_triples(p)
+        triples = parse_attribute_triples(p)[0]
         assert len(triples) == 2
 
     def test_malformed_line_counted(self, tmp_path):
         p = tmp_path / "m.tsv"
         p.write_text("i1\tgenre\tg1\nshort\n")
-        triples, issues = parse_attribute_triples(p)
+        triples, issues, _ = parse_attribute_triples(p)
         assert len(triples) == 1 and issues[0].line == 2
+
+
+# line breaks of every kind, characters that str.splitlines() or str.strip() would treat as breaks or blanks,
+# a byte-order mark, and the tokens that make interaction, attribute and manifest lines
+PIECES = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b", "\x0c", "\ufeff", " ", "\t", ",", "#", "=",
+          "u1", "i2", "3", "like", "users", "items", "42", "x"]
+
+
+def mixed_bytes():
+    return st.lists(st.sampled_from(PIECES), max_size=40).map(lambda pieces: "".join(pieces).encode("utf-8"))
+
+
+class TestTextModeOracle:
+    """Each reader sees the lines a text-mode read gives, and the digest of the bytes it read."""
+
+    def written(self, tmp, data: bytes) -> Path:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(data)
+        return path
+
+    @given(mixed_bytes(), st.sampled_from(["tsv", "csv"]))
+    @settings(max_examples=200)
+    def test_interactions(self, data, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = self.written(tmp, data)
+            try:
+                ratings, issues = ref.parse_interactions_records(path, fmt)
+            except ref.RecordError as err:
+                with pytest.raises(FormatError) as got:
+                    parse_interactions(path, fmt)
+                assert str(got.value) == str(err)
+                return
+            parsed = parse_interactions(path, fmt)
+        assert [(i.line, i.message, i.raw) for i in parsed.issues] == issues
+        # repr, so that a NaN rating compares equal to itself
+        assert repr(rows_of(parsed.records)) == repr([(r.user, r.item, r.value, r.timestamp) for r in ratings])
+        assert parsed.digest == hashlib.sha256(data).hexdigest()
+
+    @given(mixed_bytes())
+    @settings(max_examples=200)
+    def test_attribute_triples(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = self.written(tmp, data)
+            triples, issues, digest = parse_attribute_triples(path)
+            want = ref.parse_attribute_triples_text_mode(path)
+        assert (triples, [(i.line, i.message, i.raw) for i in issues]) == want
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    @given(mixed_bytes())
+    @settings(max_examples=200)
+    def test_manifest(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = self.written(tmp, data)
+            try:
+                counts = ref.manifest_counts_text_mode(path)
+            except ref.RecordError as err:
+                with pytest.raises(CkgrecError) as got:
+                    verify_manifest(path, {})
+                assert str(got.value) == str(err)
+                return
+            # every announced count off by one: the mismatch lists each key the text-mode read found, with its value
+            actual = {key: n + 1 for key, n in counts.items()}
+            if counts:
+                want = f"{path}: count mismatch — " + "; ".join(
+                    f"{key}: manifest says {n}, parsed {n + 1}" for key, n in sorted(counts.items()))
+                with pytest.raises(FormatError) as got:
+                    verify_manifest(path, actual)
+                assert str(got.value) == want
+            assert verify_manifest(path, counts) == hashlib.sha256(data).hexdigest()
 
 
 class TestToImplicit:

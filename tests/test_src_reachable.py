@@ -7,7 +7,8 @@ either: row sums have one vectorised path, `kernels.row_sums`.  No
 module multiplies users by items outside `evaluate.score_block`, the
 one aligned block product every score comes from.  And no thread is
 started outside `model.both_sides`, the one place the two graphs run at
-once.
+once.  `cli` hashes no file: every digest it records comes from the
+parse that read the bytes.
 """
 
 import ast
@@ -182,3 +183,21 @@ def test_user_item_scores_come_from_score_block_only():
     assert not products, f"user-by-item products outside evaluate.score_block: {products}"
     evaluate = SRC / "evaluate.py"
     assert [f for _, f in _user_item_products(ast.parse(evaluate.read_text(encoding="utf-8")))] == ["score_block"]
+
+
+def test_cli_takes_every_input_digest_from_a_parser():
+    """`cli` neither imports hashlib nor names `ingest.input_digests`, so no second hashing pass reads an input.
+
+    Its digests come from the parsers (`ParseResult.digest`, the third
+    value of `parse_attribute_triples`, the value `verify_manifest`
+    returns) and `checkpoint.attach` hashes the files no parser read.
+    """
+    path = SRC / "cli.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").split(".")[0])
+    assert "hashlib" not in modules, "cli imports hashlib"
+    assert "input_digests" not in _referenced(path), "cli names input_digests"

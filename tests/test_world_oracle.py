@@ -48,10 +48,11 @@ def assert_same_world(cfg: RunConfig) -> None:
     # repr, so that a NaN rating compares equal to itself
     assert repr(rows_of(parsed.records)) == repr([(r.user, r.item, r.value, r.timestamp) for r in want["ratings"]])
 
+    records, split, _ = cli._read_split(cfg)
+    assert rows_of(records) == record_rows(want["records"])
+    for part, wanted in zip((split.train, split.validation, split.test), want["split"]):
+        assert rows_of(part) == record_rows(wanted)
     world = cli._build_world(cfg)
-    assert rows_of(world.records) == record_rows(want["records"])
-    for part, records in zip((world.split.train, world.split.validation, world.split.test), want["split"]):
-        assert rows_of(part) == record_rows(records)
     assert world.bg.user_vocab.tokens() == want["user_tokens"]
     assert world.bg.item_vocab.tokens() == want["item_tokens"]
     for kg, side in ((world.kg_u, want["user_side"]), (world.kg_i, want["item_side"])):
@@ -153,9 +154,9 @@ def test_hand_made_file_reaches_every_branch(hand_made):
         "timestamp is not an integer",
         "timestamp is out of the 64-bit range",
     }
-    world = cli._build_world(RunConfig(**paths).validate())
-    assert world.records.types.shape[1] == 2
-    assert max(len(types) for _, _, types, _ in rows_of(world.records)) == 70
+    records = cli._read_split(RunConfig(**paths).validate())[0]
+    assert records.types.shape[1] == 2
+    assert max(len(types) for _, _, types, _ in rows_of(records)) == 70
 
 
 def test_strict_mode_raises_the_same_error(hand_made):
