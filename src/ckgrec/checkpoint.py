@@ -44,12 +44,14 @@ The serving blocks are what `ckgrec recommend` and `ckgrec evaluate`
 rank from: a score is the inner product of a user's and an item's final
 representations, which depend only on the parameters and the graphs,
 and the CSR rows are the training items both exclude, which
-`evaluate`'s popularity baseline also counts.  `attach` binds a
-checkpoint to the world it stores: the values of the config keys that
-shape that world (`WORLD_KEYS`) and the sha256 of each input file.
-Given graphs instead, it binds only to the graphs the file was trained
-on: their entity and relation counts and their digests must match, and
-graphs that match give back the stored serving arrays bit for bit.
+`evaluate`'s popularity baseline also counts.  A checkpoint binds to the
+world it stores in two steps: `check_keys` compares the values of the
+config keys that shape that world (`WORLD_KEYS`) and opens no file, so
+it runs before any parse, and `attach` then compares the sha256 of each
+input file.  Given graphs instead, `attach` binds only to the graphs the
+file was trained on: their entity and relation counts and their digests
+must match, and graphs that match give back the stored serving arrays
+bit for bit.
 """
 
 from __future__ import annotations
@@ -331,30 +333,32 @@ def _serving(path, blocks: dict, meta: dict, sizes) -> Serving:
     return Serving(blocks["serving.users"], blocks["serving.items"], ptr, items, tokens["users"], tokens["items"])
 
 
+def check_keys(path, meta: dict, config: dict) -> None:
+    """Check that the config dict `config` gives every `WORLD_KEYS` key its value in `meta`; it opens no file."""
+    stored = meta.get("config") or {}
+    for key in WORLD_KEYS:
+        if config.get(key) != stored.get(key):
+            raise DimensionConflictError(f"{path} was trained with {KEY_OF[key]}={stored.get(key)!r}, "
+                                         f"not {KEY_OF[key]}={config.get(key)!r}")
+
+
 def attach(path, kg_u=None, kg_i=None, align=None, loaded=None, *, config=None, inputs=None):
     """Bind a checkpoint to the world it is used in: (bound, meta).
 
     `loaded` is what `load(path)` returned, for a caller that has read
-    the file already; without it the file is read here.
-
-    Given no graphs, the file binds to the world it stores, and `bound`
-    is its `Serving`: `config` (a config dict) must give every key in
-    `WORLD_KEYS` its stored value and name the same input files, each
-    with its stored sha256, wherever it lives now.  `inputs` holds the
-    sha256 of the input files the caller has parsed, by config key, as
-    the parser took it from the bytes it read; only the other files are
-    hashed here.  Given graphs, `bound` is the model over them, and
-    their counts and digests must be the trained ones.  Any other world
-    is a DimensionConflictError that names the first key, file or graph
-    that differs.
+    the file already; without it the file is read here.  Given graphs,
+    `bound` is the model over them, and their counts and digests must be
+    the trained ones.  Given none, `bound` is the stored `Serving`, and
+    `config` (a config dict, whose `WORLD_KEYS` `check_keys` checks
+    before any parse) must name the stored input files, each with its
+    stored sha256, wherever it lives now; `inputs` holds the sha256 the
+    parsers took from the bytes the caller parsed, by config key, and
+    only the other files are hashed here.  Any other world is a
+    DimensionConflictError that names the first file or graph that
+    differs.
     """
     table_u, stack_u, table_i, stack_i, meta, serving = load(path) if loaded is None else loaded
     if kg_u is None:
-        stored = meta.get("config") or {}
-        for key in WORLD_KEYS:
-            if config.get(key) != stored.get(key):
-                raise DimensionConflictError(f"{path} was trained with {KEY_OF[key]}={stored.get(key)!r}, "
-                                             f"not {KEY_OF[key]}={config.get(key)!r}")
         inputs = inputs or {}
         inputs = {**input_digests({k: v for k, v in config.items() if k not in inputs}), **inputs}
         trained = meta["input_digests"]

@@ -16,16 +16,16 @@ error for every command, even when another source supplies the seed.
 
 `evaluate` and `recommend` serve from the checkpoint or exit 1.  They
 rank the final user and item matrices and the training items it stores
-and build no graph, once `checkpoint.attach` has bound the file to the
-world it stores: the resolved config must give every `WORLD_KEYS` key
-its stored value, and every input file must have its stored sha256,
-wherever it lives now.  Scores come in aligned blocks of `RANK_BLOCK`
-users (`evaluate.score_block`): `recommend` computes only the block that
-holds its user, whose row is then the evaluated row bit for bit, and
-`evaluate` ranks every block.  `recommend` parses no data at all, so
-attach hashes every input file; `evaluate` re-derives only the split,
-for its test pairs, and binds with the digests of the interaction file
-and manifest it parsed, so attach hashes only the attribute files.  A
+and build no graph.  Before any input file is opened,
+`checkpoint.check_keys` requires the resolved config to give every
+`WORLD_KEYS` key its stored value; `checkpoint.attach` then requires
+every input file to have its stored sha256, wherever it lives now.
+Scores come in aligned blocks of `RANK_BLOCK` users
+(`evaluate.score_block`): `recommend` computes only the block that holds
+its user, whose row is then the evaluated row bit for bit, and
+`evaluate` ranks every block.  `recommend` parses no data, so attach
+hashes every input file; `evaluate` re-derives only the split, for its
+test pairs, and passes attach the digests of the files it parsed.  A
 checkpoint of an older format exits 1 and must be trained again.
 
 Exit codes: 0 success, 1 for validation problems (bad config, malformed
@@ -360,9 +360,11 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint(args) -> tuple[ckpt.Loaded, RunConfig]:
-    """Read the checkpoint and resolve the config over its own (see `_resolve_config`)."""
+    """Read the checkpoint, resolve the config over its own (`_resolve_config`) and check the world keys."""
     loaded = ckpt.load(args.checkpoint)
-    return loaded, _resolve_config(args, loaded.meta.get("config"))
+    cfg = _resolve_config(args, loaded.meta.get("config"))
+    ckpt.check_keys(args.checkpoint, loaded.meta, cfg.to_dict())
+    return loaded, cfg
 
 
 def cmd_evaluate(args) -> int:
@@ -424,25 +426,21 @@ def cmd_sweep_layers(args) -> int:
     return 0
 
 
-def _add_config_flags(p) -> None:
-    p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one configuration key")
-    p.add_argument("--seed", type=int, help="random seed (overrides config; CKGR_SEED is the fallback)")
-
-
-def _add_data_flags(p) -> None:
-    p.add_argument("--interactions", help="interaction file (user, item, value[, timestamp])")
-    p.add_argument("--user-attrs", dest="user_attrs", help="user attribute triples (TSV)")
-    p.add_argument("--item-attrs", dest="item_attrs", help="item attribute triples (TSV)")
-    p.add_argument("--manifest", help="expected-count manifest to verify against")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckgrec",
         description="Dual collaborative knowledge-graph recommender",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the config and data-path flags of every command but synth
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key = value configuration file")
+    common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one configuration key")
+    common.add_argument("--seed", type=int, help="random seed (overrides config; CKGR_SEED is the fallback)")
+    common.add_argument("--interactions", help="interaction file (user, item, value[, timestamp])")
+    common.add_argument("--user-attrs", dest="user_attrs", help="user attribute triples (TSV)")
+    common.add_argument("--item-attrs", dest="item_attrs", help="item attribute triples (TSV)")
+    common.add_argument("--manifest", help="expected-count manifest to verify against")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True)
@@ -455,43 +453,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse, binarize, and summarize interactions")
-    _add_config_flags(p)
-    _add_data_flags(p)
+    p = sub.add_parser("ingest", help="parse, binarize, and summarize interactions", parents=[common])
     p.add_argument("--strict", action="store_true", help="fail on the first malformed line")
     p.add_argument("--out", help="write normalized records here")
     p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("build-graph", help="build both collaborative graphs and print stats")
-    _add_config_flags(p)
-    _add_data_flags(p)
+    p = sub.add_parser("build-graph", help="build both collaborative graphs and print stats", parents=[common])
     p.set_defaults(fn=cmd_build_graph)
 
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
-    _add_config_flags(p)
-    _add_data_flags(p)
+    p = sub.add_parser("train", help="train a model and write a checkpoint", parents=[common])
     p.add_argument("--out", help="output directory")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint against baselines")
-    _add_config_flags(p)
-    _add_data_flags(p)
+    p = sub.add_parser("evaluate", help="score a checkpoint against baselines", parents=[common])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--k", type=int, help="ranking cutoff: sets top_k")
     p.add_argument("--out", help="directory for eval.csv")
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("recommend", help="print top-K items for one user")
-    _add_config_flags(p)
-    _add_data_flags(p)
+    p = sub.add_parser("recommend", help="print top-K items for one user", parents=[common])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--user", required=True)
     p.add_argument("--k", type=int, help="list length: sets top_k")
     p.set_defaults(fn=cmd_recommend)
 
-    p = sub.add_parser("sweep-layers", help="train and evaluate at several depths")
-    _add_config_flags(p)
-    _add_data_flags(p)
+    p = sub.add_parser("sweep-layers", help="train and evaluate at several depths", parents=[common])
     p.add_argument("--l-values", dest="l_values", help="comma list of depths (default 1,2,3,4)")
     p.add_argument("--out", help="directory for sweep.csv")
     p.set_defaults(fn=cmd_sweep_layers)

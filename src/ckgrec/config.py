@@ -8,6 +8,7 @@ configuration is echoed into run manifests and checkpoints.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, fields
 
@@ -154,6 +155,25 @@ def _coerce(attr: str, raw: str):
     return raw if raw else None
 
 
+def read_lines(path, error=ConfigError) -> tuple[list[str], str]:
+    """The lines of `path` and the sha256 of its bytes, from one read of the file.
+
+    The lines are `open(path, encoding="utf-8").read().split("\n")`:
+    with universal newlines, "\r\n" and a lone "\r" end a line as "\n"
+    does, and no other character does.  A file that is not UTF-8 raises
+    `error`, naming the path and the offset of the first bad byte.  The
+    config file and every input parser read through here, so the digest
+    a run records is that of the bytes it parsed.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8: byte 0x{data[err.start]:02x} at offset {err.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), hashlib.sha256(data).hexdigest()
+
+
 def assignments(lines, source: str, comments: bool = True):
     """(line number, key, value) of each `key = value` line, stripped; with `comments`, `#` starts a comment."""
     for lineno, line in enumerate(lines, start=1):
@@ -187,8 +207,7 @@ def load_config(path=None, overrides=None, base=None) -> RunConfig:
     """
     values = {k: tuple(v) if k == "dims" else v for k, v in (base or {}).items() if k in _TYPES}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            values.update(parse_assignments(fh, str(path)))
+        values.update(parse_assignments(read_lines(path)[0], str(path)))
     if overrides:
         values.update(parse_assignments(overrides, "<override>", comments=False))
     return RunConfig(**values).validate()

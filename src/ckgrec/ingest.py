@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import assignments
+from .config import assignments, read_lines
 from .errors import ConfigError, FormatError
 from .rng import Rng
 from .table import NO_TIME, Interactions
@@ -71,21 +71,6 @@ class ParseResult:
     digest: str  # sha256 of the bytes parsed
 
 
-def _read_lines(path) -> tuple[list[str], str]:
-    """The lines of `path` and the sha256 of its bytes, from one read of the file.
-
-    The lines are `open(path, encoding="utf-8").read().split("\n")`:
-    with universal newlines, "\r\n" and a lone "\r" end a line as "\n"
-    does, and no other character does.  Every input parser reads
-    through here, so the digest a run records is that of the bytes it
-    parsed.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n"), hashlib.sha256(data).hexdigest()
-
-
 _SEPARATORS = {"tsv": "\t", "csv": ","}
 
 
@@ -104,7 +89,7 @@ def parse_interactions(path, format: str = "tsv", strict: bool = False) -> Parse
     strict mode the first malformed line raises; otherwise issues
     accumulate in the result.  A file whose every non-blank line is
     malformed raises either way.  The result carries the sha256 of the
-    bytes parsed (`_read_lines`).
+    bytes parsed (`config.read_lines`).
     """
     sep = _SEPARATORS.get(format)
     if sep is None:
@@ -117,7 +102,7 @@ def parse_interactions(path, format: str = "tsv", strict: bool = False) -> Parse
     stamped, stamps = [], []  # rows that carry a timestamp, and their timestamps
     issues: list[ParseIssue] = []
     n_lines = 0
-    lines, digest = _read_lines(path)
+    lines, digest = read_lines(path, FormatError)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -168,7 +153,7 @@ def parse_attribute_triples(path):
     """
     triples: list[tuple[str, str, str]] = []
     issues: list[ParseIssue] = []
-    lines, digest = _read_lines(path)
+    lines, digest = read_lines(path, FormatError)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -237,7 +222,7 @@ def verify_manifest(path, actual: dict[str, int]) -> str:
     Returns the sha256 of the bytes checked.
     """
     announced: dict[str, int] = {}
-    lines, digest = _read_lines(path)
+    lines, digest = read_lines(path, FormatError)
     for lineno, key, value in assignments(lines, str(path)):
         try:
             announced[key] = int(value)

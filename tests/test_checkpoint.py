@@ -11,7 +11,7 @@ import types
 import numpy as np
 import pytest
 
-from ckgrec.checkpoint import BLOCK_ALIGN, MAGIC, _blocks, attach, load, save
+from ckgrec.checkpoint import BLOCK_ALIGN, MAGIC, _blocks, attach, check_keys, load, save
 from ckgrec.errors import DimensionConflictError, FormatError
 
 from conftest import checkpoint_sides, rewrite_metadata, toy_dual
@@ -96,6 +96,7 @@ class TestRoundTrip:
         assert np.array_equal(res_i.stitched, want_i.stitched)
 
     def test_attach_without_graphs_binds_to_the_stored_world(self, tmp_path):
+        # the world keys are checked apart, before any parse (check_keys); attach checks the input files
         model, _ = toy_dual()
         data = tmp_path / "interactions.txt"
         data.write_text("u1 i1\n")
@@ -108,16 +109,19 @@ class TestRoundTrip:
         loaded = load(path)
         moved = tmp_path / "moved.txt"
         moved.write_bytes(data.read_bytes())
-        assert attach(path, loaded=loaded, config={**config, "d": 8})[0] is loaded.serving  # a key outside WORLD_KEYS
+        check_keys(path, loaded.meta, {**config, "d": 8})  # a key outside WORLD_KEYS
+        assert attach(path, loaded=loaded, config={**config, "d": 8})[0] is loaded.serving
         assert attach(path, loaded=loaded, config={**config, "interactions": str(moved)})[0] is loaded.serving
         with pytest.raises(DimensionConflictError, match="trained with seed=3, not seed=4"):
-            attach(path, loaded=loaded, config={**config, "seed": 4})
+            check_keys(path, loaded.meta, {**config, "seed": 4})
         with pytest.raises(DimensionConflictError, match="another manifest file: .*moved.txt has sha256 "):
             attach(path, loaded=loaded, config={**config, "manifest": str(moved)})  # a file it was not trained on
         data.write_text("u1 i2\n")
         with pytest.raises(DimensionConflictError, match="another interactions file: .*interactions.txt has sha256 "):
             attach(path, loaded=loaded, config=config)  # an edited input
-
+        # a digest the caller parsed is taken as given: the edited file is not hashed again
+        parsed = {"interactions": loaded.meta["input_digests"]["interactions"]}
+        assert attach(path, loaded=loaded, config=config, inputs=parsed)[0] is loaded.serving
 
 
 def _root(array):

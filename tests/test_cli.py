@@ -1,5 +1,6 @@
 """Command-line pipeline, driven in-process through main(argv)."""
 
+import argparse
 import builtins
 import collections
 import hashlib
@@ -77,6 +78,20 @@ def run_dir(dataset, tmp_path_factory):
     code = run("train", *data_flags(dataset), "--out", out, *TRAIN_SETS, "--seed", "7")
     assert code == 0
     return out
+
+
+def count_opens(monkeypatch) -> collections.Counter:
+    """From now on every `open` of a path counts once under its real path."""
+    opened = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[os.path.realpath(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
 
 
 def no_world(monkeypatch) -> None:
@@ -428,15 +443,7 @@ class TestTrain:
 
     def test_each_input_file_is_opened_once(self, dataset, tmp_path, monkeypatch):
         # one read per file gives both the parse and its digest
-        opened = collections.Counter()
-        real_open = builtins.open
-
-        def counting_open(file, *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)):
-                opened[os.path.realpath(file)] += 1
-            return real_open(file, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", counting_open)
+        opened = count_opens(monkeypatch)
         names = ("interactions.tsv", "user_attrs.tsv", "item_attrs.tsv", "manifest.txt")
         flags, out = [*data_flags(dataset), "--manifest", dataset / "manifest.txt"], tmp_path / "run"
         for argv in (
@@ -656,12 +663,18 @@ class TestEvaluate:
         # the message names the key the user wrote, not the RunConfig field it sets
         (["--set", "split.train=0.7", "--set", "split.val=0.2", "--set", "split.test=0.1"],
          "split.train=0.8, not split.train=0.7"),
-    ], ids=["reordered-vocabulary", "reseeded-split", "resized-split"])
-    def test_another_world_exits_1(self, dataset, run_dir, capsys, flags, named):
+        # keys under which the data would not parse, or leave no record: the key is named, not the parse
+        (["--set", "format=csv"], "format='tsv', not format='csv'"),
+        (["--set", "min_interactions=50"], "min_interactions=0, not min_interactions=50"),
+    ], ids=["reordered-vocabulary", "reseeded-split", "resized-split", "csv-format", "no-user-left"])
+    def test_another_world_exits_1(self, dataset, run_dir, capsys, monkeypatch, flags, named):
+        opened = count_opens(monkeypatch)
         code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckgr", *data_flags(dataset), *flags)
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:") and f"trained with {named}" in captured.err
+        # the keys are checked before any input file is opened
+        assert [path for path in opened if path.startswith(os.path.join(os.path.realpath(dataset), ""))] == []
 
     def test_attribute_edit_keeping_the_counts_exits_1(self, dataset, run_dir, tmp_path, capsys):
         edited = tmp_path / "data"
@@ -1060,8 +1073,17 @@ class TestSweepLayers:
 
 CHECKPOINT = ["--checkpoint", "{ran}/checkpoint.ckgr"]
 
-# case -> (CKGR_SEED or None, argv, a part of the error line); {data}, {ran}
-# and {tmp} stand for the dataset, the trained run and a scratch directory
+# input files with one byte that is not UTF-8, at the offset each case names
+NOT_UTF8 = {
+    "interactions.tsv": b"u0\ti0\t1\nu1\ti\xe91\t1\n",
+    "item_attrs.tsv": b"i0\tgenre\tcaf\xff\n",
+    "manifest.txt": b"users = 20\nitems = \xe9\n",
+    "run.cfg": b"lr = 0.01\n# caf\xff\n",
+}
+
+# case -> (CKGR_SEED or None, argv, a part of the error line); {data}, {ran},
+# {bad} and {tmp} stand for the dataset, the trained run, the NOT_UTF8 files
+# and a scratch directory
 VALIDATION_FAILURES = {
     "unknown-set-key": (None, ["ingest", "--interactions", "{data}/interactions.tsv", "--set", "wobble=3"],
                         "unknown configuration key 'wobble'"),
@@ -1086,11 +1108,28 @@ VALIDATION_FAILURES = {
                                       "--out", "{data}/manifest.txt/run"], "Not a directory"),
     "train-input-under-a-file": (None, ["train", "--interactions", "{data}/manifest.txt/x.tsv", "--out", "{tmp}/t"],
                                  "Not a directory"),
+    "interactions-not-utf8": (None, ["ingest", "--interactions", "{bad}/interactions.tsv"],
+                              "{bad}/interactions.tsv: not UTF-8: byte 0xe9 at offset 12"),
+    "attributes-not-utf8": (None, ["train", "--interactions", "{data}/interactions.tsv", "--item-attrs",
+                                   "{bad}/item_attrs.tsv", "--out", "{tmp}/t"],
+                            "{bad}/item_attrs.tsv: not UTF-8: byte 0xff at offset 12"),
+    "manifest-not-utf8": (None, ["build-graph", "--interactions", "{data}/interactions.tsv", "--manifest",
+                                 "{bad}/manifest.txt"], "{bad}/manifest.txt: not UTF-8: byte 0xe9 at offset 19"),
+    "config-not-utf8": (None, ["ingest", "--config", "{bad}/run.cfg", "--interactions", "{data}/interactions.tsv"],
+                        "{bad}/run.cfg: not UTF-8: byte 0xff at offset 15"),
 }
 
 
+@pytest.fixture(scope="module")
+def not_utf8(tmp_path_factory):
+    out = tmp_path_factory.mktemp("not_utf8")
+    for name, data in NOT_UTF8.items():
+        (out / name).write_bytes(data)
+    return out
+
+
 @pytest.mark.parametrize("case", list(VALIDATION_FAILURES))
-def test_validation_failures_exit_1(case, dataset, run_dir, tmp_path, monkeypatch, capsys):
+def test_validation_failures_exit_1(case, dataset, run_dir, not_utf8, tmp_path, monkeypatch, capsys):
     """The module docstring's contract: a validation problem exits 1 with an `error:` line, never a fault.
 
     It writes nothing either.
@@ -1098,10 +1137,11 @@ def test_validation_failures_exit_1(case, dataset, run_dir, tmp_path, monkeypatc
     env_seed, argv, message = VALIDATION_FAILURES[case]
     if env_seed is not None:
         monkeypatch.setenv("CKGR_SEED", env_seed)
-    assert run(*[a.format(data=dataset, ran=run_dir, tmp=tmp_path) for a in argv]) == 1
+    places = {"data": dataset, "ran": run_dir, "bad": not_utf8, "tmp": tmp_path}
+    assert run(*[a.format(**places) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.err.startswith("error:") and message.format(**places) in captured.err
     assert "fault:" not in captured.err
     assert not any(tmp_path.iterdir())
 
@@ -1126,3 +1166,19 @@ def test_malformed_stored_metadata_exits_1(dataset, run_dir, tmp_path, capsys, c
     assert run(*command, "--checkpoint", bad, *data_flags(dataset)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:") and message in captured.err
+
+
+def test_every_command_but_synth_takes_the_shared_flags():
+    """The config and data-path flags are one set: every command but synth takes all seven, each alike."""
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    shared = ("--config", "--set", "--seed", "--interactions", "--user-attrs", "--item-attrs", "--manifest")
+
+    def described(parser):
+        return [(a.dest, a.type, a.help, type(a)) for a in map(parser._option_string_actions.get, shared) if a]
+
+    commands = [name for name in subparsers if name != "synth"]
+    assert commands == ["ingest", "build-graph", "train", "evaluate", "recommend", "sweep-layers"]
+    want = described(subparsers["ingest"])
+    assert [dest for dest, *_ in want] == ["config", "set", "seed", "interactions", "user_attrs", "item_attrs",
+                                           "manifest"]
+    assert all(described(subparsers[name]) == want for name in commands)
