@@ -11,8 +11,8 @@ Each command resolves one `RunConfig` through `config.load_config`, and
 that object goes unchanged to graph building, the model and `train`.
 Later sources win: defaults, `CKGR_SEED`, the checkpoint's own config
 (`evaluate`, `recommend`), `--config`, `--set`, the data-path flags,
-`--seed` and `--k` (`top_k`).  A set, non-empty `CKGR_SEED` that is not an integer is an
-error for every command, even when another source supplies the seed.
+`--seed` and `--k` (`top_k`).  A set, non-empty `CKGR_SEED` that is not an integer >= 0
+is an error for every command, even when another source supplies the seed.
 
 `evaluate` and `recommend` serve from the checkpoint or exit 1.  They
 rank the final user and item matrices and the training items it stores
@@ -97,12 +97,15 @@ from .training import train
 
 
 def _env_seed() -> int:
-    """CKGR_SEED as an integer; 0, the default seed, when unset or empty."""
+    """CKGR_SEED as an integer >= 0; 0, the default seed, when unset or empty."""
     raw = os.environ.get("CKGR_SEED")
     try:
-        return int(raw) if raw else 0
+        seed = int(raw) if raw else 0
     except ValueError:
         raise ConfigError(f"CKGR_SEED is not an integer: {raw!r}")
+    if seed < 0:
+        raise ConfigError(f"CKGR_SEED must be >= 0, got {seed}")
+    return seed
 
 
 def _resolve_config(args, meta_config=None) -> RunConfig:
@@ -146,15 +149,32 @@ def _read_interactions(cfg: RunConfig, path, strict: bool = False):
     return parsed, records
 
 
-def _read_attributes(cfg: RunConfig, name: str, inputs: dict) -> list:
-    """Attribute triples of the file `cfg` names under `name` (none when unset); its sha256 goes into `inputs`."""
+def _filtered_out(tokens: list, codes: np.ndarray) -> set:
+    """The tokens of a parsed interaction file that none of the kept records' `codes` names."""
+    named = np.zeros(len(tokens), dtype=bool)
+    named[codes] = True
+    return {token for token, kept in zip(tokens, named.tolist()) if not kept}
+
+
+def _read_attributes(cfg: RunConfig, name: str, inputs: dict, filtered: set) -> list:
+    """Attribute triples of the file `cfg` names under `name` (none when unset); its sha256 goes into `inputs`.
+
+    A triple whose head is in `filtered`, an entity of the interaction
+    file that the threshold or `min_interactions` removed, is skipped
+    with a warning; a head the interaction file never names is left for
+    the graph build to reject.
+    """
     path = getattr(cfg, name)
     if not path:
         return []
     triples, issues, inputs[name] = parse_attribute_triples(path)
     if issues:
         print(f"warning: {len(issues)} malformed attribute lines skipped in {path}", file=sys.stderr)
-    return triples
+    kept = [triple for triple in triples if triple[0] not in filtered]
+    if len(kept) < len(triples):
+        print(f"warning: {len(triples) - len(kept)} attribute lines about filtered-out entities skipped in {path}",
+              file=sys.stderr)
+    return kept
 
 
 def _read_split(cfg: RunConfig):
@@ -168,7 +188,7 @@ def _read_split(cfg: RunConfig):
     path = _require_path(cfg, "interactions")
     parsed, records = _read_interactions(cfg, path)
     if parsed.issues:
-        print(f"warning: {len(parsed.issues)} malformed interaction lines skipped", file=sys.stderr)
+        print(f"warning: {len(parsed.issues)} malformed interaction lines skipped in {path}", file=sys.stderr)
     if not len(records):
         raise ConfigError(f"no interaction of {path} is left at threshold={cfg.threshold} and "
                           f"min_interactions={cfg.min_interactions}")
@@ -180,8 +200,8 @@ def _read_split(cfg: RunConfig):
 
 def _build_world(cfg: RunConfig) -> World:
     records, split, inputs = _read_split(cfg)
-    user_attrs = _read_attributes(cfg, "user_attrs", inputs)
-    item_attrs = _read_attributes(cfg, "item_attrs", inputs)
+    user_attrs = _read_attributes(cfg, "user_attrs", inputs, _filtered_out(records.user_tokens, records.user))
+    item_attrs = _read_attributes(cfg, "item_attrs", inputs, _filtered_out(records.item_tokens, records.item))
     # vocabularies span the full dataset so held-out entities keep their ids,
     # but only training interactions become graph edges
     bg = build_bipartite(split.train, order=cfg.id_order, vocab_records=records)

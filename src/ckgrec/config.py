@@ -62,14 +62,15 @@ class RunConfig:
 
         require(self.d >= 1 and self.k >= 1, f"embedding widths must be >= 1, got d={self.d} k={self.k}")
         require(1 <= self.layers <= 4, f"layer count must lie in 1..4, got {self.layers}")
-        require(self.lr >= 0, f"learning rate must be >= 0, got {self.lr}")
-        require(self.reg >= 0, f"regularization weight must be >= 0, got {self.reg}")
+        require(0 <= self.lr < math.inf, f"lr must be finite and >= 0, got {self.lr}")
+        require(0 <= self.reg < math.inf, f"reg must be finite and >= 0, got {self.reg}")
         require(self.kg_batch >= 1 and self.cf_batch >= 1, "batch sizes must be >= 1")
         require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
         require(self.patience >= 1, f"patience must be >= 1, got {self.patience}")
         require(self.top_k >= 1, f"top_k must be >= 1, got {self.top_k}")
         require(0.0 < self.slope < 1.0, f"activation slope must lie in (0,1), got {self.slope}")
-        require(self.init_std > 0, f"init std must be positive, got {self.init_std}")
+        require(0 < self.init_std < math.inf, f"init_std must be finite and positive, got {self.init_std}")
+        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         require(not math.isnan(self.threshold), "threshold must be a number, got nan")
         require(self.min_interactions >= 0, "min_interactions must be >= 0")
         require(self.eval_every >= 1, "eval_every must be >= 1")
@@ -158,17 +159,19 @@ def _coerce(attr: str, raw: str):
 def read_lines(path, error=ConfigError) -> tuple[list[str], str]:
     """The lines of `path` and the sha256 of its bytes, from one read of the file.
 
-    The lines are `open(path, encoding="utf-8").read().split("\n")`:
+    The lines are `open(path, encoding="utf-8-sig").read().split("\n")`:
     with universal newlines, "\r\n" and a lone "\r" end a line as "\n"
-    does, and no other character does.  A file that is not UTF-8 raises
-    `error`, naming the path and the offset of the first bad byte.  The
-    config file and every input parser read through here, so the digest
-    a run records is that of the bytes it parsed.
+    does, and no other character does, and a leading byte-order mark is
+    dropped, so it never joins the first token.  A file that is not
+    UTF-8 raises `error`, naming the path and the offset of the first
+    bad byte.  The config file and every input parser read through
+    here, so the digest a run records is that of the bytes it parsed,
+    mark included.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         raise error(f"{path}: not UTF-8: byte 0x{data[err.start]:02x} at offset {err.start}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), hashlib.sha256(data).hexdigest()

@@ -269,6 +269,8 @@ class SynthConfig:
         for name in ("n_users", "n_items", "latent_dim", "interactions_per_user", "attr_entities_per_factor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"synth {name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"synth seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise < 1.0:
             raise ConfigError(f"synth noise must lie in [0, 1), got {self.noise}")
         if self.latent_dim > min(self.n_users, self.n_items):

@@ -397,7 +397,7 @@ def parse_interactions_records(path, format="tsv", strict=False):
     sep = {"tsv": "\t", "csv": ","}[format]
     ratings, issues = [], []
     n_lines = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
@@ -439,7 +439,7 @@ def parse_interactions_records(path, format="tsv", strict=False):
 def parse_attribute_triples_text_mode(path):
     """(triples, issues) of an attribute file iterated in text mode; each issue is (line, message, raw)."""
     triples, issues = [], []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -458,7 +458,7 @@ def manifest_counts_text_mode(path):
     A line that is not `key = integer` raises RecordError, with the message the package gives.
     """
     counts = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

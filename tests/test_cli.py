@@ -229,6 +229,17 @@ class TestIngest:
         assert run("ingest", "--interactions", dataset / "interactions.tsv", "--set", "min_interactions=50") == 0
         assert "records=0 users=0 items=0 edges=0" in capsys.readouterr().out
 
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, dataset, tmp_path, capsys):
+        assert run("ingest", "--interactions", dataset / "interactions.tsv") == 0
+        want = capsys.readouterr().out
+        marked = tmp_path / "interactions.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (dataset / "interactions.tsv").read_bytes())
+        assert run("ingest", "--interactions", marked) == 0
+        assert capsys.readouterr().out == want
+        # the recorded digest is that of the file's bytes, mark included
+        inputs = cli._read_split(load_config(overrides=[f"interactions={marked}"]))[2]
+        assert inputs == {"interactions": hashlib.sha256(marked.read_bytes()).hexdigest()}
+
     def test_normalized_output_reparses(self, dataset, tmp_path, capsys):
         norm = tmp_path / "norm.tsv"
         assert run("ingest", "--interactions", dataset / "interactions.tsv", "--out", norm) == 0
@@ -269,6 +280,44 @@ class TestBuildGraph:
         captured = capsys.readouterr()
         assert captured.err == f"warning: 1 malformed attribute lines skipped in {attrs}\n"
         assert captured.out == clean.out
+
+    # filter -> (the setting, interaction lines it drops whole, the attribute file, the head those lines name)
+    FILTERED_OUT = {
+        "min_interactions": ("min_interactions=3", "ux\ti0\t1.0\nux\ti1\t1.0\n", "user_attrs", "ux"),
+        "threshold": ("threshold=1", "u0\tix\t0.5\n", "item_attrs", "ix"),
+    }
+
+    @pytest.mark.parametrize("case", list(FILTERED_OUT))
+    def test_attribute_lines_of_filtered_out_entities_are_skipped(self, dataset, tmp_path, capsys, case):
+        setting, records, name, head = self.FILTERED_OUT[case]
+        edited = tmp_path / "data"
+        shutil.copytree(dataset, edited)
+        with open(edited / "interactions.tsv", "a") as fh:
+            fh.write(records)
+        attrs = edited / f"{name}.tsv"
+        clean = attrs.read_text()
+        _, relation, tail = clean.splitlines()[0].split("\t")
+        attrs.write_text(clean + f"{head}\t{relation}\t{tail}\n{head}\t{relation}\tonly-here\n")
+        without = tmp_path / "without.tsv"
+        without.write_text(clean)
+        assert run("build-graph", *data_flags(edited), "--set", setting) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: 2 attribute lines about filtered-out entities skipped in {attrs}\n"
+
+        def digests(path):
+            names = ("interactions", "user_attrs", "item_attrs")
+            world = cli._build_world(load_config(overrides=[*(f"{n}={edited / n}.tsv" for n in names), setting,
+                                                            f"{name}={path}"]))
+            return world.kg_u.digest(), world.kg_i.digest()
+
+        assert digests(attrs) == digests(without)
+        capsys.readouterr()
+        # a head the interaction file never names is still an error
+        with open(attrs, "a") as fh:
+            fh.write(f"ghost\t{relation}\t{tail}\n")
+        assert run("build-graph", *data_flags(edited), "--set", setting) == 1
+        side = name.split("_")[0]
+        assert capsys.readouterr().err.endswith(f"error: attribute triples reference unknown {side} heads: ghost\n")
 
 
 class TestTrain:
@@ -792,7 +841,8 @@ class TestEvaluate:
         want, _ = self.evaluate_output(run_dir / "checkpoint.ckgr", capsys, *data_flags(dataset))
         no_world(monkeypatch)
         out, err = self.evaluate_output(ckpt, capsys, *data_flags(edited))
-        assert out == want and err == "warning: 1 malformed interaction lines skipped\n"
+        assert out == want
+        assert err == f"warning: 1 malformed interaction lines skipped in {edited / 'interactions.tsv'}\n"
 
     def test_input_edited_between_calls_exits_1(self, dataset, run_dir, tmp_path, capsys):
         # the same process, the same paths: only the file's content tells the two calls apart
@@ -1092,6 +1142,24 @@ VALIDATION_FAILURES = {
                                           "CKGR_SEED is not an integer: 'lots'"),
     "train-nan-threshold": (None, ["train", "--interactions", "{data}/interactions.tsv", "--set", "threshold=nan",
                                    "--out", "{tmp}/t"], "threshold must be a number, got nan"),
+    "synth-negative-seed": (None, ["synth", "--out", "{tmp}/s", "--seed", "-3"], "synth seed must be >= 0, got -3"),
+    "synth-negative-env-seed": ("-1", ["synth", "--out", "{tmp}/s"], "CKGR_SEED must be >= 0, got -1"),
+    "build-graph-negative-seed": (None, ["build-graph", "--interactions", "{data}/interactions.tsv", "--seed", "-1"],
+                                  "seed must be >= 0, got -1"),
+    "train-negative-seed": (None, ["train", "--interactions", "{data}/interactions.tsv", "--seed", "-1",
+                                   "--out", "{tmp}/t"], "seed must be >= 0, got -1"),
+    "train-negative-env-seed": ("-1", ["train", "--interactions", "{data}/interactions.tsv", "--out", "{tmp}/t"],
+                                "CKGR_SEED must be >= 0, got -1"),
+    "recommend-negative-env-seed": ("-1", ["recommend", *CHECKPOINT, "--interactions", "{data}/interactions.tsv",
+                                           "--user", "u0"], "CKGR_SEED must be >= 0, got -1"),
+    "train-negative-set-seed": (None, ["train", "--interactions", "{data}/interactions.tsv", "--set", "seed=-1",
+                                       "--out", "{tmp}/t"], "seed must be >= 0, got -1"),
+    "train-infinite-init-std": (None, ["train", "--interactions", "{data}/interactions.tsv", "--set", "init_std=inf",
+                                       "--out", "{tmp}/t"], "init_std must be finite and positive, got inf"),
+    "train-infinite-lr": (None, ["train", "--interactions", "{data}/interactions.tsv", "--set", "lr=inf",
+                                 "--out", "{tmp}/t"], "lr must be finite and >= 0, got inf"),
+    "train-infinite-reg": (None, ["train", "--interactions", "{data}/interactions.tsv", "--set", "reg=inf",
+                                  "--out", "{tmp}/t"], "reg must be finite and >= 0, got inf"),
     "train-bad-env-seed": ("lots", ["train", "--interactions", "{data}/interactions.tsv", "--out", "{tmp}/t"],
                            "CKGR_SEED is not an integer: 'lots'"),
     "evaluate-k-0": (None, ["evaluate", *CHECKPOINT, "--interactions", "{data}/interactions.tsv", "--k", "0"],

@@ -43,6 +43,11 @@ class TestFileParsing:
         with pytest.raises(ConfigError, match=r"run\.cfg:1"):
             load_config(p)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("\ufeffepochs = 3\n", encoding="utf-8")
+        assert load_config(path).epochs == 3
+
     def test_dotted_aliases(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(

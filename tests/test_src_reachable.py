@@ -1,10 +1,10 @@
 """Every top-level function and class in src/ckgrec, and every method, is used by the program.
 
 Code that only the tests call belongs in tests/, so a definition must be
-referenced from src/ckgrec (re-exports in __init__.py do not count) or
-from the benchmark in bench/.  No module scatters with a ufunc's `.at`
-either: row sums have one vectorised path, `kernels.row_sums`.  No
-module multiplies users by items outside `evaluate.score_block`, the
+referenced from src/ckgrec or from the benchmark in bench/.  The package
+root re-exports nothing, so each name has one import path.  No module
+scatters with a ufunc's `.at` either: row sums have one vectorised
+path, `kernels.row_sums`.  No module multiplies users by items outside `evaluate.score_block`, the
 one aligned block product every score comes from.  And no thread is
 started outside `model.both_sides`, the one place the two graphs run at
 once.  `cli` hashes no file: every digest it records comes from the
@@ -36,8 +36,8 @@ def _referenced(path: Path, attributes_only: bool = False) -> set:
 
 
 def _program_names(attributes_only: bool = False) -> set:
-    """Every name the program mentions: src/ckgrec except __init__.py, and bench/."""
-    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    """Every name the program mentions: src/ckgrec and bench/."""
+    modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 5, f"found only {modules}; the glob is not reading the package"
     used = set()
     for path in modules + sorted(BENCH.glob("*.py")):
@@ -85,16 +85,23 @@ def test_every_method_is_referenced():
     assert not unreferenced, f"methods in src/ used only by tests, or not at all: {unreferenced}"
 
 
+def test_package_root_binds_only_its_version():
+    """`import ckgrec` loads no submodule: each name has one import path, the module that defines it."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"__init__.py imports on lines {imports}"
+    bound = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert bound == {"__version__"}
+    assert [type(node) for node in tree.body] == [ast.Expr, ast.Assign]
+
+
 def test_no_unused_imports():
     """Every name a module of src/ckgrec imports is used in that module.
 
-    __init__.py only re-exports, and `from __future__` imports switch on
-    language features; both are exempt.
+    `from __future__` imports switch on language features and are exempt.
     """
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = [
             alias.asname or alias.name.split(".")[0]
