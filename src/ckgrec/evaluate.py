@@ -8,13 +8,14 @@ user keeps at least one training record.
 
 Ranking is exact over the full catalog: scores for all items, the
 user's training items excluded, ties broken by ascending item id.
-Metrics are macro-averaged over users with non-empty ground truth.
+Metrics are macro-averaged over users with ground truth in the catalog.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -111,14 +112,27 @@ def truth_by_user(pairs: np.ndarray) -> dict[int, set]:
 RANK_BLOCK = 128  # users ranked together; bounds the per-block temporaries
 
 
-def _user_item_mask(block, sets: dict, n_items: int) -> np.ndarray:
-    """Boolean (len(block), n_items) matrix marking sets[u] on each user's row; other ids are dropped."""
-    cols = [np.fromiter(sets.get(u, ()), dtype=np.int64) for u in block]
-    rows = np.repeat(np.arange(len(block)), [len(c) for c in cols])
-    cols = np.concatenate(cols)
-    keep = (cols >= 0) & (cols < n_items)
-    mask = np.zeros((len(block), n_items), dtype=bool)
-    mask[rows[keep], cols[keep]] = True
+def _csr_rows(users: list, sets: dict, n_items: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sets[u] of each of `users` as CSR rows (ptr, row, col); ids outside [0, n_items) are dropped.
+
+    Row r holds entries ptr[r]:ptr[r + 1]; entry e marks (row[e], col[e]).
+    The sets are flattened in one pass, with no Python code per user.
+    """
+    got = list(map(sets.get, users, repeat(())))
+    sizes = np.fromiter(map(len, got), dtype=np.int64, count=len(got))
+    col = np.fromiter(chain.from_iterable(got), dtype=np.int64, count=int(sizes.sum()))
+    row = np.repeat(np.arange(len(got)), sizes)
+    keep = (col >= 0) & (col < n_items)
+    row, col = row[keep], col[keep]
+    return np.searchsorted(row, np.arange(len(got) + 1)), row, col
+
+
+def _block_mask(csr, at: int, n_rows: int, n_items: int) -> np.ndarray:
+    """Boolean (n_rows, n_items) matrix of CSR rows at:at + n_rows, built with one fancy assignment."""
+    ptr, row, col = csr
+    lo, hi = ptr[at], ptr[at + n_rows]
+    mask = np.zeros((n_rows, n_items), dtype=bool)
+    mask[row[lo:hi] - at, col[lo:hi]] = True
     return mask
 
 
@@ -135,7 +149,7 @@ def _top_k(neg: np.ndarray, excluded: np.ndarray, k: int) -> tuple[np.ndarray, n
     short = np.isnan(kth)  # fewer than k ranked non-NaN entries: every rankable one competes
     with np.errstate(invalid="ignore"):
         candidate = (neg <= kth[:, None]) | (short[:, None] & ~excluded)
-    rows, cols = np.nonzero(candidate)
+    rows, cols = divmod(np.flatnonzero(candidate), neg.shape[1])
     order = np.lexsort((cols, neg[rows, cols], rows))
     rows, cols = rows[order], cols[order]
     starts = np.searchsorted(rows, np.arange(len(neg)))
@@ -143,12 +157,27 @@ def _top_k(neg: np.ndarray, excluded: np.ndarray, k: int) -> tuple[np.ndarray, n
     return rows[top], cols[top]
 
 
+def _top_k_shared(order: np.ndarray, excluded: np.ndarray, most_excluded: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_top_k` of rows that all hold one score row, given `order`, its stable argsort of the negated scores.
+
+    A row's top k are the first k entries of `order` it does not exclude,
+    so with at most `most_excluded` exclusions in a row they lie in the
+    first k + most_excluded.
+    """
+    width = min(len(order), k + most_excluded)
+    head = order[:width]
+    kept = ~excluded[:, head]
+    rows, at = divmod(np.flatnonzero(kept & (np.cumsum(kept, axis=1) <= k)), width)
+    return rows, head[at]
+
+
 def topk_from_scores(scores: np.ndarray, k: int, exclude=None) -> np.ndarray:
     """Top-k item ids of one score row by descending score, ties by ascending id."""
     if k < 1:
         raise ConfigError(f"K must be >= 1, got {k}")
     neg = -np.asarray(scores, dtype=np.float64)[None, :]
-    excluded = _user_item_mask([0], {0: () if exclude is None else exclude}, neg.shape[1])
+    n_items = neg.shape[1]
+    excluded = _block_mask(_csr_rows([0], {0: () if exclude is None else exclude}, n_items), 0, 1, n_items)
     return _top_k(neg, excluded, k)[1]
 
 
@@ -157,24 +186,37 @@ def rank_and_score(score_matrix: np.ndarray, train_items: dict[int, set], truth:
 
     Every user with non-empty truth gets the top k of a stable descending
     sort of its scores, training items removed; users are ranked
-    RANK_BLOCK at a time.
+    RANK_BLOCK at a time.  Item ids outside [0, n_items) are dropped from
+    both dicts, and users left with no truth are not scored.  A matrix
+    whose rows are one shared row (row stride 0, as the baselines return)
+    is sorted once for all users.
     """
     if k < 1:
         raise ConfigError(f"K must be >= 1, got {k}")
-    users = [u for u in sorted(truth) if truth[u]]
+    users = sorted(compress(truth, truth.values()))
     if not users:
         return float("nan"), float("nan")
     n_items = score_matrix.shape[1]
-    hits = []
+    train, relevant = (_csr_rows(users, sets, n_items) for sets in (train_items, truth))
+    shared = score_matrix.strides[0] == 0
+    if shared:
+        order = np.argsort(-np.asarray(score_matrix[0], dtype=np.float64), kind="stable")
+        n_excluded = np.diff(train[0])
+    hits = np.empty(len(users))
     for at in range(0, len(users), RANK_BLOCK):
         block = users[at: at + RANK_BLOCK]
-        neg = -np.asarray(score_matrix[block], dtype=np.float64)
-        rows, cols = _top_k(neg, _user_item_mask(block, train_items, n_items), k)
-        relevant = _user_item_mask(block, truth, n_items)
-        hits.append(np.bincount(rows, weights=relevant[rows, cols], minlength=len(block)))
-    hits = np.concatenate(hits)
-    sizes = np.array([len(truth[u]) for u in users])
-    return float(np.mean(hits / k)), float(np.mean(hits / sizes))
+        excluded = _block_mask(train, at, len(block), n_items)
+        if shared:
+            rows, cols = _top_k_shared(order, excluded, int(n_excluded[at: at + len(block)].max()), k)
+        else:
+            rows, cols = _top_k(-np.asarray(score_matrix[block], dtype=np.float64), excluded, k)
+        weights = _block_mask(relevant, at, len(block), n_items)[rows, cols]
+        hits[at: at + len(block)] = np.bincount(rows, weights=weights, minlength=len(block))
+    sizes = np.diff(relevant[0])
+    scored = sizes > 0
+    if not scored.any():
+        return float("nan"), float("nan")
+    return float(np.mean(hits[scored] / k)), float(np.mean(hits[scored] / sizes[scored]))
 
 
 def score_block(users: np.ndarray, items: np.ndarray, at: int, out: np.ndarray | None = None) -> np.ndarray:

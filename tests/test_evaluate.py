@@ -277,26 +277,55 @@ class TestRankAndScore:
         p, r = rank_and_score(np.ones((2, 3)), {}, {}, 2)
         assert np.isnan(p) and np.isnan(r)
 
-    @pytest.mark.parametrize("n_users,n_items,k", [(300, 40, 10), (25, 6, 5), (40, 3, 10)])
-    def test_matches_per_user_reference(self, n_users, n_items, k):
-        """Heavy ties, +-inf and NaN scores; some users have fewer than k rankable items or no truth."""
+    @staticmethod
+    def random_world(rng, n_users, n_items, shared):
+        """Heavy ties, -0.0, +-inf and NaN scores; as one row broadcast to every user when `shared`."""
+        scores = rng.integers(0, 3, size=(n_users, n_items)).astype(np.float64)
+        scores[rng.random(scores.shape) < 0.1] = -0.0  # ties with 0.0
+        scores[rng.random(scores.shape) < 0.1] = np.inf
+        scores[rng.random(scores.shape) < 0.1] = -np.inf
+        scores[rng.random(scores.shape) < 0.05] = np.nan  # ranked last, as a stable argsort does
+        if shared:
+            scores = np.broadcast_to(scores[0], scores.shape)
+        train_items = {
+            u: set(rng.choice(n_items, size=int(rng.integers(0, n_items + 1)), replace=False).tolist())
+            for u in range(n_users) if rng.random() < 0.9
+        }
+        truth = {
+            u: set(rng.choice(n_items, size=int(rng.integers(0, min(n_items, 4) + 1)), replace=False).tolist())
+            for u in range(n_users) if rng.random() < 0.9
+        }
+        return scores, train_items, truth
+
+    @pytest.mark.parametrize("n_users,n_items,k,shared", [
+        pytest.param(*case, shared, id="-".join(map(str, case)) + ("-shared" if shared else ""))
+        for shared in (False, True) for case in [(300, 40, 10), (25, 6, 5), (30, 6, 6), (40, 3, 10)]
+    ])
+    def test_matches_per_user_reference(self, n_users, n_items, k, shared):
+        """Some users have fewer than k rankable items or no truth; k reaches n_items in two cases."""
         rng = np.random.default_rng(n_users)
         for trial in range(5):
-            scores = rng.integers(0, 3, size=(n_users, n_items)).astype(np.float64)
-            scores[rng.random(scores.shape) < 0.1] = np.inf
-            scores[rng.random(scores.shape) < 0.1] = -np.inf
-            scores[rng.random(scores.shape) < 0.05] = np.nan  # ranked last, as a stable argsort does
-            train_items = {
-                u: set(rng.choice(n_items, size=int(rng.integers(0, n_items + 1)), replace=False).tolist())
-                for u in range(n_users) if rng.random() < 0.9
-            }
-            truth = {
-                u: set(rng.choice(n_items, size=int(rng.integers(0, min(n_items, 4) + 1)), replace=False).tolist())
-                for u in range(n_users) if rng.random() < 0.9
-            }
+            scores, train_items, truth = self.random_world(rng, n_users, n_items, shared)
             assert any(not items for items in truth.values())
             assert any(n_items - len(train_items.get(u, ())) < k for u in truth)
             assert rank_and_score(scores, train_items, truth, k) == rank_and_score_reference(scores, train_items, truth, k)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_ids_outside_the_catalog_are_dropped(self, shared):
+        """Negative ids and ids >= n_items in either dict change nothing, on both ranking paths."""
+        n_users, n_items, k = 200, 12, 5
+        rng = np.random.default_rng(3)
+        scores, train_items, truth = self.random_world(rng, n_users, n_items, shared)
+        outside = [-n_items - 1, -1, n_items, n_items + 7]
+        with_outside = [{u: items | set(rng.choice(outside, size=2).tolist()) for u, items in sets.items()}
+                        for sets in (train_items, truth)]
+        assert any(not items for items in truth.values())  # users whose truth lies wholly outside are not scored
+        got = rank_and_score(scores, *with_outside, k)
+        assert got == rank_and_score(scores, train_items, truth, k)
+        assert got == rank_and_score_reference(scores, train_items, truth, k)
+        for u in range(3):
+            assert (topk_from_scores(scores[u], k, with_outside[0].get(u)).tolist()
+                    == topk_from_scores(scores[u], k, train_items.get(u)).tolist())
 
 
 class TestBaselines:
