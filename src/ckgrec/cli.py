@@ -95,6 +95,8 @@ from .model import build_model
 from .rng import Rng
 from .training import train
 
+NO_TEST_USERS = "no user has a test interaction"  # why every metric of a run is nan
+
 
 def _env_seed() -> int:
     """CKGR_SEED as an integer >= 0; 0, the default seed, when unset or empty."""
@@ -395,6 +397,8 @@ def cmd_evaluate(args) -> int:
     test_pairs = vocab_pairs(split.test, Vocab(serving.user_tokens), Vocab(serving.item_tokens))
     train_truth = truth_by_user(train_pairs)
     test_truth = truth_by_user(test_pairs)
+    if not test_truth:
+        print(f"warning: every metric is nan: {NO_TEST_USERS}", file=sys.stderr)
     n_users, n_items = len(serving.users), len(serving.items)
     report = EvalReport()
     for label, scores_of in (
@@ -440,8 +444,9 @@ def cmd_sweep_layers(args) -> int:
         model = _train_once(world, depth_cfg).model
         p, r = rank_and_score(model_scores(model), train_truth, test_truth, cfg.top_k)
         report.add(f"L={depth_cfg.layers}", cfg.top_k, p, r, cfg.seed, (time.perf_counter() - started) * 1e3)
-    best = max(report.rows, key=lambda r: r.recall)
-    notes = [f"best depth by recall: {best.label} (data-dependent, reported not asserted)"]
+    best = max((r for r in report.rows if np.isfinite(r.recall)), key=lambda r: r.recall, default=None)
+    notes = [f"best depth by recall: {best.label} (data-dependent, reported not asserted)" if best
+             else f"no depth could be scored: {NO_TEST_USERS}"]
     _report(report, args.out, "sweep.csv", "sweep-layers", cfg, world.inputs, notes)
     return 0
 

@@ -68,14 +68,11 @@ class DualModel:
 
     def params(self) -> dict[str, np.ndarray]:
         """Every trainable array under a stable flat name."""
-        out = {}
-        for prefix, table, stack in (("u.", self.table_u, self.stack_u), ("i.", self.table_i, self.stack_i)):
-            out[prefix + "entity"] = table.entity
-            out[prefix + "relation"] = table.relation
-            out[prefix + "projection"] = table.projection
-            for name, p in stack.params().items():
-                out[prefix + name] = p
-        return out
+        return {
+            prefix + name: p
+            for prefix, table, stack in (("u.", self.table_u, self.stack_u), ("i.", self.table_i, self.stack_i))
+            for name, p in {**table.params(), **stack.params()}.items()
+        }
 
     def set_params(self, values) -> None:
         mine = self.params()
@@ -177,17 +174,16 @@ def bpr_loss(model: DualModel, batch: BprBatch, res_u: PropagationResult, res_i:
     g_items = row_sums(np.concatenate([batch.pos_items, batch.neg_items]), np.concatenate([fu, -fu]), len(items))
     del users, items, fu, fd  # none is needed in the backward passes, where a step's memory peaks
 
-    # route final-vector gradients back to each graph's stitched output
-    (users_u, items_u), (users_i, items_i) = model.align.user_side, model.align.item_side
+    # per graph, user side first: route its columns of the final-vector gradients back to its stitched output
     su = model.stack_u.stitched_dim
-    gs_u = np.zeros_like(res_u.stitched)
-    gs_i = np.zeros_like(res_i.stitched)
-    gs_u[users_u], gs_u[items_u] = g_users[:, :su], g_items[:, :su]
-    gs_i[users_i], gs_i[items_i] = g_users[:, su:], g_items[:, su:]
-
     grads = {}
-    for name, g in propagate_backward(model.kg_u, model.table_u, model.stack_u, res_u, gs_u).items():
-        grads["u." + name] = g
-    for name, g in propagate_backward(model.kg_i, model.table_i, model.stack_i, res_i, gs_i).items():
-        grads["i." + name] = g
+    for prefix, kg, table, stack, res, (users_at, items_at), cols in (
+        ("u.", model.kg_u, model.table_u, model.stack_u, res_u, model.align.user_side, slice(None, su)),
+        ("i.", model.kg_i, model.table_i, model.stack_i, res_i, model.align.item_side, slice(su, None)),
+    ):
+        g_stitched = np.zeros_like(res.stitched)
+        g_stitched[users_at], g_stitched[items_at] = g_users[:, cols], g_items[:, cols]
+        for name, g in propagate_backward(kg, table, stack, res, g_stitched).items():
+            grads[prefix + name] = g
+        del g_stitched  # freed before the next graph's is made, so only one exists at a time
     return float(np.sum(losses)), grads

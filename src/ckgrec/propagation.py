@@ -22,7 +22,8 @@ Both passes run over a `PropagationPlan`, built once per graph on first
 use and kept on it.  The plan groups the edges four ways without
 reordering the graph, each grouping one `_Runs` (a stable permutation of
 the edges plus its runs of equal keys): per head, per tail, and per
-distinct (head, relation) and (tail, relation) pair.  Both attention
+distinct (head, relation) and (tail, relation) pair (one sort of
+relation * n_entities + entity, so each run is a pair).  Both attention
 factors depend on one edge end's pair only, so pt = A_r x_t is computed
 and cached once per tail pair and q = tanh(A_r x_h + e_r) once per head
 pair: a user heading twenty edges of one relation is projected once, not
@@ -234,16 +235,18 @@ class _Pairs:
     entity: np.ndarray    # entity of each pair
     relation: np.ndarray  # relation of each pair
     of_edge: np.ndarray   # pair of each edge
-    runs: _Runs           # each pair's edges; run i is pair i
+    runs: _Runs           # each pair's edges; run i is pair i, keyed relation * n_entities + entity
     relations: list[tuple[int, slice]]  # (relation id, its pairs)
 
     @classmethod
     def of(cls, ends: np.ndarray, rels: np.ndarray, n_entities: int) -> "_Pairs":
-        keys, of_edge = np.unique(rels * n_entities + ends, return_inverse=True)
-        rel_of_pair = keys // n_entities
-        by_rel = _Runs.of(rel_of_pair)
+        runs = _Runs.of(rels * n_entities + ends)
+        relation, entity = np.divmod(runs.ids, n_entities)
+        of_edge = np.empty_like(runs.order)
+        of_edge[runs.order] = np.repeat(np.arange(len(runs.ids)), runs.repeats)
+        by_rel = _Runs.of(relation)
         relations = [(int(r), slice(int(a), int(a + n))) for r, a, n in zip(by_rel.ids, by_rel.starts, by_rel.repeats)]
-        return cls(keys % n_entities, rel_of_pair, of_edge, _Runs.of(of_edge), relations)
+        return cls(entity, relation, of_edge, runs, relations)
 
     def project(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """A_r x_e for every pair (e, r); row `of_edge[i]` serves edge i."""
@@ -365,20 +368,13 @@ def propagate_backward(
     """Gradients of a scalar loss w.r.t. every parameter feeding `propagate`.
 
     `grad_stitched` is dL/d(stitched), shape (N, sum(dims)).  Returns a
-    flat dict: "entity", "relation", "projection" plus the stack's own
-    parameter names.
+    flat dict under the table's and then the stack's parameter names.
     """
     n = table.n_entities
     if grad_stitched.shape != (n, stack.stitched_dim):
         raise ShapeError(f"stitched gradient shape {grad_stitched.shape} != {(n, stack.stitched_dim)}")
     plan = kg.propagation_plan
-    grads = {
-        "entity": np.zeros_like(table.entity),
-        "relation": np.zeros_like(table.relation),
-        "projection": np.zeros_like(table.projection),
-    }
-    for name, p in stack.params().items():
-        grads[name] = np.zeros_like(p)
+    grads = {name: np.zeros_like(p) for name, p in {**table.params(), **stack.params()}.items()}
 
     # split the stitched gradient back into per-layer pieces
     splits = np.cumsum(stack.dims)[:-1]
@@ -392,11 +388,8 @@ def propagate_backward(
         g_a2 = g * leaky_relu_grad(c.a2, stack.slope)
         g_w1 = g_a1.T @ (x + c.msg)
         g_w2 = g_a2.T @ (x * c.msg)
-        if stack.shared:
-            grads[f"w1.{l}"] += g_w1 + g_w2
-        else:
-            grads[f"w1.{l}"] += g_w1
-            grads[f"w2.{l}"] += g_w2
+        grads[f"w1.{l}"] += g_w1
+        grads[f"w{1 if stack.shared else 2}.{l}"] += g_w2
         g_sum = g_a1 @ stack.w1[l - 1]
         g_prod = g_a2 @ stack.w2[l - 1]
         g_x = g_sum + g_prod * c.msg

@@ -48,6 +48,9 @@ class EmbeddingTable:
     def k(self) -> int:
         return self.relation.shape[1]
 
+    def params(self) -> dict[str, np.ndarray]:
+        return {"entity": self.entity, "relation": self.relation, "projection": self.projection}
+
 
 def init_table(n_entities: int, n_relations: int, d: int, k: int, std: float, rng: Rng) -> EmbeddingTable:
     return EmbeddingTable(

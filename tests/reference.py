@@ -222,6 +222,32 @@ def runs_sum_edge_major(runs, rows_of):
     )
 
 
+def pairs_reference(ends, rels, n_entities):
+    """The distinct (relation, entity) pairs of one edge end, from a dict of edge lists.
+
+    Returns (pairs, edges, of_edge, relations): the pairs in ascending
+    (relation, entity) order, each pair's edges in edge order, the pair
+    number of each edge, and (relation, slice of its pairs) per relation.
+    """
+    by_pair = {}
+    for e, (r, x) in enumerate(zip(np.asarray(rels).tolist(), np.asarray(ends).tolist())):
+        assert 0 <= x < n_entities
+        by_pair.setdefault((r, x), []).append(e)
+    pairs = sorted(by_pair)
+    number = {p: i for i, p in enumerate(pairs)}
+    of_edge = [0] * sum(map(len, by_pair.values()))
+    for p, edges in by_pair.items():
+        for e in edges:
+            of_edge[e] = number[p]
+    relations = []
+    for i, (r, _) in enumerate(pairs):
+        if relations and relations[-1][0] == r:
+            relations[-1] = (r, slice(relations[-1][1].start, i + 1))
+        else:
+            relations.append((r, slice(i, i + 1)))
+    return pairs, [by_pair[p] for p in pairs], of_edge, relations
+
+
 # ---------------------------------------------------------------------------
 # Edgewise propagation kernel: every edge projects its own head and tail
 # with A_r, and messages and gradients are scattered edge by edge with

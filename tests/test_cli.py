@@ -1121,6 +1121,40 @@ class TestSweepLayers:
         assert not (tmp_path / "sweep").exists()
 
 
+class TestNoTestUser:
+    """Two users with two records each: the split keeps every record in train, so every metric is nan."""
+
+    @pytest.fixture
+    def interactions(self, tmp_path):
+        path = tmp_path / "interactions.tsv"
+        path.write_text("u1\ti1\t1\nu1\ti2\t1\nu2\ti1\t1\nu2\ti3\t1\n")
+        return path
+
+    def test_sweep_names_no_best_depth(self, interactions, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run("sweep-layers", "--interactions", interactions, *TRAIN_SETS, "--l-values", "1", "--out", out) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[:2] == [
+            "L=1: precision@5=nan recall@5=nan",
+            "no depth could be scored: no user has a test interaction",
+        ]
+        assert "best depth" not in captured.out and captured.err == ""
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [["L=1", "5", "nan", "nan"]]
+
+    def test_evaluate_warns_once(self, interactions, tmp_path, capsys):
+        assert run("train", "--interactions", interactions, *TRAIN_SETS, "--out", tmp_path / "run") == 0
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        assert run("evaluate", "--checkpoint", tmp_path / "run" / "checkpoint.ckgr", "--out", out) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: every metric is nan: no user has a test interaction\n"
+        assert captured.out.splitlines()[:3] == [
+            f"{label}: precision@5=nan recall@5=nan" for label in ("model", "popularity", "random")
+        ]
+        assert len((out / "eval.csv").read_text().splitlines()) == 4
+
+
 CHECKPOINT = ["--checkpoint", "{ran}/checkpoint.ckgr"]
 
 # input files with one byte that is not UTF-8, at the offset each case names

@@ -31,11 +31,13 @@ class TestDualModel:
         assert users.shape[1] == items.shape[1] == 224
 
     def test_param_names(self):
-        model, _ = toy_dual()
-        want = set()
-        for p in ("u.", "i."):
-            want |= {p + "entity", p + "relation", p + "projection", p + "w1.1", p + "w1.2", p + "attn.2"}
-        assert set(model.params()) == want
+        for shared in (True, False):
+            model, _ = toy_dual(shared_weights=shared)
+            want = []
+            for p in ("u.", "i."):
+                want += [p + "entity", p + "relation", p + "projection", p + "w1.1"]
+                want += [p + "w1.2", p + "attn.2"] if shared else [p + "w2.1", p + "w1.2", p + "w2.2", p + "attn.2"]
+            assert list(model.params()) == want
 
     def test_set_params_round_trip(self):
         model, _ = toy_dual()
@@ -119,11 +121,12 @@ class TestBprLoss:
         for name, p in model.params().items():
             assert name in grads and grads[name].shape == p.shape
 
-    def test_matches_add_at_oracle_bitwise(self, synth_world):
+    @pytest.mark.parametrize("shared_weights", [True, False], ids=["shared", "unshared"])
+    def test_matches_add_at_oracle_bitwise(self, synth_world, shared_weights):
         w = synth_world
         # stitched width 2 * (64 + 32 + 16) = 224 spans four row-sum column blocks
         model = build_model(w["kg_u"], w["kg_i"], w["align"], d=64, k=64, n_layers=2, dims=(64, 32, 16),
-                            std=0.1, rng=Rng(42, (11,)))
+                            std=0.1, rng=Rng(42, (11,)), shared_weights=shared_weights)
         rng = np.random.default_rng(7)
         pairs = w["train_pairs"][rng.integers(len(w["train_pairs"]), size=1024)]  # users repeat
         # every positive item is also some other triplet's negative
@@ -132,7 +135,7 @@ class TestBprLoss:
         loss, grads = bpr_loss(model, batch, res_u, res_i)
         want_loss, want = bpr_loss_add_at(model, batch, res_u, res_i)
         assert loss == want_loss
-        assert sorted(grads) == sorted(want) == sorted(model.params())
+        assert list(grads) == list(want) == list(model.params())
         for name, g in grads.items():
             assert np.array_equal(g, want[name]), name
             assert np.array_equal(np.signbit(g), np.signbit(want[name])), name

@@ -12,6 +12,7 @@ from ckgrec.errors import ConfigError, ShapeError
 from ckgrec.kernels import leaky_relu
 from ckgrec.propagation import (
     LayerStack,
+    _Pairs,
     _Runs,
     init_stack,
     propagate,
@@ -26,6 +27,7 @@ from gradcheck import finite_diff_check
 from reference import (
     aggregate_reference,
     logit_reference,
+    pairs_reference,
     propagate_backward_edgewise,
     propagate_edgewise,
     propagate_reference,
@@ -335,12 +337,7 @@ def fd_params_loss(kg, v, shared=True, printed=False, d=4, k=3, dims=(4, 3, 2), 
     """Loss closure over a full parameter dict for the gradient checker."""
     base_table = fresh_table(n_entities=kg.entity_count, n_relations=kg.relation_count, d=d, k=k, seed=seed)
     base_stack = init_stack(list(dims), kg.relation_count, k, 0.3, Rng(seed, (5,)), shared=shared, printed_attention=printed)
-    params = {
-        "entity": base_table.entity,
-        "relation": base_table.relation,
-        "projection": base_table.projection,
-    }
-    params.update(base_stack.params())
+    params = {**base_table.params(), **base_stack.params()}
 
     base_relation = base_table.relation
 
@@ -386,6 +383,27 @@ class TestPropagateBackward:
         del params["relation"]
         report = finite_diff_check(loss_fn, params, tolerance=1e-4)
         assert report.passed, f"max rel err {report.max_rel_error:.3e} at {report.worst}"
+
+    @pytest.mark.parametrize("printed", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_shared_w1_gradient_is_the_unshared_sum_bitwise(self, n_layers, printed):
+        # one W1 in both terms must give, byte for byte, the W1 + W2 gradients of a copy whose W2 equals W1
+        k = 3
+        dims = [k] * n_layers + [2]
+        kg = mixed_graph(n_layers)
+        table = fresh_table(n_entities=12, n_relations=3, d=k, k=k, seed=n_layers, std=0.5)
+        shared = init_stack(dims, 3, k, 0.5, Rng(n_layers, (5,)), shared=True, printed_attention=printed)
+        unshared = copy.deepcopy(shared)
+        unshared.shared, unshared.w2 = False, [w.copy() for w in unshared.w1]
+        g = np.random.default_rng(n_layers).normal(size=(12, sum(dims)))
+        g[::3] = 0.0  # rows with no upstream gradient
+        got = propagate_backward(kg, table, shared, propagate(kg, table, shared), g)
+        want = propagate_backward(kg, table, unshared, propagate(kg, table, unshared), g)
+        for l in range(1, n_layers + 1):
+            assert got[f"w1.{l}"].tobytes() == (want.pop(f"w1.{l}") + want.pop(f"w2.{l}")).tobytes(), l
+        assert set(got) == set(want) | {f"w1.{l}" for l in range(1, n_layers + 1)}
+        for name, w in want.items():
+            assert got[name].tobytes() == w.tobytes(), name
 
     def test_edgeless_backward(self):
         kg = make_kg(3, [], n_relations=1)
@@ -596,6 +614,38 @@ class TestFeatureMajorSum:
         values = np.arange(21.0).reshape(7, 3)
         with pytest.raises(ShapeError, match="feature-major"):
             runs.sum(lambda e: values[e], 3)
+
+
+class TestPairs:
+    """`_Pairs.of` against the dict-of-edge-lists oracle in tests/reference.py."""
+
+    def check(self, ends, rels, n_entities):
+        got = _Pairs.of(ends, rels, n_entities)
+        pairs, edges, of_edge, relations = pairs_reference(ends, rels, n_entities)
+        assert list(zip(got.relation.tolist(), got.entity.tolist())) == pairs
+        runs = got.runs
+        assert [runs.order[a: a + n].tolist() for a, n in zip(runs.starts, runs.repeats)] == edges
+        assert got.of_edge.tolist() == of_edge
+        assert got.relations == relations
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs_with_repeated_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        ends, rels = rng.integers(9, size=120), rng.integers(4, size=120)
+        assert len(set(zip(ends.tolist(), rels.tolist()))) < len(ends)
+        self.check(ends, rels, 9)
+
+    @pytest.mark.parametrize("end", ["heads", "tails"])
+    def test_graph_ends(self, end):
+        kg = mixed_graph(2)
+        self.check(getattr(kg, end), kg.rels, kg.entity_count)
+
+    def test_single_relation(self):
+        ends = np.random.default_rng(5).integers(6, size=40)
+        self.check(ends, np.full(40, 2), 6)
+
+    def test_no_edges(self):
+        self.check(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4)
 
 
 def dense_graph(n=200, m=4, n_edges=6000, seed=0):
