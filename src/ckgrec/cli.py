@@ -360,6 +360,8 @@ def cmd_train(args) -> int:
     if not out_dir:
         raise ConfigError("no output directory given (pass --out)")
     world = _build_world(cfg)
+    if not len(world.val_pairs):
+        print("warning: validation recall is nan: no user has a validation interaction, so no early stopping", file=sys.stderr)
     try:
         result = _train_once(world, cfg)
     except TrainingDiverged as err:

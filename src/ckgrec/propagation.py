@@ -1,51 +1,43 @@
 """Attention-weighted multi-layer propagation with bi-interaction aggregation.
 
 Layer l maps every entity's vector x^(l-1) (dim dims[l-1]) to x^(l)
-(dim dims[l]) in three steps, all computed synchronously from the
+(dim dims[l]) in three stages, all computed synchronously from the
 previous layer's snapshot:
 
-1. relation-aware attention logit per edge (h, r, t):
-       pi'(h,r,t) = (A_r x_t)^T tanh(A_r x_h + e_r)
+1. `attend`: relation-aware attention logit per edge (h, r, t),
+       pi'(h,r,t) = (A_r x_t)^T tanh(A_r x_h + e_r),
    softmax-normalized over each head's neighborhood;
-2. neighborhood message e_N(h) = sum_t pi(h,r,t) * x_t
+2. `aggregate`: neighborhood message e_N(h) = sum_t pi(h,r,t) * x_t
    (zero vector for isolated entities);
-3. bi-interaction aggregation
+3. `bi_interaction`, the dense W1/W2 step:
        x^(l) = LeakyReLU(W1 (x + e_N)) + LeakyReLU(W1 (x * e_N)),
    with an optional distinct second matrix W2 for the product term.
 
-Layer 1 reuses the encoder's relation projections as A_r; deeper layers
-own their own A_r sized to that layer's input width, while the relation
-vectors e_r are shared at every depth.  The per-layer outputs
-x^(0)..x^(L) are concatenated into one stitched representation.
+`propagate` runs the stages layer by layer; `propagate_backward` runs
+their hand-written adjoints in reverse.  Layer 1 reuses the encoder's
+relation projections as A_r; deeper layers own their own A_r sized to
+that layer's input width, while the relation vectors e_r are shared at
+every depth.  The outputs x^(0)..x^(L) are concatenated into one
+stitched representation.
 
-Both passes run over a `PropagationPlan`, built once per graph on first
-use and kept on it.  The plan groups the edges four ways without
-reordering the graph, each grouping one `_Runs` (a stable permutation of
-the edges plus its runs of equal keys): per head, per tail, and per
-distinct (head, relation) and (tail, relation) pair (one sort of
-relation * n_entities + entity, so each run is a pair).  Both attention
-factors depend on one edge end's pair only, so pt = A_r x_t is computed
-and cached once per tail pair and q = tanh(A_r x_h + e_r) once per head
-pair: a user heading twenty edges of one relation is projected once, not
-twenty times.  (The printed form adds x_t inside tanh, so there q is
-made and cached per edge; it is the only array with a column per edge
-that a layer keeps.)  Every per-edge computation takes one blocked walk,
-`_Runs.sum` or `_Runs.per_edge`, over the terms of about EDGE_BLOCK
-edges at a time.  The logits and dL/dw are per-edge dot products of
-gathered rows.  The summed terms are made feature-major, a (width,
-edges) block gathered with `np.take(..., axis=1)` from the transposed
-per-entity arrays (x, dL/dmsg) and from pt and q, which the cache keeps
-transposed.  Each run is reduced whole by one `np.add.reduceat` along
-the block's columns, which adds in the same order as along the rows of
-an (edges, width) block but runs several times faster, so no result
-depends on the block size or the layout.  That walk makes the messages
-(summed over the head runs), the tail gradients (over the tail runs)
-and the projection gradients (over the pair runs), after which one
-small matmul per relation and side gives both dA_r and dx.
+Each stage is a function of a `PropagationPlan` and arrays, and reads
+its edges from the plan alone.  A graph builds its plan once and keeps
+it.  The plan owns the entity count, each edge's head and tail, and four
+groupings of the edges, each one `_Runs` (a stable permutation of the
+edges plus its runs of equal keys): per head, per tail, and per distinct
+(head, relation) and (tail, relation) pair.  A graph with no edges runs
+through the same stages, on empty arrays.  pt = A_r x_t is made and
+cached once per tail pair, and q = tanh(A_r x_h + e_r) once per head
+pair (per edge in the printed form, which adds x_t inside tanh).
 
-The backward pass mirrors the forward step by step (softmax, tanh, and
-sum adjoints written out by hand) and is validated against central
-differences and against the per-edge kernel in tests/reference.py.
+Per-edge terms exist about EDGE_BLOCK edges at a time, in one blocked
+walk, `_Runs.sum` or `_Runs.per_edge`.  The logits and dL/dw are dot
+products of gathered rows.  The summed terms are feature-major (width,
+edges) blocks of columns gathered from the transposed x, dL/dmsg, pt
+and q, and each run is reduced whole by one `np.add.reduceat` along the
+columns.  That adds in the same order as along rows, only faster, so no
+result depends on the block size or the layout.  Both passes are tested
+against central differences and the per-edge kernel in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -208,7 +200,10 @@ class _Runs:
 
     def per_edge(self, values_of) -> np.ndarray:
         """`values_of(order)` in run order, with values_of called on one block of `order` at a time."""
-        return np.concatenate([values_of(self.order[lo:hi]) for _, lo, hi in self.blocks])
+        out = np.empty(len(self.order))
+        for _, lo, hi in self.blocks:
+            out[lo:hi] = values_of(self.order[lo:hi])
+        return out
 
     def softmax(self, logits: np.ndarray) -> np.ndarray:
         # non-finite logits yield nan weights; the loss layer validates
@@ -269,15 +264,18 @@ class _Pairs:
 
 
 class PropagationPlan:
-    """Edge groupings `propagate` and `propagate_backward` reuse on one graph.
+    """A graph's entity count, edge ends and edge groupings: all that the stages read of the graph.
 
-    Built once per graph (`CollaborativeKG.propagation_plan`); the graph's
-    own edge order is left as it is.  The graph's edges are sorted by head,
-    so the heads' `order` is the edge order itself, and per-edge arrays made
-    over the heads (logits, weights) are indexed by edge.
+    Built once per graph (`CollaborativeKG.propagation_plan`).  The graph's
+    edges are sorted by head, so the heads' `order` is the edge order
+    itself, and per-edge arrays made over the heads (logits, weights) are
+    indexed by edge.
     """
 
     def __init__(self, kg: CollaborativeKG):
+        self.n_entities = kg.entity_count
+        self.edge_heads = kg.heads
+        self.edge_tails = kg.tails
         self.heads = _Runs.of(kg.heads)
         self.tails = _Runs.of(kg.tails)
         self.head_pairs = _Pairs.of(kg.heads, kg.rels, kg.entity_count)
@@ -286,10 +284,10 @@ class PropagationPlan:
 
 @dataclass
 class _LayerCache:
-    pt: np.ndarray | None      # A_r x_t, feature-major (k, tail pairs): one column per tail pair
-    q: np.ndarray | None       # tanh(A_r x_h + e_r), feature-major: one column per head pair (per edge when printed)
-    q_rows: np.ndarray | None  # column of q for each edge
-    w: np.ndarray | None
+    pt: np.ndarray      # A_r x_t, feature-major (k, tail pairs): one column per tail pair
+    q: np.ndarray       # tanh(A_r x_h + e_r), feature-major: one column per head pair (per edge when printed)
+    q_rows: np.ndarray  # column of q for each edge
+    w: np.ndarray
     msg: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
@@ -304,56 +302,104 @@ class PropagationResult:
     cache: list[_LayerCache] = field(repr=False, default_factory=list)
 
 
+def _scaled(cols: np.ndarray, rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Columns `rows` of the feature-major `cols`, column i times scale[i]."""
+    t = np.take(cols, rows, axis=1)
+    t *= scale  # in place: one block-sized temporary, not two
+    return t
+
+
+def attend(plan: PropagationPlan, x, a, relation, printed: bool):
+    """Project, tanh, logits and softmax of one layer: (pt, q, q_rows, w), with pt and q feature-major."""
+    pt = plan.tail_pairs.project(x, a)
+    q = plan.head_pairs.project(x, a)
+    if printed:
+        # the tail inside tanh makes every edge's argument its own
+        q = q[plan.head_pairs.of_edge]
+        q += x[plan.edge_tails]
+        q_rows = plan.heads.order  # the edge order itself
+    else:
+        q += relation[plan.head_pairs.relation]
+        q_rows = plan.head_pairs.of_edge
+    np.tanh(q, out=q)
+    logits = plan.heads.per_edge(lambda e: np.einsum("ij,ij->i", pt[plan.tail_pairs.of_edge[e]], q[q_rows[e]]))
+    w = plan.heads.softmax(logits)
+    # the walks gather columns of pt and q: keep them feature-major, not also edge-major
+    pt = np.ascontiguousarray(pt.T)
+    q = np.ascontiguousarray(q.T)
+    return pt, q, q_rows, w
+
+
+def aggregate(plan: PropagationPlan, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each entity's message e_N(h) = sum of w(h,r,t) x_t over its edges, a zero row where it heads none."""
+    x_cols = np.ascontiguousarray(x.T)
+    msg = np.zeros((plan.n_entities, x.shape[1]))
+    msg[plan.heads.ids] = plan.heads.sum(lambda e: _scaled(x_cols, plan.edge_tails[e], w[e]), x.shape[1])
+    return msg
+
+
+def bi_interaction(x, msg, w1, w2, slope: float):
+    """The dense step: (a1, a2, x') with a1 = W1 (x + e_N), a2 = W2 (x * e_N), x' = LeakyReLU(a1) + LeakyReLU(a2)."""
+    a1 = (x + msg) @ w1.T
+    a2 = (x * msg) @ w2.T
+    return a1, a2, leaky_relu(a1, slope) + leaky_relu(a2, slope)
+
+
+def bi_interaction_backward(x, c: _LayerCache, g, w1, w2, slope: float):
+    """Adjoint of `bi_interaction` from g = dL/dx': (dL/dW1, dL/dW2, dL/dx through it, dL/de_N)."""
+    g_a1 = g * leaky_relu_grad(c.a1, slope)
+    g_a2 = g * leaky_relu_grad(c.a2, slope)
+    g_sum = g_a1 @ w1
+    g_prod = g_a2 @ w2
+    return g_a1.T @ (x + c.msg), g_a2.T @ (x * c.msg), g_sum + g_prod * c.msg, g_sum + g_prod * x
+
+
+def aggregate_backward(plan: PropagationPlan, x, w, g_msg):
+    """Adjoint of `aggregate`: (dL/dw, the message part of dL/dx_t as a function of edges)."""
+    g_w = plan.heads.per_edge(lambda e: np.einsum("ij,ij->i", g_msg[plan.edge_heads[e]], x[plan.edge_tails[e]]))
+    g_msg_cols = np.ascontiguousarray(g_msg.T)
+    return g_w, lambda e: _scaled(g_msg_cols, plan.edge_heads[e], w[e])
+
+
+def attend_backward(plan: PropagationPlan, x, a, c: _LayerCache, g_w, g_tail, printed: bool, g_x, g_a, g_relation):
+    """Adjoint of `attend` from dL/dw, added into g_x, g_a and g_relation; dL/dx_t also sums `g_tail`."""
+    g_logit = plan.heads.softmax_backward(c.w, g_w)
+    tanh_slope = 1.0 - c.q * c.q
+
+    def g_arg(e):
+        """dL/d(argument of tanh) on edges e: (dL/dlogit * pt) * (1 - q^2), with 1 - q^2 per column of q."""
+        t = _scaled(c.pt, plan.tail_pairs.of_edge[e], g_logit[e])
+        t *= np.take(tanh_slope, c.q_rows[e], axis=1)
+        return t
+
+    def g_tails(e):  # dL/dx_t on edges e: through the message, and through tanh in the printed form
+        t = g_tail(e)
+        return np.add(t, g_arg(e), out=t) if printed else t
+
+    g_x[plan.tails.ids] += plan.tails.sum(g_tails, x.shape[1])
+    g_head = plan.head_pairs.project_backward(g_arg, x, a, g_a, g_x)
+    plan.tail_pairs.project_backward(lambda e: _scaled(c.q, c.q_rows[e], g_logit[e]), x, a, g_a, g_x)
+    if not printed:
+        for rel, pairs in plan.head_pairs.relations:
+            g_relation[rel] += g_head[pairs].sum(axis=0)
+
+
 def propagate(kg: CollaborativeKG, table: EmbeddingTable, stack: LayerStack) -> PropagationResult:
     """Run every layer synchronously and stitch x^(0)..x^(L) per entity."""
     if table.entity.shape[1] != stack.dims[0]:
         raise ShapeError(f"entity width {table.entity.shape[1]} != first layer width {stack.dims[0]}")
-    n = table.n_entities
-    n_edges = len(kg.heads)
     plan = kg.propagation_plan
-
     x = table.entity
-    layers = [x]
-    cache: list[_LayerCache] = []
+    layers, cache = [x], []
     # overflow from diverging parameters surfaces as non-finite losses,
     # which the loss layers turn into NumericFaultError; warnings off here
     with np.errstate(invalid="ignore", over="ignore"):
         for l in range(1, stack.n_layers + 1):
             a = table.projection if l == 1 else stack.attn[l - 1]
-            din = stack.dims[l - 1]
-            msg = np.zeros((n, din))
-            if n_edges:
-                pt = plan.tail_pairs.project(x, a)
-                q = plan.head_pairs.project(x, a)
-                if stack.printed_attention:
-                    # the tail inside tanh makes every edge's argument its own
-                    q = q[plan.head_pairs.of_edge]
-                    q += x[kg.tails]
-                    q_rows = plan.heads.order  # the edge order itself
-                else:
-                    q += table.relation[plan.head_pairs.relation]
-                    q_rows = plan.head_pairs.of_edge
-                np.tanh(q, out=q)
-                pt_rows = plan.tail_pairs.of_edge
-                logits = plan.heads.per_edge(lambda e: np.einsum("ij,ij->i", pt[pt_rows[e]], q[q_rows[e]]))
-                w = plan.heads.softmax(logits)
-                # the walks gather columns of pt and q: keep them feature-major, not also edge-major
-                pt = np.ascontiguousarray(pt.T)
-                q = np.ascontiguousarray(q.T)
-                x_cols = np.ascontiguousarray(x.T)
-
-                def weighted_tails(e):
-                    t = np.take(x_cols, kg.tails[e], axis=1)
-                    t *= w[e]  # in place: one block-sized temporary, not two
-                    return t
-
-                msg[plan.heads.ids] = plan.heads.sum(weighted_tails, din)
-            else:
-                pt = q = q_rows = w = None
-            a1 = (x + msg) @ stack.w1[l - 1].T
-            a2 = (x * msg) @ stack.w2[l - 1].T
+            pt, q, q_rows, w = attend(plan, x, a, table.relation, stack.printed_attention)
+            msg = aggregate(plan, x, w)
+            a1, a2, x = bi_interaction(x, msg, stack.w1[l - 1], stack.w2[l - 1], stack.slope)
             cache.append(_LayerCache(pt, q, q_rows, w, msg, a1, a2))
-            x = leaky_relu(a1, stack.slope) + leaky_relu(a2, stack.slope)
             layers.append(x)
     return PropagationResult(layers, np.concatenate(layers, axis=1), cache)
 
@@ -370,71 +416,23 @@ def propagate_backward(
     `grad_stitched` is dL/d(stitched), shape (N, sum(dims)).  Returns a
     flat dict under the table's and then the stack's parameter names.
     """
-    n = table.n_entities
-    if grad_stitched.shape != (n, stack.stitched_dim):
-        raise ShapeError(f"stitched gradient shape {grad_stitched.shape} != {(n, stack.stitched_dim)}")
+    if grad_stitched.shape != (table.n_entities, stack.stitched_dim):
+        raise ShapeError(f"stitched gradient shape {grad_stitched.shape} != {(table.n_entities, stack.stitched_dim)}")
     plan = kg.propagation_plan
     grads = {name: np.zeros_like(p) for name, p in {**table.params(), **stack.params()}.items()}
-
-    # split the stitched gradient back into per-layer pieces
-    splits = np.cumsum(stack.dims)[:-1]
-    g_layers = np.split(grad_stitched, splits, axis=1)
+    g_layers = np.split(grad_stitched, np.cumsum(stack.dims)[:-1], axis=1)  # dL/dx^(l) for each l
 
     g = g_layers[stack.n_layers].copy()
     for l in range(stack.n_layers, 0, -1):
-        x = result.layers[l - 1]
-        c = result.cache[l - 1]
-        g_a1 = g * leaky_relu_grad(c.a1, stack.slope)
-        g_a2 = g * leaky_relu_grad(c.a2, stack.slope)
-        g_w1 = g_a1.T @ (x + c.msg)
-        g_w2 = g_a2.T @ (x * c.msg)
+        x, c = result.layers[l - 1], result.cache[l - 1]
+        g_w1, g_w2, g_x, g_msg = bi_interaction_backward(x, c, g, stack.w1[l - 1], stack.w2[l - 1], stack.slope)
         grads[f"w1.{l}"] += g_w1
         grads[f"w{1 if stack.shared else 2}.{l}"] += g_w2
-        g_sum = g_a1 @ stack.w1[l - 1]
-        g_prod = g_a2 @ stack.w2[l - 1]
-        g_x = g_sum + g_prod * c.msg
-        g_msg = g_sum + g_prod * x
-
-        if c.w is not None:
-            g_w = plan.heads.per_edge(lambda e: np.einsum("ij,ij->i", g_msg[kg.heads[e]], x[kg.tails[e]]))
-            g_logit = plan.heads.softmax_backward(c.w, g_w)
-            tanh_slope = 1.0 - c.q * c.q
-            pt_rows = plan.tail_pairs.of_edge
-            g_msg_cols = np.ascontiguousarray(g_msg.T)
-            del g_msg  # only its columns are read from here on
-
-            def g_arg(e):
-                """dL/d(argument of tanh) on edges e: (dL/dlogit * pt) * (1 - q^2), with 1 - q^2 per column of q."""
-                t = np.take(c.pt, pt_rows[e], axis=1)
-                t *= g_logit[e]  # in place: one block-sized temporary, not two
-                t *= np.take(tanh_slope, c.q_rows[e], axis=1)
-                return t
-
-            def g_pt(e):
-                """dL/d(A_r x_t) on edges e: dL/dlogit * q."""
-                t = np.take(c.q, c.q_rows[e], axis=1)
-                t *= g_logit[e]
-                return t
-
-            def g_tail(e):
-                """dL/dx_t on edges e through the message, plus through tanh in the printed form."""
-                t = np.take(g_msg_cols, kg.heads[e], axis=1)
-                t *= c.w[e]
-                if stack.printed_attention:
-                    t += g_arg(e)
-                return t
-
-            g_x[plan.tails.ids] += plan.tails.sum(g_tail, x.shape[1])
-            a = table.projection if l == 1 else stack.attn[l - 1]
-            g_a = grads["projection"] if l == 1 else grads[f"attn.{l}"]
-            g_head = plan.head_pairs.project_backward(g_arg, x, a, g_a, g_x)
-            plan.tail_pairs.project_backward(g_pt, x, a, g_a, g_x)
-            if not stack.printed_attention:
-                for rel, pairs in plan.head_pairs.relations:
-                    grads["relation"][rel] += g_head[pairs].sum(axis=0)
-
+        g_w, g_tail = aggregate_backward(plan, x, c.w, g_msg)
+        del g_msg  # only its columns are read from here on
+        a, g_a = (table.projection, grads["projection"]) if l == 1 else (stack.attn[l - 1], grads[f"attn.{l}"])
+        attend_backward(plan, x, a, c, g_w, g_tail, stack.printed_attention, g_x, g_a, grads["relation"])
+        g_x += g_layers[l - 1]
         g = g_x
-        if l - 1 > 0:
-            g += g_layers[l - 1]
-    grads["entity"] += g + g_layers[0]
+    grads["entity"] += g
     return grads

@@ -160,7 +160,6 @@ def train(
 
     opt = Adam(cfg.lr, 2.0 * cfg.reg)  # the gradient of reg * |p|^2
     history: list[dict] = []
-    best = _snapshot(model)
     best_recall = float("-inf")
     best_epoch = -1
     stale = 0

@@ -1154,6 +1154,18 @@ class TestNoTestUser:
         ]
         assert len((out / "eval.csv").read_text().splitlines()) == 4
 
+    def test_train_says_why_val_recall_is_nan(self, interactions, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--interactions", interactions, "--set", "epochs=3", "--set", "layers=1", "--out", out) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: validation recall is nan: no user has a validation interaction, so no early stopping\n"
+        )
+        assert "(best epoch 2, val recall@10 nan)" in captured.out
+        header, *rows = (out / "history.csv").read_text().splitlines()
+        at = header.split(",").index("val_recall")
+        assert [row.split(",")[at] for row in rows] == ["nan"] * 3
+
 
 CHECKPOINT = ["--checkpoint", "{ran}/checkpoint.ckgr"]
 

@@ -451,11 +451,12 @@ class TestEdgewiseOracle:
         want = propagate_edgewise(kg, table, stack)
         assert_close(res.stitched, want.stitched, "stitched")
         for l, (c, w) in enumerate(zip(res.cache, want.cache), start=1):
-            per_edge = dict(zip(("pt", "q"), edge_terms(kg, c))) if c.w is not None else {}
+            per_edge = dict(zip(("pt", "q"), edge_terms(kg, c)))
             for name in ("pt", "q", "w", "msg", "a1", "a2"):
                 got, ref = per_edge.get(name, getattr(c, name)), getattr(w, name)
-                assert (got is None) == (ref is None), name
-                if ref is not None:
+                if ref is None:  # the oracle keeps no per-edge terms on a graph without edges
+                    assert len(got) == len(kg.heads) == 0, name
+                else:
                     assert_close(got, ref, f"layer {l} {name}")
         g = np.random.default_rng(seed).normal(size=res.stitched.shape)
         grads = propagate_backward(kg, table, stack, res, g)
@@ -502,6 +503,32 @@ class TestEdgewiseOracle:
         assert np.array_equal(again.stitched, res.stitched)
         for got, want in zip((kg.heads, kg.rels, kg.tails), before):
             assert np.array_equal(got, want)
+
+
+class TestPlanOwnsItsEdges:
+    """Once a graph's plan is built, both passes read the graph's edges from the plan alone."""
+
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_permuted_graph_edges_change_no_bit(self, printed):
+        dims = (3, 3, 3) if printed else (5, 4, 3)
+        kg = mixed_graph(3)
+        table = fresh_table(n_entities=12, n_relations=3, d=dims[0], k=3, seed=3, std=0.5)
+        stack = init_stack(list(dims), 3, 3, 0.5, Rng(3, (5,)), printed_attention=printed)
+        res = propagate(kg, table, stack)
+        g = np.random.default_rng(4).normal(size=res.stitched.shape)
+        want = propagate_backward(kg, table, stack, res, g)
+        perm = np.random.default_rng(5).permutation(len(kg.heads))
+        assert not np.array_equal(kg.tails[perm], kg.tails) and not np.array_equal(kg.heads[perm], kg.heads)
+        kg.heads, kg.tails = kg.heads[perm], kg.tails[perm]
+        again = propagate(kg, table, stack)
+        assert again.stitched.tobytes() == res.stitched.tobytes()
+        for c, d in zip(again.cache, res.cache):
+            for name in ("pt", "q", "q_rows", "w", "msg", "a1", "a2"):
+                assert getattr(c, name).tobytes() == getattr(d, name).tobytes(), name
+        got = propagate_backward(kg, table, stack, res, g)
+        assert got.keys() == want.keys()
+        for name, w in want.items():
+            assert got[name].tobytes() == w.tobytes(), name
 
 
 class TestEdgeBlocks:
@@ -646,6 +673,13 @@ class TestPairs:
 
     def test_no_edges(self):
         self.check(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4)
+
+    def test_runs_of_no_edges(self):
+        runs, empty = _Runs.of(np.array([], dtype=np.int64)), np.array([])
+        assert runs.blocks == []
+        assert runs.sum(lambda e: np.ones((3, len(e))), 3).shape == (0, 3)
+        assert runs.per_edge(lambda e: np.ones(len(e))).shape == (0,)
+        assert runs.softmax(empty).shape == runs.softmax_backward(empty, empty).shape == (0,)
 
 
 def dense_graph(n=200, m=4, n_edges=6000, seed=0):
