@@ -57,6 +57,7 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -219,7 +220,7 @@ class _Reader:
 
     def array(self, shape, dtype: str, what: str) -> np.ndarray:
         """A writable view of the next block: no copy of the file's bytes."""
-        n = int(np.prod(shape)) * 8
+        n = math.prod(shape) * 8
         return np.frombuffer(self.take(n, what), dtype=dtype).reshape(shape)
 
 
@@ -327,7 +328,7 @@ def _serving(path, blocks: dict, meta: dict, sizes) -> Serving:
     wanted = {"users": n_users, "items": n_items}
     if not (isinstance(tokens, dict) and all(
         isinstance(tokens.get(side), list) and len(tokens[side]) == n
-        and all(isinstance(t, str) for t in tokens[side]) for side, n in wanted.items()
+        and all(map(str.__instancecheck__, tokens[side])) for side, n in wanted.items()  # isinstance(t, str), in C
     )):
         raise FormatError(f"{path}: metadata tokens must list {n_users} user and {n_items} item strings")
     return Serving(blocks["serving.users"], blocks["serving.items"], ptr, items, tokens["users"], tokens["items"])

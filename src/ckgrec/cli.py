@@ -424,7 +424,11 @@ def cmd_recommend(args) -> int:
     # only the aligned block that holds u: its row u - at is row u of evaluate.model_scores, bit for bit
     at = u - u % RANK_BLOCK
     scores = score_block(serving.users, serving.items, at)[u - at]
-    top = topk_from_scores(scores, cfg.top_k, serving.train_items[serving.train_ptr[u]: serving.train_ptr[u + 1]])
+    trained = serving.train_items[serving.train_ptr[u]: serving.train_ptr[u + 1]]
+    top = topk_from_scores(scores, cfg.top_k, trained)
+    if len(top) < cfg.top_k:
+        print(f"warning: only {len(top)} items are left to recommend to {args.user}, fewer than top_k={cfg.top_k}: "
+              f"it trained on {len(trained)} of the {len(serving.items)} items", file=sys.stderr)
     for rank, item in enumerate(top.tolist(), start=1):
         print(f"{rank}\t{serving.item_tokens[item]}\t{float(scores[item])!r}")
     return 0
@@ -453,23 +457,18 @@ def cmd_sweep_layers(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ckgrec",
-        description="Dual collaborative knowledge-graph recommender",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # the config and data-path flags of every command but synth
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value configuration file")
-    common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one configuration key")
-    common.add_argument("--seed", type=int, help="random seed (overrides config; CKGR_SEED is the fallback)")
-    common.add_argument("--interactions", help="interaction file (user, item, value[, timestamp])")
-    common.add_argument("--user-attrs", dest="user_attrs", help="user attribute triples (TSV)")
-    common.add_argument("--item-attrs", dest="item_attrs", help="item attribute triples (TSV)")
-    common.add_argument("--manifest", help="expected-count manifest to verify against")
+def _shared_flags(p: argparse.ArgumentParser) -> None:
+    """The config and data-path flags of every command but synth."""
+    p.add_argument("--config", help="key = value configuration file")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one configuration key")
+    p.add_argument("--seed", type=int, help="random seed (overrides config; CKGR_SEED is the fallback)")
+    p.add_argument("--interactions", help="interaction file (user, item, value[, timestamp])")
+    p.add_argument("--user-attrs", dest="user_attrs", help="user attribute triples (TSV)")
+    p.add_argument("--item-attrs", dest="item_attrs", help="item attribute triples (TSV)")
+    p.add_argument("--manifest", help="expected-count manifest to verify against")
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
+
+def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--users", type=int, default=300)
     p.add_argument("--items", type=int, default=200)
@@ -478,41 +477,76 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attrs-per-factor", dest="attrs_per_factor", type=int, default=3)
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse, binarize, and summarize interactions", parents=[common])
+
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p)
     p.add_argument("--strict", action="store_true", help="fail on the first malformed line")
     p.add_argument("--out", help="write normalized records here")
-    p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("build-graph", help="build both collaborative graphs and print stats", parents=[common])
-    p.set_defaults(fn=cmd_build_graph)
 
-    p = sub.add_parser("train", help="train a model and write a checkpoint", parents=[common])
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p)
     p.add_argument("--out", help="output directory")
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint against baselines", parents=[common])
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--k", type=int, help="ranking cutoff: sets top_k")
     p.add_argument("--out", help="directory for eval.csv")
-    p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("recommend", help="print top-K items for one user", parents=[common])
+
+def _recommend_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--user", required=True)
     p.add_argument("--k", type=int, help="list length: sets top_k")
-    p.set_defaults(fn=cmd_recommend)
 
-    p = sub.add_parser("sweep-layers", help="train and evaluate at several depths", parents=[common])
+
+def _sweep_layers_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p)
     p.add_argument("--l-values", dest="l_values", help="comma list of depths (default 1,2,3,4)")
     p.add_argument("--out", help="directory for sweep.csv")
-    p.set_defaults(fn=cmd_sweep_layers)
+
+
+# name: (help, handler, flag adder), in the order `ckgrec --help` lists them
+COMMANDS = {
+    "synth": ("generate a seeded synthetic dataset", cmd_synth, _synth_flags),
+    "ingest": ("parse, binarize, and summarize interactions", cmd_ingest, _ingest_flags),
+    "build-graph": ("build both collaborative graphs and print stats", cmd_build_graph, _shared_flags),
+    "train": ("train a model and write a checkpoint", cmd_train, _train_flags),
+    "evaluate": ("score a checkpoint against baselines", cmd_evaluate, _evaluate_flags),
+    "recommend": ("print top-K items for one user", cmd_recommend, _recommend_flags),
+    "sweep-layers": ("train and evaluate at several depths", cmd_sweep_layers, _sweep_layers_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given one of `COMMANDS`, of that command alone.
+
+    Both print the same help, usage and errors for `command`.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ckgrec",
+        description="Dual collaborative knowledge-graph recommender",
+    )
+    # a one-command parser's usage line still lists every command; the full parser sets no metavar,
+    # so that its errors name the argument `command`
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name, (summary, fn, add_flags) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            add_flags(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names its command builds that command's parser alone; any other argv gets every command's
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, FormatError, UnresolvedEntityError, FileNotFoundError, FileExistsError,

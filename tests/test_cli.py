@@ -8,6 +8,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -942,7 +944,7 @@ class TestRecommend:
         for user in self.USERS:
             for k in (5, 20):  # 20 is more than the 15 items, so fewer lines than k
                 served = self.recommend_lines(ckpt, dataset, capsys, user, k)
-                assert served[1] == ""
+                assert served[1] == "" if k == 5 else served[1].startswith("warning: only ")
                 assert self.recommend_lines(ckpt, moved, capsys, user, k) == served
                 assert self.recommend_lines(ckpt, dataset, capsys, user, k, "--set", "lr=0.5") == served
         assert len(self.recommend_lines(ckpt, dataset, capsys, "u0", 20)[0].splitlines()) < 15
@@ -995,6 +997,20 @@ class TestRecommend:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and f"another item_attrs file: {edited / 'item_attrs.tsv'} " in captured.err
+
+    def test_a_list_shorter_than_k_is_warned(self, dataset, run_dir, capsys):
+        ckpt = run_dir / "checkpoint.ckgr"
+        serving = checkpoint.load(ckpt).serving
+        for user in self.USERS:
+            u = serving.user_tokens.index(user)
+            trained = int(serving.train_ptr[u + 1] - serving.train_ptr[u])
+            out, err = self.recommend_lines(ckpt, dataset, capsys, user, 20)  # more than the 15 items
+            left = len(out.splitlines())
+            assert left == 15 - trained
+            assert err == (f"warning: only {left} items are left to recommend to {user}, fewer than top_k=20: "
+                           f"it trained on {trained} of the 15 items\n")
+            # a list of exactly k lines, the same ones, is not warned
+            assert self.recommend_lines(ckpt, dataset, capsys, user, left) == (out, "")
 
     def test_unknown_user_exits_1(self, dataset, run_dir, capsys):
         code = run(
@@ -1296,3 +1312,75 @@ def test_every_command_but_synth_takes_the_shared_flags():
     assert [dest for dest, *_ in want] == ["config", "set", "seed", "interactions", "user_attrs", "item_attrs",
                                            "manifest"]
     assert all(described(subparsers[name]) == want for name in commands)
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def parsed(parser: argparse.ArgumentParser, argv, capsys) -> tuple[str, str, int]:
+    """What `parser.parse_args(argv)` prints to stdout and stderr, and its exit code (0 when it returns)."""
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def spy_add_parser(monkeypatch) -> list:
+    """From now on the name of every subcommand parser built is appended to the returned list."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spied(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spied)
+    return built
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_prints_what_the_full_parser_prints(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert list(subparsers(one)) == [command]
+    assert subparsers(one)[command].format_help() == subparsers(full)[command].format_help()
+    assert subparsers(one)[command].format_usage() == subparsers(full)[command].format_usage()
+    assert one.format_usage() == full.format_usage()  # an unrecognized argument prints the top-level usage
+    for argv in ([command, "-h"], [command], [command, "--seed", "x"], [command, "--nope"]):
+        assert parsed(one, argv, capsys) == parsed(full, argv, capsys)
+
+
+def test_a_call_that_names_its_command_builds_that_parser_alone(dataset, run_dir, monkeypatch, capsys):
+    argv = ["recommend", "--checkpoint", str(run_dir / "checkpoint.ckgr"), *data_flags(dataset), "--user", "u0"]
+    built = spy_add_parser(monkeypatch)
+    assert main(argv) == 0
+    assert built == ["recommend"]
+    printed = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["ckgrec", *argv])
+    assert main() == 0
+    assert built == ["recommend", "recommend"] and capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["-h"], 0), (["nope"], 2), (["Recommend"], 2), (["-h", "recommend"], 0), (["--seed", "1", "train"], 2),
+], ids=["none", "help", "misspelt", "capitalized", "help-first", "option-first"])
+def test_any_other_call_builds_every_parser(argv, code, monkeypatch, capsys):
+    built = spy_add_parser(monkeypatch)
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == code and built == list(cli.COMMANDS)
+
+
+def test_the_command_line_prints_what_the_full_parser_prints(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["--help"], ["nope"], ["-h", "recommend"], ["recommend"],
+                 ["recommend", "--checkpoint", "c", "--user", "u", "extra"]):
+        done = subprocess.run([sys.executable, "-m", "ckgrec.cli", *argv], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (done.stdout, done.stderr, done.returncode) == parsed(cli.build_parser(), argv, capsys), argv
