@@ -21,9 +21,10 @@ and build no graph.  Before any input file is opened,
 `WORLD_KEYS` key its stored value; `checkpoint.attach` then requires
 every input file to have its stored sha256, wherever it lives now.
 Scores come in aligned blocks of `RANK_BLOCK` users
-(`evaluate.score_block`): `recommend` computes only the block that holds
-its user, whose row is then the evaluated row bit for bit, and
-`evaluate` ranks every block.  `recommend` parses no data, so attach
+(`evaluate.score_block`): `recommend` reads and computes only the block
+that holds its user, whose row is then the evaluated row bit for bit,
+and `evaluate` ranks every block.  Neither reads the checkpoint's
+parameter blocks (`checkpoint.load`).  `recommend` parses no data, so attach
 hashes every input file; `evaluate` re-derives only the split, for its
 test pairs, and passes attach the digests of the files it parsed.  A
 checkpoint of an older format exits 1 and must be trained again.
@@ -383,9 +384,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint(args) -> tuple[ckpt.Loaded, RunConfig]:
-    """Read the checkpoint, resolve the config over its own (`_resolve_config`) and check the world keys."""
-    loaded = ckpt.load(args.checkpoint)
+def _load_checkpoint(args, user: str | None = None) -> tuple[ckpt.Loaded, RunConfig]:
+    """Read the checkpoint's serving tail, resolve the config over its own (`_resolve_config`), check the world keys.
+
+    Given `user`, only the aligned block of stored users that holds it is read (`checkpoint.load`).
+    """
+    loaded = ckpt.load(args.checkpoint, served=True, user=user)
     cfg = _resolve_config(args, loaded.meta.get("config"))
     ckpt.check_keys(args.checkpoint, loaded.meta, cfg.to_dict())
     return loaded, cfg
@@ -416,14 +420,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    loaded, cfg = _load_checkpoint(args)
+    loaded, cfg = _load_checkpoint(args, args.user)
     serving = ckpt.attach(args.checkpoint, loaded=loaded, config=cfg.to_dict())[0]
     if args.user not in serving.user_tokens:
         raise ConfigError(f"unknown user id {args.user!r}")
     u = serving.user_tokens.index(args.user)
-    # only the aligned block that holds u: its row u - at is row u of evaluate.model_scores, bit for bit
+    # only the aligned block that holds u, the rows the load read: its row u - at is row u of
+    # evaluate.model_scores, bit for bit
     at = u - u % RANK_BLOCK
-    scores = score_block(serving.users, serving.items, at)[u - at]
+    scores = score_block(serving.users, serving.items, at - serving.first_user)[u - at]
     trained = serving.train_items[serving.train_ptr[u]: serving.train_ptr[u + 1]]
     top = topk_from_scores(scores, cfg.top_k, trained)
     if len(top) < cfg.top_k:

@@ -172,12 +172,17 @@ def _top_k_shared(order: np.ndarray, excluded: np.ndarray, most_excluded: int, k
 
 
 def topk_from_scores(scores: np.ndarray, k: int, exclude=None) -> np.ndarray:
-    """Top-k item ids of one score row by descending score, ties by ascending id."""
+    """Top-k item ids of one score row by descending score, ties by ascending id.
+
+    `exclude` is any iterable of item ids; ids outside [0, len(scores)) are dropped.
+    """
     if k < 1:
         raise ConfigError(f"K must be >= 1, got {k}")
     neg = -np.asarray(scores, dtype=np.float64)[None, :]
     n_items = neg.shape[1]
-    excluded = _block_mask(_csr_rows([0], {0: () if exclude is None else exclude}, n_items), 0, 1, n_items)
+    ids = np.fromiter(() if exclude is None else exclude, dtype=np.int64)
+    excluded = np.zeros_like(neg, dtype=bool)
+    excluded[0, ids[(ids >= 0) & (ids < n_items)]] = True
     return _top_k(neg, excluded, k)[1]
 
 

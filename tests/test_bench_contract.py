@@ -85,3 +85,26 @@ def test_bench_checks_pass_on_cli_serving(bench, tmp_path):
         u = world.bg.user_vocab.id_of(token)
         rows = workloads.parse_recommend(text)
         assert workloads.recommend_problems(rows, world, u, scores, train_truth.get(u, set())) == []
+
+
+def test_served_commands_load_the_checkpoint_once_through_the_module(bench, tmp_path, monkeypatch):
+    # bench/tracer.py times the served read as `checkpoint.load_s` by swapping the module attribute
+    workloads, _ = bench
+    plan = dataclasses.replace(workloads.PLANS["serve_small"], users=60, items=40, epochs=1)
+    cfg = workloads.write_inputs(plan, 3, str(tmp_path))
+    world = workloads.build_world(cfg)
+    result = training.train(workloads.fresh_model(world), world.train_pairs, workloads.settings_of(cfg),
+                            Rng(cfg.seed, (13,)))
+    path = str(tmp_path / "checkpoint.ckgr")
+    checkpoint.save(result.model, path, {"config": cfg.to_dict(), "seed": cfg.seed, "epoch": result.best_epoch})
+    calls = []
+    real = checkpoint.load
+    monkeypatch.setattr(checkpoint, "load", lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs))
+    flags = ["--checkpoint", path, "--interactions", cfg.interactions,
+             "--user-attrs", cfg.user_attrs, "--item-attrs", cfg.item_attrs]
+    token = world.bg.user_vocab.tokens()[0]
+    for argv, span in ((["evaluate", *flags], "cli.evaluate"),
+                       (["recommend", *flags, "--user", token], "cli.recommend")):
+        code, _ = workloads.run_cli(argv, None, span)
+        assert code == 0 and calls == [path], argv
+        calls.clear()

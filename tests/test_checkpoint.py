@@ -183,6 +183,47 @@ class TestSingleBuffer:
             load(path)
 
 
+class TestServedLoad:
+    """A served load reads the serving tail, and for one user that user's block alone, as aligned views."""
+
+    @pytest.mark.parametrize("user", [None, 0, 1, "nobody"], ids=["every-user", "user-0", "user-1", "unknown"])
+    @pytest.mark.parametrize("shared_weights", [True, False], ids=["shared", "unshared"])
+    def test_arrays_are_aligned_writable_views_of_their_range_buffers(self, tmp_path, shared_weights, user):
+        _, path = saved_toy(tmp_path, shared_weights=shared_weights)
+        full = load(path)
+        token = full.serving.user_tokens[user] if isinstance(user, int) else user
+        loaded = load(path, served=True, user=token)
+        assert loaded[:4] == (None,) * 4 and loaded.meta == full.meta
+        s, want = loaded.serving, full.serving
+        arrays = {"serving.users": s.users, "serving.items": s.items, "serving.train_ptr": s.train_ptr,
+                  "serving.train_items": s.train_items}
+        for name, array in arrays.items():
+            assert array.flags.aligned and array.flags.writeable, name
+        assert np.array_equal(s.users, want.users[s.first_user: s.first_user + len(s.users)])
+        for name in ("items", "train_ptr", "train_items"):
+            assert np.array_equal(getattr(s, name), getattr(want, name)), name
+        tail = _root(s.items)
+        assert isinstance(tail, np.ndarray) and all(_root(array) is tail for array in arrays.values()
+                                                    if array is not s.users)
+        assert s.items.ctypes.data % BLOCK_ALIGN == 0 or token is None
+        assert s.users.ctypes.data % BLOCK_ALIGN == 0  # the first row read, of every user or of the user's block
+        assert (_root(s.users) is tail) == (token is None)
+        # the toy's two users fill one partial block; an unknown user gets none
+        assert (s.first_user, len(s.users)) == ((0, 0) if user == "nobody" else (0, 2))
+        assert s.user_tokens == want.user_tokens and s.item_tokens == want.item_tokens
+
+    def test_a_served_load_skips_the_shared_weight_check(self, tmp_path):
+        # the W1/W2 blocks are parameter blocks, which a served load does not read
+        _, path = saved_toy(tmp_path)
+        raw = bytearray(path.read_bytes())
+        w1_at = 4 + 1 + 7 * 4 + 3 * 4 + 3 * 4 + (5 * 4 + 2 * 3 + 2 * 3 * 4) * 8
+        raw[w1_at: w1_at + 8] = np.array([999.0]).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="W1/W2"):
+            load(path)
+        assert np.array_equal(load(path, served=True).serving.items, load(path, served=True, user="u0").serving.items)
+
+
 # the toy model's blocks, in file order: two 5-entity, 2-relation graphs, widths 4, 3, 2, k=3, 2 users and 2 items
 TOY_BLOCKS = _blocks([(5, 2), (5, 2)], 4, 3, [4, 3, 2], (2, 2, 2))
 

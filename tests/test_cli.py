@@ -17,6 +17,7 @@ import pytest
 from ckgrec import checkpoint, cli
 from ckgrec.cli import main
 from ckgrec.config import load_config
+from ckgrec.errors import FormatError
 from ckgrec.evaluate import (
     RANK_BLOCK,
     model_scores,
@@ -676,13 +677,15 @@ class TestEvaluate:
         assert json.loads((out / "run_manifest.json").read_text())["config"]["top_k"] == 3
 
     def test_reads_the_checkpoint_once(self, dataset, run_dir, monkeypatch):
+        # one served read per command: the serving tail, and for recommend its user's block
         reads = []
         real = checkpoint.load
-        monkeypatch.setattr(checkpoint, "load", lambda path: reads.append(path) or real(path))
+        monkeypatch.setattr(checkpoint, "load",
+                            lambda path, **part: reads.append((str(path), part)) or real(path, **part))
         ckpt = run_dir / "checkpoint.ckgr"
         assert run("evaluate", "--checkpoint", ckpt, *data_flags(dataset)) == 0
         assert run("recommend", "--checkpoint", ckpt, *data_flags(dataset), "--user", "u0") == 0
-        assert [str(path) for path in reads] == [str(ckpt)] * 2
+        assert reads == [(str(ckpt), {"served": True, "user": None}), (str(ckpt), {"served": True, "user": "u0"})]
 
     def test_flags_beat_checkpoint_metadata_beats_env_seed(self, dataset, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1055,15 +1058,21 @@ class TestAlignedBlock:
                 assert float(score) == scores[u, world.bg.item_vocab.id_of(item)]  # repr round-trips the bits
 
     def test_one_block_is_scored(self, wide_run, capsys, monkeypatch):
+        # the served load holds only the user's block, so the rows scored are told by value, not by `at`
         data, ckpt, world = wide_run
         blocks = []
         real = cli.score_block
-        monkeypatch.setattr(cli, "score_block", lambda users, items, at: blocks.append(at) or real(users, items, at))
+        def recording(users, items, at):
+            blocks.append(users[at: at + RANK_BLOCK])
+            return real(users, items, at)
+
+        monkeypatch.setattr(cli, "score_block", recording)
+        stored = checkpoint.load(ckpt).serving.users
         tokens = world.bg.user_vocab.tokens()
         for u in self.IDS:
             assert run("recommend", "--checkpoint", ckpt, *data_flags(data), "--user", tokens[u]) == 0
-            assert blocks == [u - u % RANK_BLOCK]
-            blocks.clear()
+            assert len(blocks) == 1
+            assert np.array_equal(blocks.pop(), stored[u - u % RANK_BLOCK: u - u % RANK_BLOCK + RANK_BLOCK])
         assert [u - u % RANK_BLOCK for u in self.IDS] == [0, 128, 256]
 
     def test_served_evaluate_ranks_the_full_product(self, wide_run, capsys):
@@ -1083,6 +1092,85 @@ class TestAlignedBlock:
         ]
         assert run("evaluate", "--checkpoint", ckpt, *data_flags(data)) == 0
         assert capsys.readouterr().out.splitlines() == want
+
+
+def read_ranges(monkeypatch) -> list:
+    """(file offset, bytes returned) of each positioned read of a checkpoint file (`checkpoint._read_range`)."""
+    ranges = []
+    real = checkpoint._read_range
+
+    def spied(fd, start, n, first=0):
+        data = real(fd, start, n, first)
+        ranges.append((start, len(data)))
+        return data
+
+    monkeypatch.setattr(checkpoint, "_read_range", spied)
+    return ranges
+
+
+def block_offsets(ckpt) -> dict:
+    """{block name: (file offset, bytes)} of every block of `ckpt`, in file order."""
+    loaded = checkpoint.load(ckpt)
+    tables, dims, s = (loaded.table_u, loaded.table_i), loaded.meta["dims"], loaded.serving
+    layout = checkpoint._blocks([(t.n_entities, t.n_relations) for t in tables], tables[0].d, tables[0].k, dims,
+                                (len(s.users), len(s.items), len(s.train_items)))
+    at = 4 + 1 + 7 * 4 + 4 * len(dims) + 3 * 4  # magic, version, counts, layer widths, serving counts
+    out = {}
+    for name, shape, _ in layout:
+        out[name] = (at, int(np.prod(shape)) * 8)
+        at += out[name][1]
+    return out
+
+
+class TestServedRead:
+    """`evaluate` and `recommend` read the header and the serving tail of the checkpoint, no parameter block."""
+
+    def test_evaluate_reads_the_header_and_the_tail_from_the_users(self, wide_run, monkeypatch, capsys):
+        data, ckpt, _ = wide_run
+        blocks, size = block_offsets(ckpt), ckpt.stat().st_size
+        header, users_at = blocks["u.entity"][0], blocks["serving.users"][0]
+        ranges = read_ranges(monkeypatch)
+        assert run("evaluate", "--checkpoint", ckpt, *data_flags(data)) == 0
+        assert sum(n for at, n in ranges if at < header) == header
+        assert [(at, n) for at, n in ranges if at >= header] == [(users_at, size - users_at)]
+        assert all(at + n <= header for at, n in ranges if at < header)
+
+    def test_recommend_reads_the_header_the_tail_from_the_items_and_one_user_block(self, wide_run, monkeypatch,
+                                                                                    capsys):
+        data, ckpt, world = wide_run
+        blocks, size = block_offsets(ckpt), ckpt.stat().st_size
+        header, items_at = blocks["u.entity"][0], blocks["serving.items"][0]
+        users_at, row = blocks["serving.users"][0], blocks["serving.users"][1] // 300
+        tokens = world.bg.user_vocab.tokens()
+        ranges = read_ranges(monkeypatch)
+        for u in TestAlignedBlock.IDS:
+            assert run("recommend", "--checkpoint", ckpt, *data_flags(data), "--user", tokens[u]) == 0
+            at = u - u % RANK_BLOCK
+            assert sum(n for start, n in ranges if start < header) == header
+            assert all(start + n <= header for start, n in ranges if start < header)
+            assert [(start, n) for start, n in ranges if start >= header] == [
+                (items_at, size - items_at), (users_at + at * row, min(RANK_BLOCK, 300 - at) * row)]
+            ranges.clear()
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["recommend", "--user", "u0"]], ids=["evaluate", "recommend"])
+    @pytest.mark.parametrize("change", ["cut-inside-i.entity", "one-trailing-byte"])
+    def test_a_damaged_file_is_refused_with_the_full_load_message(self, dataset, run_dir, tmp_path, capsys, command,
+                                                                   change):
+        ckpt = run_dir / "checkpoint.ckgr"
+        raw = ckpt.read_bytes()
+        if change == "one-trailing-byte":
+            damaged, message = raw + b"x", f"1 trailing bytes after metadata at offset {len(raw)}"
+        else:
+            at, n = block_offsets(ckpt)["i.entity"]
+            damaged = raw[: at + n - 4]  # the block's last value is cut in half
+            message = f"truncated checkpoint — needed {n} bytes for i.entity at offset {at}, file has {at + n - 4}"
+        bad = tmp_path / "bad.ckgr"
+        bad.write_bytes(damaged)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            checkpoint.load(bad)
+        assert run(*command, "--checkpoint", bad, *data_flags(dataset)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {bad}: {message}\n"
 
 
 def trained_depths(monkeypatch) -> list:

@@ -146,6 +146,27 @@ class TestTopK:
         k = data.draw(st.integers(1, len(scores) + 3))
         assert topk_from_scores(scores, k, exclude).tolist() == topk_reference(scores, k, exclude).tolist()
 
+    @pytest.mark.parametrize("kind", ["set", "ndarray", "list"])
+    def test_random_rows_and_exclusions_match_the_reference(self, kind):
+        # rows with ties and NaNs; exclusions with duplicates, negative ids and ids past the row, which are dropped
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            scores = rng.choice([-1.0, 0.0, 0.25, 0.5, np.nan], size=n) if trial % 2 else rng.random(n).round(1)
+            ids = rng.integers(-n - 3, 2 * n + 3, size=int(rng.integers(0, 2 * n)))
+            exclude = {"set": set(ids.tolist()), "ndarray": ids, "list": ids.tolist()}[kind]
+            inside = {int(i) for i in ids if 0 <= i < n}
+            for k in (1, max(1, n // 2), n, n + 5):  # the last ones past what is left after the exclusions
+                got = topk_from_scores(scores, k, exclude)
+                assert got.tolist() == topk_reference(scores, k, inside).tolist(), (trial, k)
+                assert len(got) == min(k, n - len(inside))
+
+    def test_k_greater_than_the_row_returns_every_rankable_id(self):
+        scores = np.array([0.1, np.nan, 0.7, 0.7])
+        assert topk_from_scores(scores, 9).tolist() == [2, 3, 0, 1]
+        assert topk_from_scores(scores, 9, np.array([3, 3, -1, 4])).tolist() == [2, 0, 1]
+        assert topk_from_scores(scores, 9, {0, 1, 2, 3}).tolist() == []
+
 
 class TestModelScores:
     def test_one_propagation_result_alive_at_a_time(self, monkeypatch):
